@@ -458,16 +458,61 @@ class BddStore:
 
     def cube(self, block, value):
         """Conjunction encoding ``value`` in the bits of ``block`` (bit 0 = LSB)."""
-        if value < 0 or value >= (1 << len(block.vars)):
-            raise BddError(f"value {value} does not fit in block {block.name}")
-        n = TRUE
-        for b in range(len(block.vars) - 1, -1, -1):
-            v = block.vars[b]
-            lit = self._mk(v, FALSE, TRUE)
-            if not (value >> b) & 1:
-                lit = self._not(lit)
-            n = self._and(n, lit)
-        return Bdd(self, n)
+        return self.from_points([block], [(value,)])
+
+    def from_points(self, blocks, points):
+        """Disjunction of the cubes ``points`` over ``blocks``.
+
+        Each point is a tuple with one value per block (bit 0 = LSB).  The
+        points are packed into integers whose bits follow the global
+        variable order, then folded from the deepest variable up: at each
+        level, prefixes that agree on their upper bits are paired under
+        one node.  Every node created is a node of the result, so the
+        store holds no intermediate garbage.  Variables outside
+        ``blocks`` stay free.
+        """
+        order = sorted(v for blk in blocks for v in blk.vars)
+        if len(set(order)) != len(order):
+            raise BddError("from_points: blocks share variables")
+        # bit position of each block bit in the packed key; the topmost
+        # variable of the order is the most significant bit
+        shift = {v: len(order) - 1 - i for i, v in enumerate(order)}
+        # per block: its bits' masks and a memo of value -> packed bits
+        spreads = [(blk, [1 << shift[v] for v in blk.vars], {})
+                   for blk in blocks]
+        level = {}                      # packed key -> node
+        for point in points:
+            if len(point) != len(blocks):
+                raise BddError(
+                    f"point {point!r} needs one value per block "
+                    f"({len(blocks)})")
+            key = 0
+            for (blk, masks, memo), value in zip(spreads, point):
+                bits = memo.get(value)
+                if bits is None:
+                    if not 0 <= value < (1 << len(masks)):
+                        raise BddError(
+                            f"value {value} does not fit in block {blk.name}")
+                    bits = 0
+                    for b, mask in enumerate(masks):
+                        if (value >> b) & 1:
+                            bits |= mask
+                    memo[value] = bits
+                key |= bits
+            level[key] = TRUE
+        if not level:
+            return self.false
+        mk = self._mk
+        for v in reversed(order):
+            pairs = {}                  # key >> 1 -> [lo, hi]
+            for key, n in level.items():
+                pair = pairs.get(key >> 1)
+                if pair is None:
+                    pair = pairs[key >> 1] = [FALSE, FALSE]
+                pair[key & 1] = n
+            level = {key: mk(v, lo, hi) for key, (lo, hi) in pairs.items()}
+        return Bdd(self, level[0])
+
 
     def minterms(self, f, block):
         """Yield the integer values over ``block`` satisfying f (ascending)."""

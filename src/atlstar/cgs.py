@@ -326,15 +326,12 @@ class SymbolicCgs:
     init: object
     final: object
     valid: object        # encodings of real states
+    reach: object        # states reachable from the initial one
     action_valid: dict   # agent -> Bdd excluding padded action encodings
 
-    def state_bdd(self, s, block=None):
-        return self.store.cube(block or self.q, s)
-
     def set_bdd(self, states, block=None):
-        st = self.store
-        blk = block or self.q
-        return st.big_or([st.cube(blk, s) for s in sorted(states)])
+        return self.store.from_points([block or self.q],
+                                      [(s,) for s in states])
 
     def decode(self, f, block=None):
         """Sorted state ids in a BDD over the state block."""
@@ -366,32 +363,29 @@ def encode_symbolic(g, store):
             raise CgsError(f"store too small for actions of agent {a}")
         action_blocks[a] = blk
 
-    cubes = []
-    for (s, j), t in g.transitions.items():
-        parts = [store.cube(q, s), store.cube(qn, t)]
-        for i, a in enumerate(g.agents):
-            parts.append(store.cube(action_blocks[a], j[i]))
-        cubes.append(store.big_and(parts))
-    delta = store.big_or(cubes)
+    blocks = [q] + [action_blocks[a] for a in g.agents] + [qn]
+    delta = store.from_points(
+        blocks, [(s,) + j + (t,) for (s, j), t in g.transitions.items()])
 
-    valid = store.big_or([store.cube(q, s) for s in range(len(g.states))])
-    lam = {}
-    for p in g.atoms:
-        holds = [s for s in range(len(g.states)) if p in g.labels[s]]
-        lam[p] = store.big_or([store.cube(q, s) for s in holds])
+    def states(ids):
+        return store.from_points([q], [(s,) for s in ids])
+
+    valid = states(range(len(g.states)))
+    lam = {p: states(s for s in range(len(g.states)) if p in g.labels[s])
+           for p in g.atoms}
     init = store.cube(q, g.initial)
-    final = store.big_or([store.cube(q, s) for s in sorted(g.final)])
-    action_valid = {}
-    for a in g.agents:
-        blk = action_blocks[a]
-        action_valid[a] = store.big_or(
-            [store.cube(blk, i) for i in range(len(g.actions[a]))]
-        )
+    final = states(g.final)
+    reach = states(g.reachable_states())
+    action_valid = {
+        a: store.from_points([action_blocks[a]],
+                             [(i,) for i in range(len(g.actions[a]))])
+        for a in g.agents
+    }
 
     return SymbolicCgs(
         g=g, store=store, q=q, q_next=qn, action_blocks=action_blocks,
         delta=delta, lambda_=lam, init=init, final=final, valid=valid,
-        action_valid=action_valid,
+        reach=reach, action_valid=action_valid,
     )
 
 
@@ -400,20 +394,6 @@ def all_action_vars(sg):
     for a in sg.g.agents:
         out.extend(sg.action_blocks[a].vars)
     return out
-
-
-def reachable(sg):
-    """Least fixpoint of the post-image from the initial state (over q)."""
-    st = sg.store
-    avs = all_action_vars(sg)
-    r = sg.init
-    frontier = sg.init
-    while not frontier.is_false():
-        img = st.and_exists(frontier, sg.delta, list(sg.q.vars) + avs)
-        img = st.rename(img, sg.q_next, sg.q)
-        frontier = img & ~r
-        r = r | frontier
-    return r
 
 
 def coalition_actions(sg, coalition):

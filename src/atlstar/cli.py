@@ -7,6 +7,7 @@ not hold, 2 usage or input errors, 3 resource limits hit.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import warnings
 
@@ -80,6 +81,8 @@ def build_parser():
     p = sub.add_parser("solve-game",
                        help="solve a parity game in pgsolver format")
     p.add_argument("game", help="pgsolver-format file")
+    p.add_argument("--json", action="store_true",
+                   help='print {"W0": [...], "W1": [...]} as JSON')
     return ap
 
 
@@ -157,8 +160,11 @@ def cmd_solve_game(args):
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     w0, w1 = infinite_mc.solve_zielonka(game)
-    print("W0: " + " ".join(str(v) for v in sorted(w0)))
-    print("W1: " + " ".join(str(v) for v in sorted(w1)))
+    if args.json:
+        print(json.dumps({"W0": sorted(w0), "W1": sorted(w1)}))
+    else:
+        print("W0: " + " ".join(str(v) for v in sorted(w0)))
+        print("W1: " + " ".join(str(v) for v in sorted(w1)))
     return EXIT_HOLDS
 
 

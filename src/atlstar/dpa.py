@@ -302,27 +302,17 @@ class Dpa:
         s = self.initial
         for a in prefix:
             s = self.delta[(s, a)]
+        # run the loop until a (state, loop position) pair repeats; the
+        # states from its first visit on are exactly the recurring ones
         seen = {}
-        trail = []
-        i = 0
-        while s not in seen:
-            seen[s] = i
-            trail.append(s)
-            s = self.delta[(s, loop[i % len(loop)])]
-            i += len(loop)  # advance a whole loop iteration at a time
-        # recompute with single steps for exact recurring set
-        s0 = self.initial
-        for a in prefix:
-            s0 = self.delta[(s0, a)]
-        seen2 = {}
-        s, pos = s0, 0
+        pos = 0
         path = []
-        while (s, pos % len(loop)) not in seen2:
-            seen2[(s, pos % len(loop))] = len(path)
+        while (s, pos % len(loop)) not in seen:
+            seen[(s, pos % len(loop))] = len(path)
             path.append(s)
             s = self.delta[(s, loop[pos % len(loop)])]
             pos += 1
-        start = seen2[(s, pos % len(loop))]
+        start = seen[(s, pos % len(loop))]
         recurring = path[start:]
         prios = [self.priority[q] for q in recurring]
         kind, par = self.polarity.split()
@@ -487,9 +477,7 @@ class SymbolicDpa:
     store: object
     s: object
     s_next: object
-    c: object          # priority bits
     delta: object      # Bdd over (s, q', s')
-    omega: object      # Bdd over (s, c)
     init: object
     valid: object
     priority_sets: dict  # priority -> Bdd over s
@@ -499,47 +487,14 @@ def encode_dpa(dpa, sg, extra_labels=None):
     """Symbolic DPA transition relation and priority map against a CGS."""
     if dpa.polarity != "min even":
         raise DpaError("encode_dpa requires a min-even normalized automaton")
-    store = sg.store
-    s = store.block("s")
-    sn = store.block("s'")
-    labels = dict(sg.lambda_)
-    if extra_labels:
-        labels.update(extra_labels)
-
-    guards = {}
-    for (st_, a), t in dpa.delta.items():
-        guards.setdefault((st_, t), []).append(a)
-    cubes = []
-    for (src, dst), letters in sorted(guards.items()):
-        guard = store.big_or([
-            ltlf2dfa._letter_guard(store, sg, dpa.atoms, a, labels)
-            for a in letters
-        ])
-        guard = store.rename(guard, sg.q, sg.q_next)
-        cubes.append(store.cube(s, src) & guard & store.cube(sn, dst))
-    delta = store.big_or(cubes)
-
-    k = max(dpa.priority.values()) + 1
-    try:
-        c = store.block("c")
-    except KeyError:
-        c = None
-    omega = store.false
-    priority_sets = {}
-    for p in range(k):
-        members = [q for q in range(dpa.n_states) if dpa.priority[q] == p]
-        if not members:
-            continue
-        pset = store.big_or([store.cube(s, q) for q in members])
-        priority_sets[p] = pset
-        if c is not None:
-            omega = omega | (pset & store.cube(c, p))
-
-    valid = store.big_or([store.cube(s, i) for i in range(dpa.n_states)])
+    s, sn, delta, states = ltlf2dfa.encode_automaton(dpa, sg, extra_labels)
+    members = {}
+    for q in range(dpa.n_states):
+        members.setdefault(dpa.priority[q], []).append(q)
     return SymbolicDpa(
-        dpa=dpa, store=store, s=s, s_next=sn, c=c, delta=delta,
-        omega=omega, init=store.cube(s, dpa.initial), valid=valid,
-        priority_sets=priority_sets,
+        dpa=dpa, store=sg.store, s=s, s_next=sn, delta=delta,
+        init=states([dpa.initial]), valid=states(range(dpa.n_states)),
+        priority_sets={p: states(qs) for p, qs in sorted(members.items())},
     )
 
 

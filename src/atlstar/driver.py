@@ -47,7 +47,7 @@ class CheckResult:
     holds: bool
     states: list             # sorted ids where the formula holds
     state_names: list
-    timings_ms: dict         # translate / build / solve / total
+    timings_ms: dict         # translate / encode / build / solve / total
     details: dict = field(default_factory=dict)
 
     def to_json(self):
@@ -88,13 +88,18 @@ def check(request=None, **kwargs):
 
     g = req.model
     cgsmod.validate(g)
+    unknown = sorted(p for p in fm.atoms_of(psi)
+                     if p not in g.atoms and not p.startswith(fm.FRESH_PREFIX))
+    if unknown:
+        raise DriverError(
+            f"formula atoms not declared by the model: {', '.join(unknown)}")
     if req.semantics == "finite" and not g.final:
         warnings.warn("finite-trace semantics on a model with no final "
                       "states: traces never terminate, safety is vacuous")
     if req.semantics == "infinite" and g.final:
         warnings.warn("infinite-trace semantics ignores final states")
 
-    timings = {"translate": 0.0, "build": 0.0, "solve": 0.0}
+    timings = {"translate": 0.0, "encode": 0.0, "build": 0.0, "solve": 0.0}
     details = {"subformulas": []}
     reachable = frozenset(g.reachable_states())
 
@@ -163,6 +168,7 @@ def check(request=None, **kwargs):
         t3 = time.perf_counter()
         res = finite_mc.solve_safety(prod)
         t4 = time.perf_counter()
+        timings["encode"] += (t2 - t1) * 1000
         timings["build"] += (t3 - t2) * 1000
         timings["solve"] += (t4 - t3) * 1000
         return finite_mc.project_states(sg, sd, res.winning & prod.entry)
@@ -193,6 +199,7 @@ def check(request=None, **kwargs):
         t3 = time.perf_counter()
         win = infinite_mc.winning_states(sg, sd, coalition, game=game)
         t4 = time.perf_counter()
+        timings["encode"] += (t2 - t1) * 1000
         timings["build"] += (t3 - t2) * 1000
         timings["solve"] += (t4 - t3) * 1000
         return win

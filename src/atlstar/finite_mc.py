@@ -66,10 +66,9 @@ def build_product(sg, sd, coalition):
     delta = delta_g & sd.delta
 
     entry = entry_relation(sg, sd)
-    reach_g = cgsmod.reachable(sg)
 
     # product reachability from the entry points of all reachable states
-    frontier = reach_g & entry
+    frontier = sg.reach & entry
     reach = frontier
     qs = sg.q.vars + sd.s.vars
     qsn = sg.q_next.vars + sd.s_next.vars

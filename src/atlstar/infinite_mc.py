@@ -240,12 +240,14 @@ def parse_pgsolver(text):
     n = max(owner) + 1
     if set(owner) != set(range(n)):
         raise InfiniteMcError("vertex ids must be contiguous from 0")
-    return ExplicitGame(
+    game = ExplicitGame(
         owner=[owner[v] for v in range(n)],
         priority=[priority[v] for v in range(n)],
         succ=[succ[v] for v in range(n)],
         names=[names[v] for v in range(n)],
     )
+    game.validate()
+    return game
 
 
 # ---------------------------------------------------------------------------
@@ -404,17 +406,17 @@ def encode_explicit_game(game, byte_budget=64 * 1024 * 1024):
     st = new_store([("v", nb), ("v'", nb)], byte_budget=byte_budget)
     v = st.block("v")
     vp = st.block("v'")
-    v0 = st.big_or([st.cube(v, x) for x in range(game.n())
-                    if game.owner[x] == 0])
-    v1 = st.big_or([st.cube(v, x) for x in range(game.n())
-                    if game.owner[x] == 1])
-    e = st.big_or([st.cube(v, x) & st.cube(vp, w)
-                   for x in range(game.n()) for w in game.succ[x]])
-    priorities = {}
+    v0 = st.from_points([v], [(x,) for x in range(game.n())
+                              if game.owner[x] == 0])
+    v1 = st.from_points([v], [(x,) for x in range(game.n())
+                              if game.owner[x] == 1])
+    e = st.from_points([v, vp], [(x, w) for x in range(game.n())
+                                 for w in game.succ[x]])
+    classes = {}
     for x in range(game.n()):
-        p = game.priority[x]
-        cube = st.cube(v, x)
-        priorities[p] = priorities.get(p, st.false) | cube
+        classes.setdefault(game.priority[x], []).append((x,))
+    priorities = {p: st.from_points([v], xs)
+                  for p, xs in sorted(classes.items())}
     out = SymbolicParityGame(
         store=st, sg=None, sdpa=None, coalition=(),
         blocks=[(v, vp)], v0=v0, v1=v1, e=e, priorities=priorities,
@@ -711,8 +713,7 @@ def winning_states(sg, sdpa, coalition, game=None):
     entry = st.rename(entry, sg.q_next, sg.q)
     entry = st.rename(entry, sdpa.s_next, sdpa.s)
 
-    reach = cgsmod.reachable(sg)
-    pos = w0 & game.v0 & entry & reach
+    pos = w0 & game.v0 & entry & sg.reach
     other_vars = [x for b, _ in game.blocks if b is not sg.q
                   for x in b.vars]
     states = st.exists(other_vars, pos)

@@ -352,52 +352,62 @@ class SymbolicDfa:
     valid: object   # Bdd over s
 
 
-def _letter_guard(store, sg, atoms, letter, labels):
-    parts = []
-    for i, p in enumerate(atoms):
-        lp = labels.get(p)
-        if lp is None:
-            raise TranslationError(f"atom {p!r} has no labelling entry")
-        parts.append(lp if (letter >> i) & 1 else ~lp)
-    return store.big_and(parts) if parts else store.true
+def encode_automaton(aut, sg, extra_labels=None):
+    """Encode a deterministic automaton's transitions against a CGS.
 
-
-def encode_dfa(dfa, sg, extra_labels=None):
-    """Build the symbolic transition relation over (s, q', s').
-
-    Each literal in a transition guard is replaced by the inverted
-    labelling predicate over CGS state bits, then moved to next-state
-    bits, so the DFA synchronizes on the successor's label.
+    Shared by :func:`encode_dfa` and :func:`dpa.encode_dpa`.  Each letter
+    becomes a guard over next-state bits: the conjunction of the (possibly
+    negated) labelling predicates of the automaton's atoms, with the
+    fresh-atom predicates in ``extra_labels`` taking part like model
+    atoms, so the automaton synchronizes on the successor's label.
+    Returns the ``s``/``s'`` blocks, the relation over (s, q', s') and a
+    function mapping automaton state ids to a Bdd over ``s``.
     """
     store = sg.store
     s = store.block("s")
     sn = store.block("s'")
-    if len(s.vars) < max(1, (dfa.n_states - 1).bit_length() if dfa.n_states > 1 else 1):
-        raise TranslationError("store too small for DFA states")
+    if len(s.vars) < max(1, (aut.n_states - 1).bit_length()):
+        raise TranslationError("store too small for automaton states")
     labels = dict(sg.lambda_)
     if extra_labels:
         labels.update(extra_labels)
+    primed = {}
+    for p in aut.atoms:
+        if p not in labels:
+            raise TranslationError(f"atom {p!r} has no labelling entry")
+        primed[p] = store.rename(labels[p], sg.q, sg.q_next)
 
-    # group letters per (source, target) pair before touching labels
-    guards = {}
-    for (st_, a), t in dfa.delta.items():
-        guards.setdefault((st_, t), []).append(a)
+    def guard(letter):
+        return store.big_and([
+            primed[p] if (letter >> i) & 1 else ~primed[p]
+            for i, p in enumerate(aut.atoms)
+        ])
 
-    cubes = []
-    for (src, dst), letters in sorted(guards.items()):
-        guard = store.big_or(
-            [_letter_guard(store, sg, dfa.atoms, a, labels) for a in letters]
-        )
-        guard = store.rename(guard, sg.q, sg.q_next)
-        cubes.append(store.cube(s, src) & guard & store.cube(sn, dst))
-    delta = store.big_or(cubes)
+    # state pairs that share a letter set share one guard
+    letters = {}
+    for (src, a), dst in aut.delta.items():
+        letters.setdefault((src, dst), []).append(a)
+    pairs = {}
+    for pair, group in letters.items():
+        pairs.setdefault(tuple(sorted(group)), []).append(pair)
+    delta = store.big_or([
+        store.from_points([s, sn], group) & store.big_or(map(guard, key))
+        for key, group in sorted(pairs.items())
+    ])
 
-    valid = store.big_or([store.cube(s, i) for i in range(dfa.n_states)])
-    finals = store.big_or([store.cube(s, i) for i in sorted(dfa.finals)])
-    init = store.cube(s, dfa.initial)
+    def states(ids):
+        return store.from_points([s], [(i,) for i in ids])
+
+    return s, sn, delta, states
+
+
+def encode_dfa(dfa, sg, extra_labels=None):
+    """Build the symbolic transition relation over (s, q', s')."""
+    s, sn, delta, states = encode_automaton(dfa, sg, extra_labels)
     return SymbolicDfa(
-        dfa=dfa, store=store, s=s, s_next=sn, delta=delta,
-        init=init, finals=finals, valid=valid,
+        dfa=dfa, store=sg.store, s=s, s_next=sn, delta=delta,
+        init=states([dfa.initial]), finals=states(dfa.finals),
+        valid=states(range(dfa.n_states)),
     )
 
 

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atlstar.bdd import BddError, BudgetExceeded, new_store
 
@@ -151,3 +153,76 @@ def test_cross_store_mixing_rejected():
     s2 = fresh(3)
     with pytest.raises(BddError):
         s1.true & s2.true
+
+
+def nodes_below(store, f):
+    """Non-terminal nodes reachable from f."""
+    seen = set()
+    stack = [f.node]
+    while stack:
+        n = stack.pop()
+        if n > 1 and n not in seen:
+            seen.add(n)
+            stack += [store._lo[n], store._hi[n]]
+    return len(seen)
+
+
+@st.composite
+def point_sets(draw):
+    """A store layout (some blocks with a primed partner, so bits
+    interleave), a subset of its blocks in any order, and points over it."""
+    layout = []
+    room = 8          # variables in all, so the truth table stays small
+    for i in range(draw(st.integers(1, 3))):
+        if room == 0:
+            break
+        width = draw(st.integers(1, min(3, room)))
+        layout.append((f"b{i}", width))
+        room -= width
+        if width <= room and draw(st.booleans()):
+            layout.append((f"b{i}'", width))
+            room -= width
+    names = draw(st.permutations([name for name, _ in layout]))
+    names = names[:draw(st.integers(1, len(names)))]
+    widths = dict(layout)
+    point = st.tuples(*[st.integers(0, (1 << widths[n]) - 1) for n in names])
+    return layout, names, draw(st.lists(point, max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_sets())
+def test_from_points_is_the_disjunction_of_cubes(case):
+    layout, names, points = case
+    store = new_store(layout)
+    blocks = [store.block(n) for n in names]
+    before = store.node_count()
+    f = store.from_points(blocks, points)
+    # every node the constructor made is a node of the result
+    assert store.node_count() - before == nodes_below(store, f)
+    assert f == store.big_or([
+        store.big_and([store.cube(b, x) for b, x in zip(blocks, p)])
+        for p in points
+    ])
+    # the same function, read off variable by variable
+    allvars = range(store.nvars)
+    wanted = set(points)
+    for bits in itertools.product([False, True], repeat=store.nvars):
+        env = dict(zip(allvars, bits))
+        point = tuple(sum(env[v] << i for i, v in enumerate(b.vars))
+                      for b in blocks)
+        assert store.evaluate(f, env) == (point in wanted)
+
+
+def test_from_points_empty_and_out_of_range():
+    store = new_store([("a", 2), ("b", 3)])
+    a, b = store.block("a"), store.block("b")
+    before = store.node_count()
+    assert store.from_points([a, b], []) == store.false
+    assert store.node_count() == before
+    for bad in [(4, 0), (0, 8), (-1, 0)]:
+        with pytest.raises(BddError, match="does not fit"):
+            store.from_points([a, b], [(0, 0), bad])
+    with pytest.raises(BddError, match="one value per block"):
+        store.from_points([a, b], [(1,)])
+    with pytest.raises(BddError, match="share variables"):
+        store.from_points([a, a], [(1, 1)])

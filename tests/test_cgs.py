@@ -111,14 +111,27 @@ def test_labels_inverted():
     assert set(sg.decode(sg.lambda_["goal"])) == {2}
 
 
+def symbolic_reachable(sg):
+    """Least fixpoint of the post-image of ``delta`` from ``init``."""
+    st = sg.store
+    quantified = list(sg.q.vars) + cgs.all_action_vars(sg)
+    r = frontier = sg.init
+    while not frontier.is_false():
+        img = st.and_exists(frontier, sg.delta, quantified)
+        img = st.rename(img, sg.q_next, sg.q)
+        frontier = img & ~r
+        r = r | frontier
+    return r
+
+
 def test_reachable_matches_bfs():
     rng = random.Random(23)
     for _ in range(20):
         g = random_model(rng, rng.randint(1, 12))
         store = cgs.make_store(g, automaton_bits=1)
         sg = cgs.encode_symbolic(g, store)
-        got = set(sg.decode(cgs.reachable(sg)))
-        assert got == g.reachable_states()
+        assert sg.reach == symbolic_reachable(sg)
+        assert set(sg.decode(sg.reach)) == g.reachable_states()
 
 
 def test_coalition_actions():

@@ -63,6 +63,15 @@ def test_parse_error_is_usage(model_file, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_unknown_atom_is_usage(model_file, capsys):
+    rc = cli.main(["check", model_file, "<<a>> F nosuch"])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_USAGE
+    assert "nosuch" in err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
 def test_missing_model_is_usage(tmp_path, capsys):
     rc = cli.main(["check", str(tmp_path / "nope.cgs"), "<<a>> F goal"])
     assert rc == cli.EXIT_USAGE
@@ -156,3 +165,22 @@ def test_solve_game_malformed(tmp_path, capsys):
     game.write_text("parity 0;\n0 0;\n")
     rc = cli.main(["solve-game", str(game)])
     assert rc == cli.EXIT_USAGE
+
+
+def test_solve_game_json(tmp_path, capsys):
+    game = tmp_path / "game.gm"
+    # vertex 1 (player 1, odd priority) can escape to the odd self-loop 2
+    game.write_text("parity 2;\n0 0 0 0,1;\n1 1 1 0,2;\n2 1 0 2;\n")
+    rc = cli.main(["solve-game", str(game), "--json"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out) == {"W0": [0], "W1": [1, 2]}
+
+
+def test_solve_game_bad_successor(tmp_path, capsys):
+    game = tmp_path / "game.gm"
+    game.write_text('parity 0;\n0 1 0 0,5 "a";\n')
+    rc = cli.main(["solve-game", str(game)])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_USAGE
+    assert "bad successor 5" in err
+    assert "Traceback" not in err

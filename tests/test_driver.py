@@ -49,7 +49,19 @@ def test_basic_check():
     assert res.holds is True
     assert res.states == [0, 1, 2]
     assert res.state_names == ["s0", "s1", "s2"]
-    assert set(res.timings_ms) >= {"translate", "build", "solve", "total"}
+    assert set(res.timings_ms) >= {"translate", "encode", "build", "solve",
+                                   "total"}
+
+
+@pytest.mark.parametrize("semantics", ["finite", "infinite"])
+def test_phase_timings_add_up(semantics):
+    # structural only: the phases are disjoint spans inside the total
+    res = run("(<<a>> G p) | <<a,b>> F (goal & <<a>> G goal)",
+              semantics=semantics)
+    t = res.timings_ms
+    phases = ("translate", "encode", "build", "solve")
+    assert all(t[k] >= 0 for k in phases + ("total",))
+    assert sum(t[k] for k in phases) <= t["total"]
 
 
 def test_double_negation():
@@ -99,6 +111,14 @@ def test_path_formula_rejected_at_top_level():
 def test_unknown_agent():
     with pytest.raises(driver.DriverError, match="unknown agent"):
         run("<<zz>> F goal")
+
+
+@pytest.mark.parametrize("engine", ["symbolic", "explicit"])
+def test_unknown_atom(engine):
+    with pytest.raises(driver.DriverError, match="nosuch"):
+        run("<<a>> F nosuch", engine=engine)
+    with pytest.raises(driver.DriverError, match="nosuch"):
+        run("<<a>> F (goal & <<a,b>> G nosuch)", engine=engine)
 
 
 def test_bad_options():
