@@ -322,16 +322,11 @@ class SymbolicCgs:
     q_next: object
     action_blocks: dict  # agent -> VarBlock
     delta: object        # Bdd over (q, a, q')
-    lambda_: dict        # atom -> Bdd over q
     init: object
     final: object
     valid: object        # encodings of real states
     reach: object        # states reachable from the initial one
     action_valid: dict   # agent -> Bdd excluding padded action encodings
-
-    def set_bdd(self, states, block=None):
-        return self.store.from_points([block or self.q],
-                                      [(s,) for s in states])
 
     def decode(self, f, block=None):
         """Sorted state ids in a BDD over the state block."""
@@ -341,8 +336,12 @@ class SymbolicCgs:
         ]
 
 
-def encode_symbolic(g, store):
-    """Encode a Cgs into BDDs over the store's q/q'/action blocks."""
+def encode_symbolic(g, store, reachable=None):
+    """Encode a Cgs into BDDs over the store's q/q'/action blocks.
+
+    ``reachable`` is the set of states reachable from the initial one,
+    if the caller already holds it; otherwise it is computed here.
+    """
     nq = bits_for(len(g.states))
     try:
         q = store.block("q")
@@ -371,11 +370,11 @@ def encode_symbolic(g, store):
         return store.from_points([q], [(s,) for s in ids])
 
     valid = states(range(len(g.states)))
-    lam = {p: states(s for s in range(len(g.states)) if p in g.labels[s])
-           for p in g.atoms}
     init = store.cube(q, g.initial)
     final = states(g.final)
-    reach = states(g.reachable_states())
+    if reachable is None:
+        reachable = g.reachable_states()
+    reach = states(reachable)
     action_valid = {
         a: store.from_points([action_blocks[a]],
                              [(i,) for i in range(len(g.actions[a]))])
@@ -384,7 +383,7 @@ def encode_symbolic(g, store):
 
     return SymbolicCgs(
         g=g, store=store, q=q, q_next=qn, action_blocks=action_blocks,
-        delta=delta, lambda_=lam, init=init, final=final, valid=valid,
+        delta=delta, init=init, final=final, valid=valid,
         reach=reach, action_valid=action_valid,
     )
 

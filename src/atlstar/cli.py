@@ -13,10 +13,12 @@ import warnings
 
 from . import bench
 from . import cgs as cgsmod
+from . import dpa
 from . import driver
 from . import finite_mc
 from . import formula as fm
 from . import infinite_mc
+from . import ltlf2dfa
 from .bdd import BudgetExceeded
 
 EXIT_HOLDS = 0
@@ -185,7 +187,8 @@ def main(argv=None):
             return cmd_solve_game(args)
         return EXIT_USAGE
     except (cgsmod.CgsError, fm.ParseError, bench.BenchError,
-            driver.DriverError, ValueError, OSError) as e:
+            driver.DriverError, dpa.DpaError, dpa.HoaError,
+            ltlf2dfa.TranslationError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (BudgetExceeded, finite_mc.FiniteMcError,

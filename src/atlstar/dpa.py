@@ -288,11 +288,7 @@ class Dpa:
     polarity: str = "min even"   # acceptance convention for this priority map
 
     def letter(self, labels):
-        mask = 0
-        for i, p in enumerate(self.atoms):
-            if p in labels:
-                mask |= 1 << i
-        return mask
+        return ltlf2dfa.letter_mask(self.atoms, labels)
 
     def accepts_lasso(self, prefix, loop):
         """Acceptance of the ultimately periodic word prefix . loop^omega.

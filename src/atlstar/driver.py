@@ -145,7 +145,12 @@ def check(request=None, **kwargs):
 
     def solve_finite(body, coalition):
         t0 = time.perf_counter()
-        dfa = ltlf2dfa.translate(body)
+        # the explicit oracle reads every letter, independently of the model
+        labels = None
+        if req.engine == "symbolic":
+            g2 = _with_extra_labels(g, extra)
+            labels = [g2.labels[q] for q in reachable]
+        dfa = ltlf2dfa.translate(body, labels=labels)
         t1 = time.perf_counter()
         timings["translate"] += (t1 - t0) * 1000
         if req.engine == "explicit":
@@ -159,10 +164,8 @@ def check(request=None, **kwargs):
         store = cgsmod.make_store(
             g, automaton_bits=cgsmod.bits_for(dfa.n_states),
             byte_budget=req.byte_budget)
-        sg = cgsmod.encode_symbolic(g, store)
-        extra_bdds = {name: sg.set_bdd(states)
-                      for name, states in extra.items()}
-        sd = ltlf2dfa.encode_dfa(dfa, sg, extra_labels=extra_bdds)
+        sg = cgsmod.encode_symbolic(g, store, reachable=reachable)
+        sd = ltlf2dfa.encode_dfa(dfa, sg, extra_labels=extra)
         t2 = time.perf_counter()
         prod = finite_mc.build_product(sg, sd, coalition)
         t3 = time.perf_counter()
@@ -181,8 +184,7 @@ def check(request=None, **kwargs):
         details.setdefault("translators", []).append(tool)
         if req.engine == "explicit" or req.solver == "zielonka":
             g2 = _with_extra_labels(g, extra)
-            infinite_mc.region_cap_check(
-                len(g2.reachable_states()) * dpa.n_states)
+            infinite_mc.region_cap_check(len(reachable) * dpa.n_states)
             t2 = time.perf_counter()
             win = infinite_mc.winning_states_explicit(g2, dpa, coalition)
             timings["solve"] += (time.perf_counter() - t2) * 1000
@@ -190,10 +192,8 @@ def check(request=None, **kwargs):
         store = cgsmod.make_store(
             g, automaton_bits=cgsmod.bits_for(dpa.n_states), game=True,
             byte_budget=req.byte_budget)
-        sg = cgsmod.encode_symbolic(g, store)
-        extra_bdds = {name: sg.set_bdd(states)
-                      for name, states in extra.items()}
-        sd = dpamod.encode_dpa(dpa, sg, extra_labels=extra_bdds)
+        sg = cgsmod.encode_symbolic(g, store, reachable=reachable)
+        sd = dpamod.encode_dpa(dpa, sg, extra_labels=extra)
         t2 = time.perf_counter()
         game = infinite_mc.build_game(sg, sd, coalition)
         t3 = time.perf_counter()

@@ -3,7 +3,9 @@
 The construction progresses the formula letter by letter: a translation
 state is the obligation on the unread suffix, canonicalized as a BDD over
 the temporal subformulas of the input.  The resulting automaton is then
-minimized with Hopcroft's partition refinement.
+minimized with Hopcroft's partition refinement.  It reads either all
+2^|atoms| letters or, when a model is known, only the letters that the
+model's states carry.
 """
 
 from __future__ import annotations
@@ -18,11 +20,23 @@ class TranslationError(Exception):
     pass
 
 
+def letter_mask(atoms, labels):
+    """The letter a label set shows to an automaton over ``atoms``."""
+    mask = 0
+    for i, p in enumerate(atoms):
+        if p in labels:
+            mask |= 1 << i
+    return mask
+
+
 @dataclass
 class Dfa:
-    """Total deterministic automaton over the alphabet 2^atoms.
+    """Total deterministic automaton over an alphabet of letter bitmasks.
 
     Letters are bitmasks over ``atoms`` (bit i set = atoms[i] holds).
+    ``alphabet`` is the sorted tuple of letters the automaton reads: all
+    2^|atoms| of them, or only those that a model's states carry when
+    :func:`translate` is given ``labels``.  ``delta`` is total over it.
     """
 
     atoms: tuple
@@ -30,16 +44,19 @@ class Dfa:
     initial: int
     finals: frozenset
     delta: dict  # (state, letter mask) -> state
+    alphabet: tuple
 
     def letter(self, labels):
-        mask = 0
-        for i, p in enumerate(self.atoms):
-            if p in labels:
-                mask |= 1 << i
-        return mask
+        return letter_mask(self.atoms, labels)
 
     def step(self, state, labels):
-        return self.delta[(state, self.letter(labels))]
+        try:
+            return self.delta[(state, self.letter(labels))]
+        except KeyError:
+            shown = ",".join(p for p in self.atoms if p in labels)
+            raise TranslationError(
+                f"letter {{{shown}}} is outside the automaton's alphabet"
+            ) from None
 
     def accepts(self, trace):
         if len(trace) < 1:
@@ -50,7 +67,7 @@ class Dfa:
         return s in self.finals
 
     def letters(self):
-        return range(1 << len(self.atoms))
+        return self.alphabet
 
     def to_dot(self, name="dfa"):
         lines = [f"digraph {name} {{", "  rankdir=LR;"]
@@ -67,7 +84,8 @@ class Dfa:
 
 @dataclass
 class Nfa:
-    """Intermediate nondeterministic automaton (possibly partial)."""
+    """Nondeterministic automaton (possibly partial), the input of
+    :func:`determinize_minimize`."""
 
     atoms: tuple
     n_states: int
@@ -177,12 +195,23 @@ class _Progression:
         return self.store.evaluate(state_bdd, assignment)
 
 
-def translate(psi):
-    """Minimal DFA accepting exactly the finite traces satisfying psi."""
-    pr = _Progression(psi)
-    letters = range(1 << len(pr.atoms))
+def translate(psi, labels=None):
+    """Minimal DFA accepting exactly the finite traces satisfying psi.
 
-    # state 0 is the pre-initial state (nothing read yet)
+    Without ``labels`` the automaton reads all 2^|atoms| letters.  Given
+    an iterable of state label sets, it reads only the distinct letters
+    those sets give, projected onto psi's atoms, and is minimal over
+    that alphabet; a model whose states carry those labels can never
+    show it another letter.
+    """
+    pr = _Progression(psi)
+    if labels is None:
+        letters = tuple(range(1 << len(pr.atoms)))
+    else:
+        letters = tuple(sorted({letter_mask(pr.atoms, row) for row in labels}))
+
+    # state 0 is the pre-initial state (nothing read yet); progression is
+    # deterministic, so its states go straight to minimization
     state_ids = {}
     bdd_states = []  # id (from 1) -> bdd
 
@@ -208,22 +237,10 @@ def translate(psi):
                 seen.add(t)
                 frontier.append(t)
 
-    finals = set()
-    for s in seen:
-        if s == 0:
-            if _empty_value(pr.core):
-                finals.add(0)
-        elif pr.accepting(bdd_states[s - 1]):
-            finals.add(s)
-
-    nfa = Nfa(
-        atoms=pr.atoms,
-        n_states=len(seen),
-        initial=frozenset({0}),
-        finals=frozenset(finals),
-        delta={k: frozenset({v}) for k, v in delta.items()},
-    )
-    return determinize_minimize(nfa)
+    finals = {s for s in seen if s and pr.accepting(bdd_states[s - 1])}
+    if _empty_value(pr.core):
+        finals.add(0)
+    return _minimize(pr.atoms, letters, len(seen), 0, delta, finals)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +248,7 @@ def translate(psi):
 
 def determinize_minimize(nfa):
     """Subset-construct and minimize; output is canonical up to isomorphism."""
-    letters = list(range(1 << len(nfa.atoms)))
+    letters = tuple(range(1 << len(nfa.atoms)))
 
     subset_ids = {}
     subsets = []
@@ -260,10 +277,14 @@ def determinize_minimize(nfa):
 
     n = len(subsets)
     finals = {s for s in range(n) if subsets[s] & nfa.finals}
+    return _minimize(nfa.atoms, letters, n, init, delta, finals)
 
+
+def _minimize(atoms, letters, n, init, delta, finals):
+    """Minimal DFA of a total deterministic automaton over ``letters``,
+    numbered canonically: BFS from the initial block, letters ascending."""
     part = _hopcroft(n, letters, delta, finals)
 
-    # canonical renumbering: BFS from the initial block, letters ascending
     block_of = {}
     for i, block in enumerate(part):
         for s in block:
@@ -292,11 +313,12 @@ def determinize_minimize(nfa):
         number[b] for b in order if min(part[b]) in finals
     )
     return Dfa(
-        atoms=nfa.atoms,
+        atoms=atoms,
         n_states=len(order),
         initial=0,
         finals=new_finals,
         delta=new_delta,
+        alphabet=letters,
     )
 
 
@@ -352,46 +374,58 @@ class SymbolicDfa:
     valid: object   # Bdd over s
 
 
+def _letter_carriers(aut, sg, extra_labels=None):
+    """Model states grouped by the letter they show the automaton.
+
+    A state's letter is its label projected onto the automaton's atoms;
+    ``extra_labels`` maps fresh atoms to the explicit sets of states where
+    they hold.  Letters outside the automaton's alphabet are left out:
+    only states that no play reaches carry them.
+    """
+    extra_labels = extra_labels or {}
+    g = sg.g
+    for p in aut.atoms:
+        if p not in g.atoms and p not in extra_labels:
+            raise TranslationError(f"atom {p!r} has no labelling entry")
+    carriers = {}
+    for q in range(len(g.states)):
+        row = g.labels[q]
+        if extra_labels:
+            row = row | {p for p, qs in extra_labels.items() if q in qs}
+        carriers.setdefault(letter_mask(aut.atoms, row), []).append(q)
+    alphabet = {a for _, a in aut.delta}
+    return {a: qs for a, qs in carriers.items() if a in alphabet}
+
+
 def encode_automaton(aut, sg, extra_labels=None):
     """Encode a deterministic automaton's transitions against a CGS.
 
-    Shared by :func:`encode_dfa` and :func:`dpa.encode_dpa`.  Each letter
-    becomes a guard over next-state bits: the conjunction of the (possibly
-    negated) labelling predicates of the automaton's atoms, with the
-    fresh-atom predicates in ``extra_labels`` taking part like model
-    atoms, so the automaton synchronizes on the successor's label.
-    Returns the ``s``/``s'`` blocks, the relation over (s, q', s') and a
-    function mapping automaton state ids to a Bdd over ``s``.
+    Shared by :func:`encode_dfa` and :func:`dpa.encode_dpa`.  The guard
+    of a letter is the set of next states that carry it (see
+    ``_letter_carriers``), so the automaton synchronizes on the
+    successor's label.  Returns the ``s``/``s'`` blocks, the relation
+    over (s, q', s') and a function mapping automaton state ids to a Bdd
+    over ``s``.
     """
     store = sg.store
     s = store.block("s")
     sn = store.block("s'")
     if len(s.vars) < max(1, (aut.n_states - 1).bit_length()):
         raise TranslationError("store too small for automaton states")
-    labels = dict(sg.lambda_)
-    if extra_labels:
-        labels.update(extra_labels)
-    primed = {}
-    for p in aut.atoms:
-        if p not in labels:
-            raise TranslationError(f"atom {p!r} has no labelling entry")
-        primed[p] = store.rename(labels[p], sg.q, sg.q_next)
-
-    def guard(letter):
-        return store.big_and([
-            primed[p] if (letter >> i) & 1 else ~primed[p]
-            for i, p in enumerate(aut.atoms)
-        ])
+    guards = {a: store.from_points([sg.q_next], [(q,) for q in qs])
+              for a, qs in _letter_carriers(aut, sg, extra_labels).items()}
 
     # state pairs that share a letter set share one guard
     letters = {}
     for (src, a), dst in aut.delta.items():
-        letters.setdefault((src, dst), []).append(a)
+        if a in guards:
+            letters.setdefault((src, dst), []).append(a)
     pairs = {}
     for pair, group in letters.items():
         pairs.setdefault(tuple(sorted(group)), []).append(pair)
     delta = store.big_or([
-        store.from_points([s, sn], group) & store.big_or(map(guard, key))
+        store.from_points([s, sn], group)
+        & store.big_or([guards[a] for a in key])
         for key, group in sorted(pairs.items())
     ])
 

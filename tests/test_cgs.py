@@ -3,6 +3,8 @@ import random
 import pytest
 
 from atlstar import cgs
+from atlstar import formula as fm
+from atlstar import ltlf2dfa
 
 
 BASIC = """
@@ -102,13 +104,26 @@ def test_symbolic_encoding_soundness():
                 assert not (row & sg.delta).is_false()
 
 
+def labelled_states(sg, atom):
+    """Next states on which the one-atom automaton for ``F atom`` leaves
+    its initial state: the guard ``encode_automaton`` builds for the
+    letter {atom}."""
+    dfa = ltlf2dfa.translate(fm.parse_formula(f"F {atom}"))
+    hit = dfa.delta[(dfa.initial, 1)]
+    assert hit != dfa.delta[(dfa.initial, 0)]
+    st = sg.store
+    s, sn, delta, _ = ltlf2dfa.encode_automaton(dfa, sg)
+    edge = delta & st.cube(s, dfa.initial) & st.cube(sn, hit)
+    return set(sg.decode(st.exists(s.vars + sn.vars, edge), sg.q_next))
+
+
 def test_labels_inverted():
     g = cgs.parse_model(BASIC)
     store = cgs.make_store(g, automaton_bits=1)
     sg = cgs.encode_symbolic(g, store)
-    p_states = set(sg.decode(sg.lambda_["p"]))
+    p_states = labelled_states(sg, "p")
     assert p_states == {1, 2}
-    assert set(sg.decode(sg.lambda_["goal"])) == {2}
+    assert labelled_states(sg, "goal") == {2}
 
 
 def symbolic_reachable(sg):

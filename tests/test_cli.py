@@ -3,6 +3,7 @@ import json
 import pytest
 
 from atlstar import cli
+from atlstar import ltlf2dfa
 
 
 MODEL = """
@@ -183,4 +184,47 @@ def test_solve_game_bad_successor(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == cli.EXIT_USAGE
     assert "bad successor 5" in err
+    assert "Traceback" not in err
+
+
+RABIN_HOA = """HOA: v1
+States: 1
+Start: 0
+AP: 1 "goal"
+acc-name: Rabin 1
+Acceptance: 2 Fin(0) & Inf(1)
+--BODY--
+State: 0
+[t] 0
+--END--
+"""
+
+
+def _fail_translation(*args, **kwargs):
+    raise ltlf2dfa.TranslationError("letter {goal} is outside the alphabet")
+
+
+@pytest.mark.parametrize("case", [
+    "every-tool-fails", "fallback-uncovered", "non-parity-hoa",
+    "translation-error",
+])
+def test_translator_errors_are_usage(case, model_file, tmp_path, capsys,
+                                     monkeypatch):
+    argv = ["check", model_file, "<<a>> F goal", "--semantics", "infinite"]
+    if case == "every-tool-fails":
+        argv += ["--tool", "false"]
+    elif case == "fallback-uncovered":
+        argv[2] = "<<a>> F G goal"
+    elif case == "non-parity-hoa":
+        hoa = tmp_path / "rabin.hoa"
+        hoa.write_text(RABIN_HOA)
+        argv += ["--tool", f"cat {hoa}"]
+    else:
+        monkeypatch.setattr(ltlf2dfa, "translate", _fail_translation)
+        argv[4] = "finite"
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_USAGE
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
     assert "Traceback" not in err

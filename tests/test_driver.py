@@ -3,8 +3,10 @@ import warnings
 
 import pytest
 
+from atlstar import bench
 from atlstar import cgs
 from atlstar import driver
+from atlstar import ltlf2dfa
 
 
 MODEL = """
@@ -149,3 +151,31 @@ def test_to_json_shape():
 def test_request_object_equivalent():
     req = driver.CheckRequest(model=model(), formula="<<a,b>> F goal")
     assert driver.check(req).states == run("<<a,b>> F goal").states
+
+
+def test_ladder_depth_10_reads_only_the_model_letters(monkeypatch):
+    # a cap-10 counter shows 11 labels (p0..p10), so the depth-10 ladder's
+    # DFA reads 11 letters instead of 2^10
+    cap, steps = 10, 12
+    g = bench.gen_counter(bench.CounterParams(cap=cap, steps=steps))
+    dfas = []
+    real = ltlf2dfa.translate
+
+    def recording(psi, labels=None):
+        dfas.append(real(psi, labels=labels))
+        return dfas[-1]
+
+    monkeypatch.setattr(ltlf2dfa, "translate", recording)
+    res = driver.check(model=g, formula=bench.counter_formula(cap),
+                       semantics="finite", engine="symbolic")
+    assert [len(d.letters()) for d in dfas] == [cap + 1]
+    # by hand: the counter only grows, so ``F p_r`` holds iff it ends at r
+    # or more; the nested X need ``cap`` positions, and from (c, t) the
+    # two agents together add 2 per step for ``steps - t`` steps.  With
+    # two agents only c <= 2t is reachable
+    want = sorted(
+        f"c{c}_t{t}"
+        for t in range(steps + 1) for c in range(min(cap, 2 * t) + 1)
+        if steps - t + 1 >= cap and c + 2 * (steps - t) >= cap)
+    assert sorted(res.state_names) == want
+    assert res.holds

@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from atlstar import formula as fm
 from atlstar import ltlf2dfa
 
@@ -58,27 +60,74 @@ def test_dfa_is_total_and_canonical():
         assert dfa.initial == 0
 
 
+def assert_minimal(dfa, text):
+    """No two states of ``dfa`` are language-equivalent over its letters."""
+    n, letters = dfa.n_states, list(dfa.letters())
+    classes = {s: (s in dfa.finals) for s in range(n)}
+    changed = True
+    while changed:
+        changed = False
+        sig = {
+            s: (classes[s],) + tuple(
+                classes[dfa.delta[(s, a)]] for a in letters)
+            for s in range(n)
+        }
+        mapping = {}
+        for s in range(n):
+            mapping.setdefault(sig[s], len(mapping))
+        new = {s: mapping[sig[s]] for s in range(n)}
+        if new != classes:
+            classes, changed = new, True
+    assert len(set(classes.values())) == n, text
+
+
 def test_minimality_via_refinement():
     # no two states of the output may be language-equivalent
     for text in CORPUS:
-        dfa = ltlf2dfa.translate(fm.parse_formula(text))
-        n, letters = dfa.n_states, list(dfa.letters())
-        classes = {s: (s in dfa.finals) for s in range(n)}
-        changed = True
-        while changed:
-            changed = False
-            sig = {
-                s: (classes[s],) + tuple(
-                    classes[dfa.delta[(s, a)]] for a in letters)
-                for s in range(n)
-            }
-            mapping = {}
-            for s in range(n):
-                mapping.setdefault(sig[s], len(mapping))
-            new = {s: mapping[sig[s]] for s in range(n)}
-            if new != classes:
-                classes, changed = new, True
-        assert len(set(classes.values())) == n, text
+        assert_minimal(ltlf2dfa.translate(fm.parse_formula(text)), text)
+
+
+def random_label_sets(rng, atoms):
+    """A few state labels over ``atoms`` plus an atom no formula reads."""
+    pool = list(atoms) + ["z"]
+    return [frozenset(p for p in pool if rng.random() < 0.5)
+            for _ in range(rng.randint(1, 5))]
+
+
+def test_restricted_alphabet_agrees_and_is_minimal():
+    rng = random.Random(47)
+    for text in CORPUS:
+        psi = fm.parse_formula(text)
+        full = ltlf2dfa.translate(psi)
+        for _ in range(4):
+            labels = random_label_sets(rng, ["p", "q", "r"])
+            dfa = ltlf2dfa.translate(psi, labels=labels)
+            letters = sorted({full.letter(row) for row in labels})
+            assert list(dfa.letters()) == letters, text
+            assert dfa.n_states <= full.n_states, text
+            for s in range(dfa.n_states):
+                for a in letters:
+                    assert (s, a) in dfa.delta
+            assert len(dfa.delta) == dfa.n_states * len(letters)
+            assert_minimal(dfa, text)
+            rows = list(dict.fromkeys(labels))
+            for n in range(1, 5):
+                for trace in itertools.product(rows, repeat=n):
+                    assert dfa.accepts(trace) == full.accepts(trace), \
+                        (text, trace)
+
+
+def test_letter_outside_alphabet_raises():
+    psi = fm.parse_formula("p U q")
+    dfa = ltlf2dfa.translate(psi, labels=[{"p"}, {"p", "z"}, {"q"}])
+    assert dfa.letters() == (1, 2)
+    assert dfa.accepts([{"p"}, {"q"}])
+    with pytest.raises(ltlf2dfa.TranslationError):
+        dfa.step(dfa.initial, {"p", "q"})
+    with pytest.raises(ltlf2dfa.TranslationError):
+        dfa.accepts([{"p"}, set()])
+    # the full alphabet reads every letter
+    assert len(ltlf2dfa.translate(psi).letters()) == 4
 
 
 def random_nfa(rng, n, n_letters):
