@@ -290,9 +290,11 @@ class BddStore:
         for v in vs:
             if not 0 <= v < self.nvars:
                 raise BddError(f"variable {v} not in store")
+        last = max(vs, default=-1)
         if kind == "forall":
-            return Bdd(self, self._not(self._exists(self._not(a), vs, {})))
-        return Bdd(self, self._exists(a, vs, {}))
+            return Bdd(self, self._not(
+                self._exists(self._not(a), vs, last, {})))
+        return Bdd(self, self._exists(a, vs, last, {}))
 
     def exists(self, vars_, f):
         return self.quantify("exists", vars_, f)
@@ -300,17 +302,18 @@ class BddStore:
     def forall(self, vars_, f):
         return self.quantify("forall", vars_, f)
 
-    def _exists(self, n, vs, memo):
+    def _exists(self, n, vs, last, memo):
+        """exists vs. n, where ``last`` is the deepest variable of vs."""
         if n <= 1:
             return n
         v = self._var[n]
-        if vs and v > max(vs):
+        if v > last:
             return n
         r = memo.get(n)
         if r is not None:
             return r
-        lo = self._exists(self._lo[n], vs, memo)
-        hi = self._exists(self._hi[n], vs, memo)
+        lo = self._exists(self._lo[n], vs, last, memo)
+        hi = self._exists(self._hi[n], vs, last, memo)
         if v in vs:
             r = self._or(lo, hi)
         else:
@@ -322,36 +325,39 @@ class BddStore:
         """exists vars_. (f & g) without building the full conjunction."""
         a, b = self._check(f, g)
         vs = self._vars_of(vars_)
-        return Bdd(self, self._and_exists(a, b, vs, {}))
+        return Bdd(self, self._and_exists(a, b, vs, max(vs, default=-1), {}))
 
-    def _and_exists(self, a, b, vs, memo):
+    def _and_exists(self, a, b, vs, last, memo):
+        # memo holds both products, keyed by node pairs, and the
+        # quantifications of single nodes, keyed by node ids
         if a == FALSE or b == FALSE:
             return FALSE
-        if a == TRUE and b == TRUE:
-            return TRUE
         if a == TRUE:
-            return self._exists(b, vs, memo.setdefault("e", {}))
+            return self._exists(b, vs, last, memo)
         if b == TRUE:
-            return self._exists(a, vs, memo.setdefault("e", {}))
+            return self._exists(a, vs, last, memo)
+        var_ = self._var
+        va, vb = var_[a], var_[b]
+        if va > last and vb > last:
+            # nothing left to quantify: a plain conjunction
+            return self._ite(a, b, FALSE)
         key = (a, b) if a <= b else (b, a)
-        pair_memo = memo.setdefault("p", {})
-        r = pair_memo.get(key)
+        r = memo.get(key)
         if r is not None:
             return r
-        var_, lo_, hi_ = self._var, self._lo, self._hi
-        v = min(var_[a], var_[b])
-        a1, a0 = (hi_[a], lo_[a]) if var_[a] == v else (a, a)
-        b1, b0 = (hi_[b], lo_[b]) if var_[b] == v else (b, b)
-        lo = self._and_exists(a0, b0, vs, memo)
-        if v in vs and lo == TRUE:
-            r = TRUE
-        else:
-            hi = self._and_exists(a1, b1, vs, memo)
-            if v in vs:
-                r = self._or(lo, hi)
+        lo_, hi_ = self._lo, self._hi
+        v = va if va < vb else vb
+        a1, a0 = (hi_[a], lo_[a]) if va == v else (a, a)
+        b1, b0 = (hi_[b], lo_[b]) if vb == v else (b, b)
+        lo = self._and_exists(a0, b0, vs, last, memo)
+        if v in vs:
+            if lo == TRUE:
+                r = TRUE
             else:
-                r = self._mk(v, lo, hi)
-        pair_memo[key] = r
+                r = self._or(lo, self._and_exists(a1, b1, vs, last, memo))
+        else:
+            r = self._mk(v, lo, self._and_exists(a1, b1, vs, last, memo))
+        memo[key] = r
         return r
 
     # -- substitution -----------------------------------------------------
@@ -388,24 +394,54 @@ class BddStore:
     def rename(self, f, from_block, to_block):
         """Swap the paired variables of two equal-width blocks.
 
-        Both directions are exchanged, so a double rename is the identity.
+        ``from_block`` and ``to_block`` may also be equal-length lists of
+        blocks, swapped pairwise in one pass.  Both directions are
+        exchanged, so a double rename is the identity.  When the swap
+        keeps f's support in the same relative order (it does whenever f
+        reads only one block of each interleaved pair), the nodes are
+        relabelled directly; otherwise the swap is composed.
         """
-        if len(from_block.vars) != len(to_block.vars):
-            raise BddError(
-                f"block length mismatch: {from_block.name} has "
-                f"{len(from_block.vars)} vars, {to_block.name} has "
-                f"{len(to_block.vars)}"
-            )
-        sub = {}
-        for a, b in zip(from_block.vars, to_block.vars):
-            sub[a] = self.var(b)
-            sub[b] = self.var(a)
-        return self.compose(f, sub)
+        if isinstance(from_block, VarBlock):
+            from_block, to_block = [from_block], [to_block]
+        if len(from_block) != len(to_block):
+            raise BddError("rename needs as many target blocks as sources")
+        (a,) = self._check(f)
+        swap = {}
+        for fb, tb in zip(from_block, to_block):
+            if len(fb.vars) != len(tb.vars):
+                raise BddError(
+                    f"block length mismatch: {fb.name} has "
+                    f"{len(fb.vars)} vars, {tb.name} has {len(tb.vars)}"
+                )
+            for x, y in zip(fb.vars, tb.vars):
+                swap[x] = y
+                swap[y] = x
+        mapped = [swap.get(v, v) for v in sorted(self._support(a))]
+        if all(x < y for x, y in zip(mapped, mapped[1:])):
+            return Bdd(self, self._relabel(a, swap, {}))
+        sub = {x: self._mk(y, FALSE, TRUE) for x, y in swap.items()}
+        return Bdd(self, self._compose(a, sub, {}))
+
+    def _relabel(self, n, swap, memo):
+        """Node n with each variable v renamed to swap.get(v, v); the
+        renaming must preserve the order of n's support."""
+        if n <= 1:
+            return n
+        r = memo.get(n)
+        if r is None:
+            v = self._var[n]
+            r = memo[n] = self._mk(swap.get(v, v),
+                                   self._relabel(self._lo[n], swap, memo),
+                                   self._relabel(self._hi[n], swap, memo))
+        return r
 
     # -- evaluation / counting -------------------------------------------
 
     def support(self, f):
         (a,) = self._check(f)
+        return self._support(a)
+
+    def _support(self, a):
         out = set()
         seen = set()
         stack = [a]
@@ -557,6 +593,13 @@ class BddStore:
 
     def node_count(self):
         return len(self._var)
+
+    def trim_cache(self):
+        """Clear the computed table once it holds more than four entries
+        per node.  The entries only save recomputation, so a caller may
+        do this whenever no operation is in flight."""
+        if len(self._ite_cache) > 4 * len(self._var):
+            self._ite_cache.clear()
 
     def to_dot(self, f, name="bdd"):
         (root,) = self._check(f)

@@ -134,15 +134,18 @@ def check(request=None, **kwargs):
             if a not in g.agents:
                 raise DriverError(f"unknown agent {a!r} in coalition")
         if req.semantics == "finite":
-            win = solve_finite(body, coalition)
+            win, rounds = solve_finite(body, coalition)
         else:
-            win = solve_infinite(body, coalition)
+            win, rounds = solve_infinite(body, coalition)
         details["subformulas"].append({
             "formula": str(f),
             "winning": sorted(win),
+            "rounds": rounds,
         })
         return win & reachable
 
+    # each solver returns the winning states and its number of fixpoint
+    # rounds (None for the explicit engines)
     def solve_finite(body, coalition):
         t0 = time.perf_counter()
         # the explicit oracle reads every letter, independently of the model
@@ -160,7 +163,7 @@ def check(request=None, **kwargs):
                 g2, body, coalition, dfa=dfa,
                 product_cap=req.product_cap)
             timings["solve"] += (time.perf_counter() - t2) * 1000
-            return win
+            return win, None
         store = cgsmod.make_store(
             g, automaton_bits=cgsmod.bits_for(dfa.n_states),
             byte_budget=req.byte_budget)
@@ -174,7 +177,8 @@ def check(request=None, **kwargs):
         timings["encode"] += (t2 - t1) * 1000
         timings["build"] += (t3 - t2) * 1000
         timings["solve"] += (t4 - t3) * 1000
-        return finite_mc.project_states(sg, sd, res.winning & prod.entry)
+        win = finite_mc.project_states(sg, sd, res.winning & prod.entry)
+        return win, res.iterations
 
     def solve_infinite(body, coalition):
         t0 = time.perf_counter()
@@ -188,7 +192,7 @@ def check(request=None, **kwargs):
             t2 = time.perf_counter()
             win = infinite_mc.winning_states_explicit(g2, dpa, coalition)
             timings["solve"] += (time.perf_counter() - t2) * 1000
-            return win
+            return win, None
         store = cgsmod.make_store(
             g, automaton_bits=cgsmod.bits_for(dpa.n_states), game=True,
             byte_budget=req.byte_budget)
@@ -202,7 +206,7 @@ def check(request=None, **kwargs):
         timings["encode"] += (t2 - t1) * 1000
         timings["build"] += (t3 - t2) * 1000
         timings["solve"] += (t4 - t3) * 1000
-        return win
+        return win, game.rounds
 
     t_start = time.perf_counter()
     states = label(psi)

@@ -48,8 +48,7 @@ def entry_relation(sg, sd):
     store = sg.store
     step = sd.init & sd.delta          # over (q', s') after fixing s = s0
     step = store.exists(sd.s.vars, step)
-    step = store.rename(step, sg.q_next, sg.q)
-    step = store.rename(step, sd.s_next, sd.s)
+    step = store.rename(step, [sg.q_next, sd.s_next], [sg.q, sd.s])
     return step
 
 
@@ -75,8 +74,7 @@ def build_product(sg, sd, coalition):
     step = store.exists(avars, delta & avail)
     while True:
         img = store.and_exists(frontier, step, qs)
-        img = store.rename(img, sg.q_next, sg.q)
-        img = store.rename(img, sd.s_next, sd.s)
+        img = store.rename(img, [sg.q_next, sd.s_next], [sg.q, sd.s])
         nxt = reach | img
         if nxt == reach:
             break
@@ -111,8 +109,7 @@ def solve_safety(prod):
     safe0 = prod.reachable & ~prod.unsafe
 
     def pre(y):
-        yn = store.rename(y, sg.q, sg.q_next)
-        yn = store.rename(yn, sd.s, sd.s_next)
+        yn = store.rename(y, [sg.q, sd.s], [sg.q_next, sd.s_next])
         # bad: this joint coalition choice admits a successor outside Y
         bad = store.exists(sg.q_next.vars + sd.s_next.vars,
                            prod.delta & ~yn)

@@ -14,9 +14,12 @@ iteration that works directly on the symbolic arena.
 
 from __future__ import annotations
 
+import bisect
+import operator
 from dataclasses import dataclass
 
 from . import cgs as cgsmod
+from .bdd import Bdd
 
 
 class InfiniteMcError(Exception):
@@ -266,6 +269,7 @@ class SymbolicParityGame:
     v1: object           # opponent choice vertices (layer 1)
     e: object            # edge relation over both copies
     priorities: dict     # p -> Bdd over unprimed vertex vars
+    rounds: int = None   # lifting rounds of the last progress-measure solve
 
     @property
     def vertices(self):
@@ -284,36 +288,14 @@ class SymbolicParityGame:
         return out
 
     def prime(self, f):
-        for b, bp in self.blocks:
-            f = self.store.rename(f, b, bp)
-        return f
+        return self.store.rename(f, [b for b, _ in self.blocks],
+                                 [bp for _, bp in self.blocks])
 
     def pre_exists(self, target):
         """Vertices with some edge into ``target``."""
-        # fixpoint solvers ask for the same targets over many rounds;
-        # BDDs are canonical, so caching per target node is sound
-        cache = self.__dict__.setdefault("_pre_e_cache", {})
-        hit = cache.get(target.node)
-        if hit is not None:
-            return hit
         st = self.store
-        out = st.and_exists(self.e, self.prime(target),
-                            self.primed_vars()) & self.vertices
-        cache[target.node] = out
-        return out
-
-    def pre_forall(self, target):
-        """Vertices all of whose edges stay in ``target``."""
-        cache = self.__dict__.setdefault("_pre_a_cache", {})
-        hit = cache.get(target.node)
-        if hit is not None:
-            return hit
-        st = self.store
-        escape = st.and_exists(self.e, self.prime(self.vertices & ~target),
-                               self.primed_vars())
-        out = self.vertices & ~escape
-        cache[target.node] = out
-        return out
+        return (st.and_exists(self.e, self.prime(target), self.primed_vars())
+                & self.vertices)
 
 
 def _block_eq(store, b1, b2):
@@ -358,9 +340,7 @@ def build_game(sg, sdpa, coalition):
     azero = st.big_and([_zero(st, b) for b in ablocks]) if ablocks else st.true
     azero_p = (st.big_and([_zero(st, b) for b in apblocks])
                if apblocks else st.true)
-    avail_p = avail
-    for b, bp in zip(ablocks, apblocks):
-        avail_p = st.rename(avail_p, b, bp)
+    avail_p = st.rename(avail, ablocks, apblocks)
 
     base = sg.valid & sdpa.valid
     v0 = layer0 & base & azero
@@ -437,12 +417,13 @@ def _prog_value(value, p, odds, caps):
     """Least measure m with m >=_p value (strict when p is odd)."""
     if value is TOP:
         return TOP
-    keep = [odds.index(o) for o in odds if o <= p]
-    out = [value[i] if i in keep else 0 for i in range(len(odds))]
+    # components of odd priorities above p are reset
+    k = bisect.bisect_right(odds, p)
+    out = list(value[:k]) + [0] * (len(odds) - k)
     if p % 2 == 0:
         return tuple(out)
     # strict increase on the components up to and including p
-    i = odds.index(p)
+    i = k - 1
     while i >= 0:
         if out[i] < caps[i]:
             out[i] += 1
@@ -452,115 +433,168 @@ def _prog_value(value, p, odds, caps):
     return TOP
 
 
-def _solve_progress_measure_dense(game, exp, max_rounds):
-    """Dense-bitset backend of the set-based progress-measure solver.
+class _BddSets:
+    """Vertex sets of a symbolic arena as BDD node ids (0 is empty)."""
 
-    Runs the exact same lifting rounds as the BDD backend, but keeps
-    every vertex set as an integer bitmask over the explicit game's
-    vertices.  Pre-image sweeps then cost one machine-word scan per
-    class instead of a BDD traversal, which matters for games with long
-    lifting chains.  Returns (w0, w1) as vertex BDDs like the BDD path.
+    def __init__(self, game):
+        st = self.store = game.store
+        self.game = game
+        # node-level operations skip the handle checks of the Bdd API
+        self.and_, self.or_, self.not_ = st._and, st._or, st._not
+        self.v0, self.v1 = game.v0.node, game.v1.node
+        self.priorities = {p: s.node for p, s in game.priorities.items()}
+        self._pre = {}
+
+    def count(self, s):
+        return int(self.store.sat_count(Bdd(self.store, s),
+                                        self.game.vertex_vars()))
+
+    def pre(self, t):
+        """Vertices with an edge into t; sets recur, so this caches."""
+        hit = self._pre.get(t)
+        if hit is None:
+            hit = self._pre[t] = self.game.pre_exists(Bdd(self.store, t)).node
+        return hit
+
+    def tidy(self):
+        # no operation is in flight between rounds
+        self.store.trim_cache()
+
+    def to_bdd(self, s):
+        return Bdd(self.store, s)
+
+
+class _BitSets:
+    """Vertex sets of an explicit game as integer bitmasks (0 is empty).
+
+    Pre-images cost one pass over the set's members instead of a BDD
+    traversal, which matters for games with long lifting chains.
     """
-    n = exp.n()
-    st = game.store
-    succ = [0] * n
-    for x in range(n):
-        m = 0
-        for w in exp.succ[x]:
-            m |= 1 << w
-        succ[x] = m
-    v0m = 0
-    for x in range(n):
-        if exp.owner[x] == 0:
-            v0m |= 1 << x
-    full = (1 << n) - 1
-    v1m = full & ~v0m
-    prio = {}
-    for x in range(n):
-        prio[exp.priority[x]] = prio.get(exp.priority[x], 0) | (1 << x)
 
-    odds = sorted(p for p in prio if p % 2 == 1)
-    if not odds:
-        return game.vertices, st.false
-    caps = [bin(prio[p]).count("1") for p in odds]
+    def __init__(self, game, exp):
+        self.game = game
+        n = exp.n()
+        full = (1 << n) - 1
+        self.and_, self.or_ = operator.and_, operator.or_
+        self.not_ = lambda s: full ^ s
+        self.v0 = sum(1 << x for x in range(n) if exp.owner[x] == 0)
+        self.v1 = full ^ self.v0
+        self.priorities = {}
+        self._preds = [0] * n
+        for x in range(n):
+            p = exp.priority[x]
+            self.priorities[p] = self.priorities.get(p, 0) | (1 << x)
+            for w in exp.succ[x]:
+                self._preds[w] |= 1 << x
+        self._pre = {}
 
-    pre_e_cache = {}
-    pre_a_cache = {}
+    def count(self, s):
+        return bin(s).count("1")
 
-    def pre_e(t):
-        hit = pre_e_cache.get(t)
+    def pre(self, t):
+        hit = self._pre.get(t)
         if hit is None:
-            hit = 0
-            for x in range(n):
-                if succ[x] & t:
-                    hit |= 1 << x
-            pre_e_cache[t] = hit
+            hit, rest = 0, t
+            while rest:
+                low = rest & -rest
+                hit |= self._preds[low.bit_length() - 1]
+                rest ^= low
+            self._pre[t] = hit
         return hit
 
-    def pre_a(t):
-        hit = pre_a_cache.get(t)
-        if hit is None:
-            hit = 0
-            for x in range(n):
-                if succ[x] & t == succ[x]:
-                    hit |= 1 << x
-            pre_a_cache[t] = hit
-        return hit
+    def tidy(self):
+        pass
 
-    classes = [((0,) * len(odds), full)]
+    def to_bdd(self, s):
+        return self.game.store.from_points(
+            [self.game.blocks[0][0]],
+            [(x,) for x in range(s.bit_length()) if (s >> x) & 1])
+
+
+def _lift(sets, max_rounds):
+    """Worklist lifting over either set representation.
+
+    Returns the final partition (value -> vertex set) and the number of
+    rounds.  Round 1 lifts every vertex; each later round lifts only the
+    predecessors of the vertices whose value changed in the round before,
+    and the first round that changes nothing is the last.
+    """
+    and_, or_, not_, pre = sets.and_, sets.or_, sets.not_, sets.pre
+    odds = sorted(p for p in sets.priorities if p % 2 == 1)
+    caps = [sets.count(sets.priorities[p]) for p in odds]
+    memo = {}           # (value, priority) -> progressed value
+
+    lift = or_(sets.v0, sets.v1)
+    measure = {(0,) * len(odds): lift}      # value -> vertex set
     rounds = 0
     while True:
         rounds += 1
         if max_rounds is not None and rounds > max_rounds:
             raise InfiniteMcError("progress-measure iteration cap exceeded")
+        sets.tidy()
 
+        # best successor value per lifted vertex: the first class hit by
+        # an ascending scan for player 0, by a descending one for player 1
+        ordered = sorted(measure.items(), key=lambda c: (c[0] is TOP, c[0]))
         best = []
-        assigned = 0
-        cumulative = 0
-        for value, sset in classes:
-            cumulative |= sset
-            got = (((v0m & pre_e(sset)) | (v1m & pre_a(cumulative)))
-                   & ~assigned)
-            if got:
-                best.append((value, got))
-                assigned |= got
+        for owner, scan in ((sets.v0, ordered), (sets.v1, ordered[::-1])):
+            todo = and_(owner, lift)
+            for value, sset in scan:
+                if not todo:
+                    break
+                got = and_(todo, pre(sset))
+                if got:
+                    best.append((value, got))
+                    todo = and_(todo, not_(got))
 
-        new = {}
+        # progress step per own priority
+        lifted = {}         # new value -> lifted vertices that get it
         for value, sset in best:
-            for p, pset in prio.items():
-                part = sset & pset
-                if not part:
-                    continue
-                nv = _prog_value(value, p, odds, caps)
-                new[nv] = new.get(nv, 0) | part
-        next_classes = sorted(
-            new.items(), key=lambda c: (c[0] is TOP, c[0]))
-        if next_classes == classes:
-            break
-        classes = next_classes
-
-    w1m = 0
-    for value, sset in classes:
-        if value is TOP:
-            w1m |= sset
-    vblock = game.blocks[0][0]
-    w1 = st.big_or([st.cube(vblock, x) for x in range(n)
-                    if (w1m >> x) & 1])
-    return game.vertices & ~w1, w1
+            for p, pset in sets.priorities.items():
+                part = and_(sset, pset)
+                if part:
+                    nv = memo.get((value, p))
+                    if nv is None:
+                        nv = memo[value, p] = _prog_value(value, p, odds, caps)
+                    lifted[nv] = or_(lifted.get(nv, 0), part)
+        changed = 0
+        for value, sset in lifted.items():
+            changed = or_(changed, and_(sset, not_(measure.get(value, 0))))
+        # take the changed vertices out of their old classes, searched
+        # from the top, where vertices that keep climbing sit
+        moved = changed
+        for value, sset in reversed(ordered):
+            if not moved:
+                break
+            out = and_(sset, moved)
+            if out:
+                measure[value] = and_(sset, not_(out))
+                moved = and_(moved, not_(out))
+        for value, sset in lifted.items():
+            measure[value] = or_(measure.get(value, 0), sset)
+        measure = {value: s for value, s in measure.items() if s}
+        if not changed:
+            return measure, rounds
+        lift = pre(changed)
 
 
 def solve_progress_measure(game, max_rounds=None, backend="auto"):
     """Winning region of player 0 by set-based small progress measures.
 
     The measure assignment is kept as a partition of the vertex set into
-    value classes; each lifting round recomputes the best successor
-    value per vertex with cumulative pre-image sweeps and applies the
-    priority-dependent progress step.  Returns (w0, w1) vertex BDDs.
+    value classes.  A lifting round gives a vertex the progress step,
+    for its own priority, of its best successor value (least for player
+    0, greatest for player 1) under the previous round's assignment.
+    Only vertices with a successor whose value changed in the previous
+    round are lifted again: any other vertex would get the value it
+    already has, so the rounds are those of a full sweep.  Returns
+    (w0, w1) vertex BDDs and leaves the round count in ``game.rounds``.
 
     ``backend`` selects the set representation: ``"bdd"`` runs every
     set operation symbolically, ``"dense"`` uses integer bitmasks and
     requires a game built by :func:`encode_explicit_game`, and
-    ``"auto"`` picks dense when an explicit game is attached.
+    ``"auto"`` picks dense when an explicit game is attached.  Both run
+    the same rounds.
     """
     if backend not in ("auto", "bdd", "dense"):
         raise InfiniteMcError(f"unknown backend: {backend!r}")
@@ -569,134 +603,12 @@ def solve_progress_measure(game, max_rounds=None, backend="auto"):
         raise InfiniteMcError(
             "dense backend requires a game built from an explicit game")
     if exp is not None and backend != "bdd":
-        return _solve_progress_measure_dense(game, exp, max_rounds)
-    st = game.store
-    v = game.vertices
-    odds = sorted(p for p in game.priorities if p % 2 == 1)
-    if not odds:
-        return v, st.false
-
-    vvars = game.vertex_vars()
-    caps = [int(st.sat_count(game.priorities[p], vvars)) for p in odds]
-
-    classes = [((0,) * len(odds), v)]
-    rounds = 0
-    while True:
-        rounds += 1
-        if max_rounds is not None and rounds > max_rounds:
-            raise InfiniteMcError("progress-measure iteration cap exceeded")
-
-        # best successor value per vertex: min for player 0, max for 1
-        best = []   # (value, vertex set) partition
-        assigned0 = st.false
-        assigned1 = st.false
-        cumulative = st.false
-        ordered = sorted(classes, key=lambda c: (c[0] is TOP, c[0]))
-        for value, sset in ordered:
-            cumulative = cumulative | sset
-            n0 = game.v0 & game.pre_exists(sset) & ~assigned0
-            n1 = game.v1 & game.pre_forall(cumulative) & ~assigned1
-            got = n0 | n1
-            if not got.is_false():
-                best.append((value, got))
-            assigned0 = assigned0 | n0
-            assigned1 = assigned1 | n1
-
-        # progress step per own priority; Kleene iteration of the lift
-        # operator from the bottom assignment is pointwise monotone
-        # (successor values never decrease, so neither does the
-        # progressed value), hence no max with the old assignment is
-        # needed and ``new`` already partitions the vertex set
-        new = {}
-        prov = {}    # output value -> list of (source value, priority)
-        for value, sset in best:
-            for p, pset in game.priorities.items():
-                part = sset & pset
-                if part.is_false():
-                    continue
-                nv = _prog_value(value, p, odds, caps)
-                if nv in new:
-                    new[nv] = new[nv] | part
-                else:
-                    new[nv] = part
-                prov.setdefault(nv, []).append((value, p))
-        next_classes = sorted(
-            new.items(), key=lambda c: (c[0] is TOP, c[0]))
-
-        if len(next_classes) == len(classes) and all(
-            a[0] == b[0] and a[1] == b[1]
-            for a, b in zip(next_classes, sorted(
-                classes, key=lambda c: (c[0] is TOP, c[0])))
-        ):
-            break
-
-        # Fast-forward: when a round maps the class family onto itself,
-        # the pre-image sweep of the next round reproduces the same
-        # partition (pre-images and ascending order are unchanged), so
-        # further rounds only permute class values.  Replay them on the
-        # value tuples alone until the structure would change: a source
-        # disagreement (a class would split), a value collision or new
-        # TOP (classes would merge), or a change in the ascending order
-        # (the best-successor selection would differ).
-        if {s.node for _, s in classes} == {s.node for _, s in next_classes}:
-            v2n = {val: s.node for val, s in classes}
-            prov_node = {
-                new[nv].node: [(v2n[val], p) for val, p in pairs]
-                for nv, pairs in prov.items()
-            }
-            node_set = {s.node: s for _, s in next_classes}
-            node_value = {s.node: val for val, s in next_classes}
-
-            def skey(val):
-                return (1,) if val is TOP else (0, val)
-
-            order = sorted(node_value, key=lambda n: skey(node_value[n]))
-            while True:
-                step = {}
-                consistent = True
-                for node, sources in prov_node.items():
-                    vals = {_prog_value(node_value[sn], p, odds, caps)
-                            for sn, p in sources}
-                    if len(vals) != 1:
-                        consistent = False
-                        break
-                    step[node] = vals.pop()
-                if not consistent:
-                    break
-                if step == node_value:
-                    # global fixpoint reached during replay
-                    next_classes = None
-                    break
-                fresh_top = any(
-                    step[n] is TOP and node_value[n] is not TOP
-                    for n in step)
-                node_value = step
-                collided = len(set(node_value.values())) < len(node_value)
-                new_order = sorted(
-                    node_value, key=lambda n: skey(node_value[n]))
-                if fresh_top or collided or new_order != order:
-                    break
-
-            rebuilt = {}
-            for node, val in node_value.items():
-                if val in rebuilt:
-                    rebuilt[val] = rebuilt[val] | node_set[node]
-                else:
-                    rebuilt[val] = node_set[node]
-            if next_classes is None:
-                classes = sorted(
-                    rebuilt.items(), key=lambda c: (c[0] is TOP, c[0]))
-                break
-            next_classes = sorted(
-                rebuilt.items(), key=lambda c: (c[0] is TOP, c[0]))
-
-        classes = next_classes
-
-    w1 = st.false
-    for value, sset in classes:
-        if value is TOP:
-            w1 = w1 | sset
-    return v & ~w1, w1
+        sets = _BitSets(game, exp)
+    else:
+        sets = _BddSets(game)
+    measure, game.rounds = _lift(sets, max_rounds)
+    w1 = sets.to_bdd(measure.get(TOP, 0))
+    return game.vertices & ~w1, w1
 
 
 def winning_states(sg, sdpa, coalition, game=None):
@@ -710,8 +622,7 @@ def winning_states(sg, sdpa, coalition, game=None):
     # current state's label from the initial automaton state
     entry = sdpa.init & sdpa.delta
     entry = st.exists(sdpa.s.vars, entry)
-    entry = st.rename(entry, sg.q_next, sg.q)
-    entry = st.rename(entry, sdpa.s_next, sdpa.s)
+    entry = st.rename(entry, [sg.q_next, sdpa.s_next], [sg.q, sdpa.s])
 
     pos = w0 & game.v0 & entry & sg.reach
     other_vars = [x for b, _ in game.blocks if b is not sg.q

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atlstar.bdd import BddError, BudgetExceeded, new_store
+from atlstar.bdd import BddError, BudgetExceeded, VarBlock, new_store
 
 
 def fresh(nvars=6):
@@ -139,6 +139,25 @@ def test_audit_reduced():
     assert store.audit_reduced()
 
 
+def test_trim_cache_bounds_the_computed_table():
+    # few variables, many operations: more cached results than nodes
+    store = fresh(3)
+    block = store.block("x")
+    rng = random.Random(23)
+    fs = [random_bdd(store, block, rng, depth=6) for _ in range(40)]
+    want = [f & g for f in fs for g in fs]
+    assert len(store._ite_cache) > 4 * store.node_count()
+    store.trim_cache()
+    assert len(store._ite_cache) == 0
+    assert [f & g for f in fs for g in fs] == want
+    # below the bound the table stays
+    store.trim_cache()
+    fs[0] | fs[1]
+    assert 0 < len(store._ite_cache) <= 4 * store.node_count()
+    store.trim_cache()
+    assert len(store._ite_cache) > 0
+
+
 def test_budget_exceeded():
     store = new_store([("x", 24)], byte_budget=20_000)
     block = store.block("x")
@@ -226,3 +245,49 @@ def test_from_points_empty_and_out_of_range():
         store.from_points([a, b], [(1,)])
     with pytest.raises(BddError, match="share variables"):
         store.from_points([a, a], [(1, 1)])
+
+
+# a, a' and b, b' are interleaved partner pairs; c, c' are not (d sits
+# between them), so no swap of c with c' keeps an order with d
+RENAME_LAYOUT = [("a", 2), ("a'", 2), ("b", 1), ("b'", 1),
+                 ("c", 2), ("d", 1), ("c'", 2)]
+RENAME_PAIRS = [("a", "a'"), ("b", "b'"), ("c", "c'")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       reads=st.sets(st.sampled_from([n for n, _ in RENAME_LAYOUT]),
+                     min_size=1),
+       pairs=st.sets(st.sampled_from(range(len(RENAME_PAIRS))), min_size=1),
+       backwards=st.booleans())
+def test_rename_equals_the_composed_swap(seed, reads, pairs, backwards):
+    # f reads the blocks in ``reads``: one side of a pair (the direct
+    # relabel), both partners (the composed fallback) or neither
+    store = new_store(RENAME_LAYOUT)
+    reads = VarBlock("reads", tuple(v for n in sorted(reads)
+                                    for v in store.block(n).vars))
+    f = random_bdd(store, reads, random.Random(seed), depth=5)
+    src = [store.block(RENAME_PAIRS[i][0]) for i in sorted(pairs)]
+    dst = [store.block(RENAME_PAIRS[i][1]) for i in sorted(pairs)]
+    if backwards:
+        src, dst = dst, src
+    sub = {}
+    for fb, tb in zip(src, dst):
+        for x, y in zip(fb.vars, tb.vars):
+            sub[x] = store.var(y)
+            sub[y] = store.var(x)
+    got = store.rename(f, src, dst)
+    assert got == store.compose(f, sub)
+    assert store.rename(got, dst, src) == f
+    if len(src) == 1:
+        assert store.rename(f, src[0], dst[0]) == got
+    assert store.audit_reduced()
+
+
+def test_rename_rejects_mismatched_blocks():
+    store = new_store([("a", 2), ("b", 3)])
+    a, b = store.block("a"), store.block("b")
+    with pytest.raises(BddError, match="mismatch"):
+        store.rename(store.true, a, b)
+    with pytest.raises(BddError, match="as many"):
+        store.rename(store.true, [a], [a, b])

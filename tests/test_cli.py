@@ -56,6 +56,8 @@ def test_check_json(model_file, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["holds"] is True
     assert data["state_names"] == ["s0", "s1"]
+    (sub,) = data["details"]["subformulas"]
+    assert sub["rounds"] >= 1
 
 
 def test_parse_error_is_usage(model_file, capsys):

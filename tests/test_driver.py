@@ -105,6 +105,33 @@ def test_engines_and_solvers_agree_infinite():
         assert sym.states == exp.states == zie.states, text
 
 
+def test_long_lifting_chains_match_the_explicit_engine():
+    # one incrementing agent, or both agents standing still, makes the
+    # progress measures climb the whole counter, one step per round
+    g = bench.gen_counter(bench.CounterParams(cap=30, mode="infinite"))
+    for text in ("<<a1>> G (p1 -> F counter_max)", "<<a2>> G F counter_max",
+                 "<<a1,a2>> G !counter_max"):
+        sym = driver.check(model=g, formula=text, semantics="infinite")
+        exp = driver.check(model=g, formula=text, semantics="infinite",
+                           engine="explicit")
+        assert sym.states == exp.states, text
+        assert sym.details["subformulas"][0]["rounds"] > 30, text
+
+
+@pytest.mark.parametrize("semantics", ["finite", "infinite"])
+def test_subformulas_report_rounds(semantics):
+    text = "<<a>> F (goal & <<a,b>> G goal)"
+    final = semantics == "finite"
+    sym = run(text, semantics=semantics, final=final)
+    rounds = [sub["rounds"] for sub in sym.details["subformulas"]]
+    assert len(rounds) == 2
+    assert all(isinstance(r, int) and r >= 1 for r in rounds)
+    # the explicit engines run no symbolic fixpoint
+    exp = run(text, semantics=semantics, final=final, engine="explicit")
+    assert [sub["rounds"] for sub in exp.details["subformulas"]] == \
+        [None, None]
+
+
 def test_path_formula_rejected_at_top_level():
     with pytest.raises(driver.DriverError, match="strategic"):
         run("F goal")
