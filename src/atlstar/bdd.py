@@ -594,6 +594,32 @@ class BddStore:
     def node_count(self):
         return len(self._var)
 
+    def release(self, mark):
+        """Drop every node made since :meth:`node_count` returned ``mark``.
+
+        Node ids grow with creation and a node's children are older than
+        the node, so the nodes below ``mark`` stay a closed, reduced
+        table.  The caller must hold no handle to a released node: such
+        a handle would silently denote whatever node later takes its id.
+        The computed table is cleared, since it may name released nodes.
+        """
+        n = len(self._var)
+        if not 2 <= mark <= n:
+            raise BddError(f"release mark {mark} outside 2..{n}")
+        if mark == n:
+            return
+        var_, lo_, hi_ = self._var, self._lo, self._hi
+        if n - mark > mark:
+            # more nodes go than stay: rebuilding is cheaper
+            self._unique = {(var_[i], lo_[i], hi_[i]): i
+                            for i in range(2, mark)}
+        else:
+            unique = self._unique
+            for i in range(mark, n):
+                del unique[var_[i], lo_[i], hi_[i]]
+        del var_[mark:], lo_[mark:], hi_[mark:]
+        self._ite_cache.clear()
+
     def trim_cache(self):
         """Clear the computed table once it holds more than four entries
         per node.  The entries only save recomputation, so a caller may

@@ -537,8 +537,8 @@ GENERATORS = {
 }
 
 SUITE_COLUMNS = ["row", "generator", "params", "formula", "engine",
-                 "states", "verdict", "ms_translate", "ms_encode",
-                 "ms_build", "ms_solve", "ms_total"]
+                 "states", "verdict", "ms_parse", "ms_translate",
+                 "ms_encode", "ms_build", "ms_solve", "ms_total"]
 
 
 def parse_suite_line(line):
@@ -636,8 +636,8 @@ def run_suite(text, csv_path=None, json_path=None):
             row["states"] = len(g.states)
             semantics = fields.get("semantics",
                                    "finite" if g.final else "infinite")
-            timings = {"translate": 0.0, "encode": 0.0, "build": 0.0,
-                       "solve": 0.0, "total": 0.0}
+            timings = {"parse": 0.0, "translate": 0.0, "encode": 0.0,
+                       "build": 0.0, "solve": 0.0, "total": 0.0}
             result = None
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")

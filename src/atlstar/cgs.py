@@ -132,11 +132,23 @@ def parse_model(text):
     def err(lineno, msg):
         raise CgsError(f"line {lineno}: {msg}")
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line[:line.index("#")]
+        line = line.strip()
+        # nearly every line of a model is a transition row; its action
+        # text is resolved once per distinct text, after the scan
+        if line.startswith("trans "):
+            rest = line[len("trans "):]
+            src_part, arrow, dst = rest.partition("->")
+            src, paren, acts = src_part.partition("(")
+            if not arrow or not paren or ")" not in rest:
+                err(lineno, "malformed trans line")
+            trans_lines.append(
+                (src.strip(), acts.rsplit(")", 1)[0], dst.strip(), lineno))
+        elif not line:
             continue
-        if line.startswith("agents:"):
+        elif line.startswith("agents:"):
             if agents is not None:
                 err(lineno, "duplicate agents declaration")
             agents = line[len("agents:"):].split()
@@ -175,17 +187,6 @@ def parse_model(text):
                 err(lineno, "malformed label line")
             state, props = rest.split(":", 1)
             label_lines.append((state.strip(), props.split(), lineno))
-        elif line.startswith("trans "):
-            rest = line[len("trans "):]
-            if "->" not in rest or "(" not in rest or ")" not in rest:
-                err(lineno, "malformed trans line")
-            src_part, dst = rest.split("->", 1)
-            src, acts = src_part.split("(", 1)
-            acts = acts.rsplit(")", 1)[0]
-            trans_lines.append(
-                (src.strip(), [a.strip() for a in acts.split(",")],
-                 dst.strip(), lineno)
-            )
         else:
             err(lineno, f"unrecognized line: {line!r}")
 
@@ -241,23 +242,32 @@ def parse_model(text):
                 err(lineno, f"undefined atom {p!r} in label")
             labels[sidx[state]].add(p)
 
+    joint = {}          # action text -> joint action
     transitions = {}
     for src, acts, dst, lineno in trans_lines:
-        if src not in sidx:
+        s = sidx.get(src)
+        if s is None:
             err(lineno, f"undefined state {src!r} in trans")
-        if dst not in sidx:
+        t = sidx.get(dst)
+        if t is None:
             err(lineno, f"undefined state {dst!r} in trans")
-        if len(acts) != len(agents):
-            err(lineno, f"expected {len(agents)} actions, got {len(acts)}")
-        j = []
-        for i, a in enumerate(agents):
-            if acts[i] not in aidx[a]:
-                err(lineno, f"undefined action {acts[i]!r} for agent {a}")
-            j.append(aidx[a][acts[i]])
-        key = (sidx[src], tuple(j))
+        j = joint.get(acts)
+        if j is None:
+            names = [a.strip() for a in acts.split(",")]
+            if len(names) != len(agents):
+                err(lineno,
+                    f"expected {len(agents)} actions, got {len(names)}")
+            j = []
+            for name, a in zip(names, agents):
+                if name not in aidx[a]:
+                    err(lineno, f"undefined action {name!r} for agent {a}")
+                j.append(aidx[a][name])
+            j = joint[acts] = tuple(j)
+        key = (s, j)
         if key in transitions:
-            err(lineno, f"duplicate transition row for {src} ({','.join(acts)})")
-        transitions[key] = sidx[dst]
+            names = ",".join(a.strip() for a in acts.split(","))
+            err(lineno, f"duplicate transition row for {src} ({names})")
+        transitions[key] = t
 
     g = Cgs(
         agents=list(agents),

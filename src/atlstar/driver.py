@@ -4,8 +4,9 @@ Checks an ATL* state formula against a concurrent game structure by
 recursive labelling: strategic subformulas are solved innermost-first,
 their winning state sets become fresh labels, and the boolean skeleton
 is evaluated per state.  Explicit state-id sets are the common currency
-between engines, so each strategic subformula can pick its own store
-and automaton size.
+between engines and between subformulas: the symbolic engine encodes
+the model once per check and rolls its store back to that encoding
+before each further subformula, so no BDD outlives its subformula.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class CheckResult:
     holds: bool
     states: list             # sorted ids where the formula holds
     state_names: list
-    timings_ms: dict         # translate / encode / build / solve / total
+    timings_ms: dict         # parse/translate/encode/build/solve, total
     details: dict = field(default_factory=dict)
 
     def to_json(self):
@@ -70,10 +71,12 @@ def check(request=None, **kwargs):
     Either pass a CheckRequest or the same fields as keywords.
     """
     req = request or CheckRequest(**kwargs)
+    t_start = time.perf_counter()
     if isinstance(req.formula, str):
         psi = fm.parse_formula(req.formula)
     else:
         psi = req.formula
+    t_parsed = time.perf_counter()
     if fm.classify(psi) != "state":
         raise DriverError(
             f"not a state formula (path operators must sit under a "
@@ -99,9 +102,13 @@ def check(request=None, **kwargs):
     if req.semantics == "infinite" and g.final:
         warnings.warn("infinite-trace semantics ignores final states")
 
-    timings = {"translate": 0.0, "encode": 0.0, "build": 0.0, "solve": 0.0}
-    details = {"subformulas": []}
+    timings = {"parse": (t_parsed - t_start) * 1000, "translate": 0.0,
+               "encode": 0.0, "build": 0.0, "solve": 0.0}
+    details = {"encodes": 0, "subformulas": []}
     reachable = frozenset(g.reachable_states())
+    # the symbolic engine's one model encoding, and the store's node
+    # count right after it
+    encoding = {}
 
     extra = {}    # fresh atom -> set of states where it holds
 
@@ -134,18 +141,39 @@ def check(request=None, **kwargs):
             if a not in g.agents:
                 raise DriverError(f"unknown agent {a!r} in coalition")
         if req.semantics == "finite":
-            win, rounds = solve_finite(body, coalition)
+            win, stats = solve_finite(body, coalition)
         else:
-            win, rounds = solve_infinite(body, coalition)
-        details["subformulas"].append({
-            "formula": str(f),
-            "winning": sorted(win),
-            "rounds": rounds,
-        })
+            win, stats = solve_infinite(body, coalition)
+        details["subformulas"].append(
+            {"formula": str(f), "winning": sorted(win), **stats})
         return win & reachable
 
-    # each solver returns the winning states and its number of fixpoint
-    # rounds (None for the explicit engines)
+    def encoded(n_states):
+        """The model's encoding in a store whose automaton block holds
+        ``n_states`` states, with every node of earlier subformulas
+        released.  The store is rebuilt, at exactly the width needed,
+        only when an automaton outgrows the block; it is not padded
+        ahead, since the game's edge relation equates every bit of s
+        and s', so unused high bits would add nodes to it."""
+        bits = cgsmod.bits_for(n_states)
+        sg = encoding.get("sg")
+        if sg is not None and len(sg.store.block("s")) >= bits:
+            sg.store.release(encoding["mark"])
+            return sg
+        store = cgsmod.make_store(
+            g, automaton_bits=bits, game=req.semantics == "infinite",
+            byte_budget=req.byte_budget)
+        sg = cgsmod.encode_symbolic(g, store, reachable=reachable)
+        encoding.update(sg=sg, mark=store.node_count())
+        details["encodes"] += 1
+        return sg
+
+    # each solver returns the winning states and the subformula's stats:
+    # fixpoint rounds, automaton states and the store's final node count
+    # (all None for the explicit engines)
+    explicit_stats = {"rounds": None, "automaton_states": None,
+                      "nodes": None}
+
     def solve_finite(body, coalition):
         t0 = time.perf_counter()
         # the explicit oracle reads every letter, independently of the model
@@ -163,11 +191,8 @@ def check(request=None, **kwargs):
                 g2, body, coalition, dfa=dfa,
                 product_cap=req.product_cap)
             timings["solve"] += (time.perf_counter() - t2) * 1000
-            return win, None
-        store = cgsmod.make_store(
-            g, automaton_bits=cgsmod.bits_for(dfa.n_states),
-            byte_budget=req.byte_budget)
-        sg = cgsmod.encode_symbolic(g, store, reachable=reachable)
+            return win, explicit_stats
+        sg = encoded(dfa.n_states)
         sd = ltlf2dfa.encode_dfa(dfa, sg, extra_labels=extra)
         t2 = time.perf_counter()
         prod = finite_mc.build_product(sg, sd, coalition)
@@ -178,7 +203,9 @@ def check(request=None, **kwargs):
         timings["build"] += (t3 - t2) * 1000
         timings["solve"] += (t4 - t3) * 1000
         win = finite_mc.project_states(sg, sd, res.winning & prod.entry)
-        return win, res.iterations
+        return win, {"rounds": res.iterations,
+                     "automaton_states": dfa.n_states,
+                     "nodes": sg.store.node_count()}
 
     def solve_infinite(body, coalition):
         t0 = time.perf_counter()
@@ -192,11 +219,8 @@ def check(request=None, **kwargs):
             t2 = time.perf_counter()
             win = infinite_mc.winning_states_explicit(g2, dpa, coalition)
             timings["solve"] += (time.perf_counter() - t2) * 1000
-            return win, None
-        store = cgsmod.make_store(
-            g, automaton_bits=cgsmod.bits_for(dpa.n_states), game=True,
-            byte_budget=req.byte_budget)
-        sg = cgsmod.encode_symbolic(g, store, reachable=reachable)
+            return win, explicit_stats
+        sg = encoded(dpa.n_states)
         sd = dpamod.encode_dpa(dpa, sg, extra_labels=extra)
         t2 = time.perf_counter()
         game = infinite_mc.build_game(sg, sd, coalition)
@@ -206,10 +230,16 @@ def check(request=None, **kwargs):
         timings["encode"] += (t2 - t1) * 1000
         timings["build"] += (t3 - t2) * 1000
         timings["solve"] += (t4 - t3) * 1000
-        return win, game.rounds
+        return win, {"rounds": game.rounds,
+                     "automaton_states": dpa.n_states,
+                     "nodes": sg.store.node_count()}
 
-    t_start = time.perf_counter()
-    states = label(psi)
+    try:
+        states = label(psi)
+    finally:
+        # the nested functions above form a reference cycle; drop the
+        # store now rather than at the next cyclic garbage collection
+        encoding.clear()
     timings["total"] = (time.perf_counter() - t_start) * 1000
     holds = g.initial in states
     return CheckResult(

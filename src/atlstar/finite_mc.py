@@ -30,8 +30,6 @@ class ProductSpace:
     coalition: tuple
     action_vars: list      # coalition action variables
     avail: object          # coalition action availability Bdd
-    other_vars: list       # remaining action variables
-    other_avail: object
     delta: object          # Bdd over (q, s, aA, q', s'): coalition moves only
     entry: object          # Bdd over (q, s): automaton state entered at q
     reachable: object      # Bdd over (q, s)
@@ -56,12 +54,13 @@ def build_product(sg, sd, coalition):
     """Assemble the safety-game arena for a coalition against a DFA."""
     store = sg.store
     avars, avail = cgsmod.coalition_actions(sg, coalition)
-    others = tuple(a for a in sg.g.agents if a not in coalition)
-    ovars, oavail = cgsmod.coalition_actions(sg, others)
+    ovars = [v for a in sg.g.agents if a not in coalition
+             for v in sg.action_blocks[a].vars]
 
     # resolve opponent moves: the transition relation as seen by the
     # coalition is the set of successors some opponent response yields
-    delta_g = store.exists(ovars, sg.delta & oavail)
+    # (delta holds valid joint actions only, so no availability filter)
+    delta_g = store.exists(ovars, sg.delta)
     delta = delta_g & sd.delta
 
     entry = entry_relation(sg, sd)
@@ -86,8 +85,8 @@ def build_product(sg, sd, coalition):
     unsafe = sg.final & sd.valid & ~sd.finals
     return ProductSpace(
         sg=sg, sd=sd, coalition=tuple(coalition), action_vars=avars,
-        avail=avail, other_vars=ovars, other_avail=oavail, delta=delta,
-        entry=entry, reachable=reach, unsafe=unsafe,
+        avail=avail, delta=delta, entry=entry, reachable=reach,
+        unsafe=unsafe,
     )
 
 

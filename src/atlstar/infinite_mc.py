@@ -329,8 +329,8 @@ def build_game(sg, sdpa, coalition):
     ablocks = [st.block(cgsmod.action_block_name(a)) for a in members]
     apblocks = [st.block(cgsmod.action_block_name(a) + "'") for a in members]
     avars, avail = cgsmod.coalition_actions(sg, coalition)
-    others = tuple(a for a in sg.g.agents if a not in set(coalition))
-    ovars, oavail = cgsmod.coalition_actions(sg, others)
+    ovars = [v for a in sg.g.agents if a not in coalition
+             for v in sg.action_blocks[a].vars]
 
     layer0 = ~st.var(l.vars[0])
     layer1 = st.var(l.vars[0])
@@ -355,7 +355,8 @@ def build_game(sg, sdpa, coalition):
     # coalition picks an available joint action; position data unchanged
     e0 = v0 & layer1p & eq_q & eq_s & avail_p
     # opponents respond; the automaton reads the successor's label
-    move = st.exists(ovars, sg.delta & oavail) & sdpa.delta
+    # (delta holds valid joint actions only, so no availability filter)
+    move = st.exists(ovars, sg.delta) & sdpa.delta
     e1 = v1 & layer0p & azero_p & move
 
     # re-express e0 target actions: primed copy carries the chosen action

@@ -235,6 +235,46 @@ def test_infinite_pipeline_symbolic_vs_explicit():
            ok and elapsed < 180, elapsed, f"{len(cases)} cases")
 
 
+# strategic subformulas whose fallback DPAs need automaton blocks of
+# different widths, so the check's one store both grows and runs small
+# automata in a wide block
+SHARED_STORE_CORPUS = [
+    "<<a>> X X (<<b>> G F p)",
+    "<<a,b>> G F (<<a>> X X p)",
+    "(<<a>> G F p) & (<<b>> X (p U q)) & <<>> F (p & q)",
+    "<<b>> (p U <<a>> X X X q)",
+    "<<a>> G (q -> F <<b>> F (p & X q))",
+    "!(<<b>> G p) | <<a,b>> X (q U <<a>> G F q)",
+]
+
+
+def test_shared_store_engines_agree_on_random_models():
+    t0 = time.monotonic()
+    rng = random.Random(5309)
+    checked = grown = 0
+    for _ in range(60):
+        g = random_cgs(rng, rng.randint(2, 12), rng.randint(1, 3))
+        for text in SHARED_STORE_CORPUS:
+            sym = quiet_check(model=g, formula=text, semantics="infinite")
+            exp = quiet_check(model=g, formula=text, semantics="infinite",
+                              engine="explicit")
+            assert (sym.holds, sym.states) == (exp.holds, exp.states), \
+                (g.to_text(), text)
+            # the store is rebuilt exactly when an automaton outgrows it
+            widths = [cgs.bits_for(sub["automaton_states"])
+                      for sub in sym.details["subformulas"]]
+            rises = sum(b > max(widths[:i]) for i, b in
+                        enumerate(widths) if i)
+            assert sym.details["encodes"] == 1 + rises, (text, widths)
+            grown += rises > 0
+            checked += 1
+    elapsed = time.monotonic() - t0
+    report("shared-store symbolic vs explicit infinite checks",
+           checked == 60 * len(SHARED_STORE_CORPUS) and grown > 0
+           and elapsed < 60, elapsed,
+           f"{checked} model/formula pairs, {grown} with a rebuilt store")
+
+
 # ---------------------------------------------------------------------------
 # 5. benchmark semantics sanity
 

@@ -158,6 +158,66 @@ def test_trim_cache_bounds_the_computed_table():
     assert len(store._ite_cache) > 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), before=st.integers(0, 8),
+       after=st.integers(1, 12), other=st.integers(0, 2**32 - 1))
+def test_release_drops_exactly_the_nodes_after_the_mark(seed, before, after,
+                                                        other):
+    store = fresh(6)
+    block = store.block("x")
+    rng = random.Random(seed)
+    kept = [random_bdd(store, block, rng, depth=5) for _ in range(before)]
+    kept_tables = [truth_table(store, f, block.vars) for f in kept]
+    mark = store.node_count()
+    later = rng.random()
+
+    def operations():
+        r = random.Random(later)
+        fs = [random_bdd(store, block, r, depth=5) for _ in range(after)]
+        # results that pair kept and new nodes, and a quantification
+        fs += [f ^ g for f, g in zip(kept, fs)]
+        fs.append(store.exists([block.vars[0]], fs[0]))
+        # a stale table entry can make a node point at a missing or
+        # shallower child, which evaluation would follow forever
+        assert max(f.node for f in fs) < store.node_count()
+        assert store.audit_reduced()
+        return [truth_table(store, f, block.vars) for f in fs]
+
+    want = operations()
+    store.release(mark)
+    assert store.node_count() == mark
+    assert store.audit_reduced()
+    assert store._unique == {(store._var[n], store._lo[n], store._hi[n]): n
+                             for n in range(2, mark)}
+    assert [truth_table(store, f, block.vars) for f in kept] == kept_tables
+    # other work takes the released ids before the operations are redone
+    r = random.Random(other)
+    for _ in range(after):
+        random_bdd(store, block, r, depth=5)
+    assert operations() == want
+    assert store.audit_reduced()
+
+
+def test_release_bounds_and_both_table_repairs():
+    store = fresh(6)
+    block = store.block("x")
+    with pytest.raises(BddError, match="mark"):
+        store.release(1)
+    with pytest.raises(BddError, match="mark"):
+        store.release(store.node_count() + 1)
+    # few nodes go (the unique table is pruned), then many (it is rebuilt)
+    f = store.cube(block, 5) | store.cube(block, 9)
+    for extra in (1, 40):
+        mark = store.node_count()
+        for i in range(extra):
+            store.cube(block, i)
+        store.release(mark)
+        assert store.node_count() == mark
+        assert store.cube(block, 5) | store.cube(block, 9) == f
+    store.release(store.node_count())
+    assert store.audit_reduced()
+
+
 def test_budget_exceeded():
     store = new_store([("x", 24)], byte_budget=20_000)
     block = store.block("x")

@@ -273,6 +273,12 @@ def test_run_suite(tmp_path):
     assert rows[2]["verdict"] == "holds"
     assert rows[3]["verdict"].startswith("error:")
     assert rows[0]["ms_total"] >= 0
+    phases = ("ms_parse", "ms_translate", "ms_encode", "ms_build",
+              "ms_solve")
+    for row in rows[:3]:
+        assert all(row[k] >= 0 for k in phases)
+        # each phase is rounded to 3 decimals, so allow their rounding
+        assert sum(row[k] for k in phases) <= row["ms_total"] + 0.003
 
     with open(csv_path) as fh:
         data = list(csv.DictReader(fh))

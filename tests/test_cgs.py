@@ -78,11 +78,85 @@ def test_parse_error_messages():
         cgs.parse_model(BASIC.replace("-> s1", "-> nowhere", 1))
 
 
+# every way a trans line can fail: (replacement of the first trans line,
+# or None to append a duplicate row, and the exact message)
+TRANS_ERRORS = {
+    "malformed": ("trans s0 go,go -> s2", "malformed trans line"),
+    "no-arrow": ("trans s0 (go,go) s2", "malformed trans line"),
+    "undefined-source": ("trans s9 (go,go) -> s2",
+                         "undefined state 's9' in trans"),
+    "undefined-destination": ("trans s0 (go,go) -> nowhere",
+                              "undefined state 'nowhere' in trans"),
+    "source-before-destination": ("trans s9 (go,go) -> nowhere",
+                                  "undefined state 's9' in trans"),
+    "too-few-actions": ("trans s0 (go) -> s2", "expected 2 actions, got 1"),
+    "too-many-actions": ("trans s0 (go,go,go) -> s2",
+                         "expected 2 actions, got 3"),
+    "undefined-action": ("trans s0 (go,jump) -> s2",
+                         "undefined action 'jump' for agent b"),
+    "undefined-first-action": ("trans s0 (jump,jump) -> s2",
+                               "undefined action 'jump' for agent a"),
+    "duplicate-row": (None, "duplicate transition row for s0 (go,go)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRANS_ERRORS))
+def test_trans_error_messages(case):
+    line, msg = TRANS_ERRORS[case]
+    first = "trans s0 (go,go) -> s2"
+    if line is None:
+        text = BASIC + "trans  s0 ( go , go )  ->  s1\n"
+        lineno = len(BASIC.splitlines()) + 1
+    else:
+        text = BASIC.replace(first, line)
+        lineno = BASIC.splitlines().index(first) + 1
+    assert lineno in (12, 24)
+    with pytest.raises(cgs.CgsError) as err:
+        cgs.parse_model(text)
+    assert str(err.value) == f"line {lineno}: {msg}"
+
+
+def test_trans_errors_follow_line_order():
+    # the earliest bad trans line is reported, whatever its failure
+    text = BASIC.replace("trans s1 (go,go) -> s2", "trans s1 (go) -> s2")
+    text = text.replace("trans s2 (go,go) -> s2", "trans s9 (go,go) -> s2")
+    with pytest.raises(cgs.CgsError, match=r"^line 16: expected 2 actions"):
+        cgs.parse_model(text)
+
+
+def test_trans_parenthesis_only_after_the_arrow_is_malformed():
+    # the action list must open before the arrow; this used to escape as
+    # an unpacking ValueError instead of a CgsError with a line number
+    text = BASIC.replace("trans s0 (go,go) -> s2", "trans s0 go,go) -> (s2")
+    with pytest.raises(cgs.CgsError, match="^line 12: malformed trans line$"):
+        cgs.parse_model(text)
+
+
+def test_trans_whitespace_and_comments():
+    text = BASIC.replace("trans s0 (go,go) -> s2",
+                         "trans   s0(  go ,go )->s2   # a comment")
+    assert cgs.parse_model(text).transitions == \
+        cgs.parse_model(BASIC).transitions
+
+
 def test_reserved_atom_prefix():
     with pytest.raises(cgs.CgsError, match="__"):
         cgs.parse_model(
             "agents: a\natoms: __x\nstates: s\ninitial: s\n"
             "actions a: m\nlabel s: __x\ntrans s (m) -> s\n")
+
+
+def test_delta_implies_action_validity():
+    # delta only holds rows of real joint actions, so the pipeline may
+    # quantify opponents out of it without an availability filter
+    rng = random.Random(31)
+    for _ in range(40):
+        agents = ("a", "b", "c")[:rng.randint(1, 3)]
+        g = random_model(rng, rng.randint(1, 9), agents=agents,
+                         n_actions=rng.randint(1, 5))
+        sg = cgs.encode_symbolic(g, cgs.make_store(g, automaton_bits=1))
+        for a in agents:
+            assert (sg.delta & ~sg.action_valid[a]).is_false()
 
 
 def test_symbolic_encoding_soundness():

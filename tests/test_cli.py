@@ -56,8 +56,16 @@ def test_check_json(model_file, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["holds"] is True
     assert data["state_names"] == ["s0", "s1"]
+    assert data["details"]["encodes"] == 1
     (sub,) = data["details"]["subformulas"]
     assert sub["rounds"] >= 1
+    assert sub["automaton_states"] >= 1
+    assert sub["nodes"] > 2
+    # model and formula parsing are both timed, inside the total
+    t = data["timings_ms"]
+    assert t["parse"] > 0
+    assert sum(t[k] for k in ("parse", "translate", "encode", "build",
+                              "solve")) <= t["total"]
 
 
 def test_parse_error_is_usage(model_file, capsys):

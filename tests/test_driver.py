@@ -61,9 +61,52 @@ def test_phase_timings_add_up(semantics):
     res = run("(<<a>> G p) | <<a,b>> F (goal & <<a>> G goal)",
               semantics=semantics)
     t = res.timings_ms
-    phases = ("translate", "encode", "build", "solve")
+    phases = ("parse", "translate", "encode", "build", "solve")
     assert all(t[k] >= 0 for k in phases + ("total",))
     assert sum(t[k] for k in phases) <= t["total"]
+
+
+def test_scheduler_fairness_encodes_the_model_once():
+    n = 3
+    g = bench.gen_scheduler(bench.SchedulerParams(processes=n))
+    res = driver.check(model=g, semantics="infinite",
+                       formula=bench.scheduler_fairness_formula(n))
+    subs = res.details["subformulas"]
+    assert len(subs) == n
+    assert res.details["encodes"] == 1
+    for sub in subs:
+        assert sub["automaton_states"] >= 1
+        # each subformula starts from the same encoding, so every one
+        # ends with more nodes than the model alone
+        assert sub["nodes"] > 2
+
+
+@pytest.mark.parametrize("semantics", ["finite", "infinite"])
+def test_store_grows_only_for_wider_automata(semantics):
+    # inner X X X p needs a 3-bit automaton block, the outer F needs 1;
+    # then a one-bit G runs in the same wide store
+    res = run("(<<a>> F <<a,b>> X X X p) & <<b>> G p", semantics=semantics)
+    subs = res.details["subformulas"]
+    bits = [cgs.bits_for(sub["automaton_states"]) for sub in subs]
+    assert bits[0] > max(bits[1:])
+    assert res.details["encodes"] == 1
+    res = run("<<a>> X X X (<<b>> G p)", semantics=semantics)
+    bits = [cgs.bits_for(sub["automaton_states"])
+            for sub in res.details["subformulas"]]
+    assert bits[0] < bits[1]
+    assert res.details["encodes"] == 2
+
+
+@pytest.mark.parametrize("kw", [{"engine": "explicit"},
+                                {"semantics": "infinite",
+                                 "solver": "zielonka"}])
+def test_explicit_paths_report_no_store(kw):
+    res = run("(<<a>> G p) | <<a,b>> F goal", **kw)
+    assert res.details["encodes"] == 0
+    for sub in res.details["subformulas"]:
+        assert sub["rounds"] is None
+        assert sub["automaton_states"] is None
+        assert sub["nodes"] is None
 
 
 def test_double_negation():
