@@ -601,7 +601,8 @@ class BddStore:
         the node, so the nodes below ``mark`` stay a closed, reduced
         table.  The caller must hold no handle to a released node: such
         a handle would silently denote whatever node later takes its id.
-        The computed table is cleared, since it may name released nodes.
+        The unique table is rebuilt from the kept nodes and the computed
+        table is cleared, since it may name released nodes.
         """
         n = len(self._var)
         if not 2 <= mark <= n:
@@ -609,15 +610,8 @@ class BddStore:
         if mark == n:
             return
         var_, lo_, hi_ = self._var, self._lo, self._hi
-        if n - mark > mark:
-            # more nodes go than stay: rebuilding is cheaper
-            self._unique = {(var_[i], lo_[i], hi_[i]): i
-                            for i in range(2, mark)}
-        else:
-            unique = self._unique
-            for i in range(mark, n):
-                del unique[var_[i], lo_[i], hi_[i]]
         del var_[mark:], lo_[mark:], hi_[mark:]
+        self._unique = {(var_[i], lo_[i], hi_[i]): i for i in range(2, mark)}
         self._ite_cache.clear()
 
     def trim_cache(self):

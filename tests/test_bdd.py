@@ -198,14 +198,14 @@ def test_release_drops_exactly_the_nodes_after_the_mark(seed, before, after,
     assert store.audit_reduced()
 
 
-def test_release_bounds_and_both_table_repairs():
+def test_release_bounds():
     store = fresh(6)
     block = store.block("x")
     with pytest.raises(BddError, match="mark"):
         store.release(1)
     with pytest.raises(BddError, match="mark"):
         store.release(store.node_count() + 1)
-    # few nodes go (the unique table is pruned), then many (it is rebuilt)
+    # fewer nodes go than stay, then more
     f = store.cube(block, 5) | store.cube(block, 9)
     for extra in (1, 40):
         mark = store.node_count()
