@@ -74,9 +74,6 @@ class Bdd:
     def is_false(self):
         return self.node == FALSE
 
-    def is_true(self):
-        return self.node == TRUE
-
     def __repr__(self):
         return f"Bdd(node={self.node})"
 
@@ -206,9 +203,6 @@ class BddStore:
         if not 0 <= index < self.nvars:
             raise BddError(f"variable index {index} out of range")
         return Bdd(self, self._mk(index, FALSE, TRUE))
-
-    def block_var(self, name, bit):
-        return self.var(self.blocks[name].vars[bit])
 
     def _check(self, *fs):
         for f in fs:
@@ -620,26 +614,6 @@ class BddStore:
         do this whenever no operation is in flight."""
         if len(self._ite_cache) > 4 * len(self._var):
             self._ite_cache.clear()
-
-    def to_dot(self, f, name="bdd"):
-        (root,) = self._check(f)
-        lines = [f"digraph {name} {{"]
-        lines.append('  node0 [label="0", shape=box];')
-        lines.append('  node1 [label="1", shape=box];')
-        seen = set()
-        stack = [root]
-        while stack:
-            n = stack.pop()
-            if n <= 1 or n in seen:
-                continue
-            seen.add(n)
-            lines.append(f'  node{n} [label="{self.var_names[self._var[n]]}"];')
-            lines.append(f"  node{n} -> node{self._lo[n]} [style=dashed];")
-            lines.append(f"  node{n} -> node{self._hi[n]};")
-            stack.append(self._lo[n])
-            stack.append(self._hi[n])
-        lines.append("}")
-        return "\n".join(lines)
 
 
 def new_store(blocks, byte_budget=256 * 1024 * 1024):

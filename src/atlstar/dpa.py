@@ -1,9 +1,10 @@
 """Deterministic parity automata for LTL path formulas.
 
 Automata come either from external translator tools speaking the HOA v1
-format (run as a race, first valid output wins) or from a built-in
-fallback covering the safety / co-safety fragments plus the propositional
-response pattern G(a -> F b).  Transition-based acceptance is converted
+format (run as a race, first valid output wins) or, when no tool is
+configured, from a built-in fallback covering the safety / co-safety
+fragments plus the propositional response pattern G(a -> F b); both
+routes meet in ``obtain_dpa``.  Transition-based acceptance is converted
 to state-based priorities and polarity is normalized to min-even:
 coalition-accepting runs are exactly those whose minimal recurring
 priority is even.
@@ -231,46 +232,6 @@ def parse_hoa(text):
         n_states=n_states, start=start, aps=aps, acc_name=acc_name,
         acceptance=acceptance, properties=properties, states=states,
     )
-
-
-def write_hoa(dpa):
-    """Serialize a state-based Dpa as HOA v1 text."""
-    k = max(dpa.priority.values()) + 1 if dpa.priority else 1
-    lines = [
-        "HOA: v1",
-        f"States: {dpa.n_states}",
-        f"Start: {dpa.initial}",
-        f"AP: {len(dpa.atoms)} " + " ".join(f'"{p}"' for p in dpa.atoms),
-        f"acc-name: parity {dpa.polarity} {k}",
-        "Acceptance: %d %s" % (k, _parity_acceptance_expr(dpa.polarity, k)),
-        "properties: deterministic state-acc complete",
-        "--BODY--",
-    ]
-    for s in range(dpa.n_states):
-        lines.append(f"State: {s} {{{dpa.priority[s]}}}")
-        for a in range(1 << len(dpa.atoms)):
-            expr = " & ".join(
-                (f"{i}" if (a >> i) & 1 else f"!{i}")
-                for i in range(len(dpa.atoms))
-            ) or "t"
-            lines.append(f"  [{expr}] {dpa.delta[(s, a)]}")
-    lines.append("--END--")
-    return "\n".join(lines) + "\n"
-
-
-def _parity_acceptance_expr(polarity, k):
-    # standard HOA parity acceptance formula, built innermost-first
-    kind, par = polarity.split()
-    expr = None
-    order = list(range(k - 1, -1, -1)) if kind == "min" else list(range(k))
-    for i in order:
-        accepting = (i % 2 == 0) == (par == "even")
-        atom = f"Inf({i})" if accepting else f"Fin({i})"
-        if expr is None:
-            expr = atom
-        else:
-            expr = f"({atom} | {expr})" if accepting else f"({atom} & {expr})"
-    return expr or "t"
 
 
 # ---------------------------------------------------------------------------
@@ -636,14 +597,9 @@ class RaceResult:
 def race_translate(psi, tools, timeout=60.0):
     """Run external translator commands concurrently; first valid HOA wins.
 
-    ``tools`` are command templates with ``{formula}`` and optional
-    ``{outfile}`` placeholders.  With no tools configured the built-in
-    fallback is used and reported with tool name "builtin".
+    ``tools`` is a non-empty list of command templates with ``{formula}``
+    and optional ``{outfile}`` placeholders.
     """
-    if not tools:
-        d = fallback_translate(psi)
-        return RaceResult(hoa=parse_hoa(write_hoa(d)), tool="builtin")
-
     text = str(psi)
     errors = {}
     procs = []

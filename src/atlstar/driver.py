@@ -189,7 +189,7 @@ def check(request=None, **kwargs):
             t2 = time.perf_counter()
             win = finite_mc.explicit_game_solving(
                 g2, body, coalition, dfa=dfa,
-                product_cap=req.product_cap)
+                product_cap=req.product_cap, reachable=reachable)
             timings["solve"] += (time.perf_counter() - t2) * 1000
             return win, explicit_stats
         sg = encoded(dfa.n_states)
@@ -217,7 +217,8 @@ def check(request=None, **kwargs):
             g2 = _with_extra_labels(g, extra)
             infinite_mc.region_cap_check(len(reachable) * dpa.n_states)
             t2 = time.perf_counter()
-            win = infinite_mc.winning_states_explicit(g2, dpa, coalition)
+            win = infinite_mc.winning_states_explicit(
+                g2, dpa, coalition, reachable=reachable)
             timings["solve"] += (time.perf_counter() - t2) * 1000
             return win, explicit_stats
         sg = encoded(dpa.n_states)

@@ -27,7 +27,6 @@ class ProductSpace:
 
     sg: object
     sd: object
-    coalition: tuple
     action_vars: list      # coalition action variables
     avail: object          # coalition action availability Bdd
     delta: object          # Bdd over (q, s, aA, q', s'): coalition moves only
@@ -84,9 +83,8 @@ def build_product(sg, sd, coalition):
     # complement automaton accepting, i.e. the DFA for psi rejecting
     unsafe = sg.final & sd.valid & ~sd.finals
     return ProductSpace(
-        sg=sg, sd=sd, coalition=tuple(coalition), action_vars=avars,
-        avail=avail, delta=delta, entry=entry, reachable=reach,
-        unsafe=unsafe,
+        sg=sg, sd=sd, action_vars=avars, avail=avail, delta=delta,
+        entry=entry, reachable=reach, unsafe=unsafe,
     )
 
 
@@ -153,13 +151,14 @@ DEFAULT_PRODUCT_CAP = 4096
 
 
 def explicit_game_solving(g, psi, coalition, dfa=None,
-                          product_cap=DEFAULT_PRODUCT_CAP):
+                          product_cap=DEFAULT_PRODUCT_CAP, reachable=None):
     """Explicit-state safety-game solver over the same product.
 
     Builds the product adjacency structure directly and removes states
     from which the coalition cannot avoid the unsafe region.  Intended
     as an oracle for the symbolic engine on small models; raises once
-    the product exceeds ``product_cap`` states.
+    the product exceeds ``product_cap`` states.  ``reachable`` is the
+    model's reachable state set, computed here when not given.
     """
     if dfa is None:
         dfa = ltlf2dfa.translate(psi)
@@ -191,7 +190,7 @@ def explicit_game_solving(g, psi, coalition, dfa=None,
             order.append(key)
         return nodes[key]
 
-    reach_g = g.reachable_states()
+    reach_g = g.reachable_states() if reachable is None else reachable
     frontier = [(q, entry(q)) for q in sorted(reach_g)]
     for key in frontier:
         get(*key)

@@ -9,13 +9,15 @@ the minimal priority occurring infinitely often is even.
 
 Two solvers are provided: a recursive attractor decomposition on an
 explicit arena (the oracle) and a set-based small-progress-measures
-iteration that works directly on the symbolic arena.
+iteration that works directly on the BDD node ids of the symbolic
+arena.  That one lifting loop solves every symbolic arena: those the
+checker builds and those that ``encode_explicit_game`` makes from
+explicit games for cross-checks.
 """
 
 from __future__ import annotations
 
 import bisect
-import operator
 from dataclasses import dataclass
 
 from . import cgs as cgsmod
@@ -114,12 +116,13 @@ def region_cap_check(n, cap=1 << 20):
         )
 
 
-def build_explicit_game(g, dpa, coalition):
+def build_explicit_game(g, dpa, coalition, reachable=None):
     """Explicit product arena of a Cgs and a state-based min-even Dpa.
 
     Vertex keys are (q, s) for coalition positions and (q, s, move) for
     opponent positions, where ``move`` fixes the coalition's actions.
-    Returns (game, index map key -> vertex id).
+    ``reachable`` is the model's reachable state set, computed here when
+    not given.  Returns (game, index map key -> vertex id).
     """
     coalition = tuple(coalition)
     others = [a for a in g.agents if a not in coalition]
@@ -133,7 +136,9 @@ def build_explicit_game(g, dpa, coalition):
     opp_moves = list(itertools.product(
         *[range(len(g.actions[a])) for a in others]))
 
-    reach = sorted(g.reachable_states())
+    if reachable is None:
+        reachable = g.reachable_states()
+    reach = sorted(reachable)
     region_cap_check(len(reach) * dpa.n_states * (1 + len(coal_moves)))
 
     ids = {}
@@ -190,11 +195,17 @@ def build_explicit_game(g, dpa, coalition):
     return game, ids
 
 
-def winning_states_explicit(g, dpa, coalition):
-    """CGS states from which the coalition wins, by the explicit solver."""
-    game, ids = build_explicit_game(g, dpa, coalition)
+def winning_states_explicit(g, dpa, coalition, reachable=None):
+    """CGS states from which the coalition wins, by the explicit solver.
+
+    ``reachable`` is the model's reachable state set, computed here when
+    not given.
+    """
+    if reachable is None:
+        reachable = g.reachable_states()
+    game, ids = build_explicit_game(g, dpa, coalition, reachable)
     w0, _ = solve_zielonka(game)
-    letters = {q: dpa.letter(g.labels[q]) for q in g.reachable_states()}
+    letters = {q: dpa.letter(g.labels[q]) for q in reachable}
     out = set()
     for q, a in letters.items():
         v = ids.get((q, dpa.delta[(dpa.initial, a)]))
@@ -261,9 +272,6 @@ class SymbolicParityGame:
     """Arena over (layer, q, s, coalition actions) with primed copies."""
 
     store: object
-    sg: object
-    sdpa: object
-    coalition: tuple
     blocks: list         # (unprimed VarBlock, primed VarBlock) pairs in use
     v0: object           # coalition position vertices (layer 0)
     v1: object           # opponent choice vertices (layer 1)
@@ -372,8 +380,7 @@ def build_game(sg, sdpa, coalition):
             priorities[p] = cls
 
     return SymbolicParityGame(
-        store=st, sg=sg, sdpa=sdpa, coalition=coalition, blocks=blocks,
-        v0=v0, v1=v1, e=e, priorities=priorities,
+        store=st, blocks=blocks, v0=v0, v1=v1, e=e, priorities=priorities,
     )
 
 
@@ -398,14 +405,9 @@ def encode_explicit_game(game, byte_budget=64 * 1024 * 1024):
         classes.setdefault(game.priority[x], []).append((x,))
     priorities = {p: st.from_points([v], xs)
                   for p, xs in sorted(classes.items())}
-    out = SymbolicParityGame(
-        store=st, sg=None, sdpa=None, coalition=(),
-        blocks=[(v, vp)], v0=v0, v1=v1, e=e, priorities=priorities,
+    return SymbolicParityGame(
+        store=st, blocks=[(v, vp)], v0=v0, v1=v1, e=e, priorities=priorities,
     )
-    # the explicit vertex list enables the dense set backend of
-    # solve_progress_measure; pipeline-built games have no such list
-    out.__dict__["_explicit"] = game
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -434,111 +436,47 @@ def _prog_value(value, p, odds, caps):
     return TOP
 
 
-class _BddSets:
-    """Vertex sets of a symbolic arena as BDD node ids (0 is empty)."""
-
-    def __init__(self, game):
-        st = self.store = game.store
-        self.game = game
-        # node-level operations skip the handle checks of the Bdd API
-        self.and_, self.or_, self.not_ = st._and, st._or, st._not
-        self.v0, self.v1 = game.v0.node, game.v1.node
-        self.priorities = {p: s.node for p, s in game.priorities.items()}
-        self._pre = {}
-
-    def count(self, s):
-        return int(self.store.sat_count(Bdd(self.store, s),
-                                        self.game.vertex_vars()))
-
-    def pre(self, t):
-        """Vertices with an edge into t; sets recur, so this caches."""
-        hit = self._pre.get(t)
-        if hit is None:
-            hit = self._pre[t] = self.game.pre_exists(Bdd(self.store, t)).node
-        return hit
-
-    def tidy(self):
-        # no operation is in flight between rounds
-        self.store.trim_cache()
-
-    def to_bdd(self, s):
-        return Bdd(self.store, s)
-
-
-class _BitSets:
-    """Vertex sets of an explicit game as integer bitmasks (0 is empty).
-
-    Pre-images cost one pass over the set's members instead of a BDD
-    traversal, which matters for games with long lifting chains.
-    """
-
-    def __init__(self, game, exp):
-        self.game = game
-        n = exp.n()
-        full = (1 << n) - 1
-        self.and_, self.or_ = operator.and_, operator.or_
-        self.not_ = lambda s: full ^ s
-        self.v0 = sum(1 << x for x in range(n) if exp.owner[x] == 0)
-        self.v1 = full ^ self.v0
-        self.priorities = {}
-        self._preds = [0] * n
-        for x in range(n):
-            p = exp.priority[x]
-            self.priorities[p] = self.priorities.get(p, 0) | (1 << x)
-            for w in exp.succ[x]:
-                self._preds[w] |= 1 << x
-        self._pre = {}
-
-    def count(self, s):
-        return bin(s).count("1")
-
-    def pre(self, t):
-        hit = self._pre.get(t)
-        if hit is None:
-            hit, rest = 0, t
-            while rest:
-                low = rest & -rest
-                hit |= self._preds[low.bit_length() - 1]
-                rest ^= low
-            self._pre[t] = hit
-        return hit
-
-    def tidy(self):
-        pass
-
-    def to_bdd(self, s):
-        return self.game.store.from_points(
-            [self.game.blocks[0][0]],
-            [(x,) for x in range(s.bit_length()) if (s >> x) & 1])
-
-
-def _lift(sets, max_rounds):
-    """Worklist lifting over either set representation.
+def _lift(game):
+    """Worklist lifting on the store node ids of a symbolic arena.
 
     Returns the final partition (value -> vertex set) and the number of
     rounds.  Round 1 lifts every vertex; each later round lifts only the
     predecessors of the vertices whose value changed in the round before,
     and the first round that changes nothing is the last.
     """
-    and_, or_, not_, pre = sets.and_, sets.or_, sets.not_, sets.pre
-    odds = sorted(p for p in sets.priorities if p % 2 == 1)
-    caps = [sets.count(sets.priorities[p]) for p in odds]
+    st = game.store
+    # node-level operations skip the handle checks of the Bdd API;
+    # node 0 is the empty set
+    and_, or_, not_ = st._and, st._or, st._not
+    v0, v1 = game.v0.node, game.v1.node
+    priorities = {p: s.node for p, s in game.priorities.items()}
+    pre_cache = {}
+
+    def pre(t):
+        """Vertices with an edge into t; sets recur, so this caches."""
+        hit = pre_cache.get(t)
+        if hit is None:
+            hit = pre_cache[t] = game.pre_exists(Bdd(st, t)).node
+        return hit
+
+    odds = sorted(p for p in priorities if p % 2 == 1)
+    vertex_vars = game.vertex_vars()
+    caps = [int(st.sat_count(game.priorities[p], vertex_vars)) for p in odds]
     memo = {}           # (value, priority) -> progressed value
 
-    lift = or_(sets.v0, sets.v1)
+    lift = or_(v0, v1)
     measure = {(0,) * len(odds): lift}      # value -> vertex set
     rounds = 0
     while True:
         rounds += 1
-        if max_rounds is not None and rounds > max_rounds:
-            raise InfiniteMcError("progress-measure iteration cap exceeded")
-        sets.tidy()
+        # no operation is in flight between rounds
+        st.trim_cache()
 
         # best successor value per lifted vertex: the first class hit by
         # an ascending scan for player 0, by a descending one for player 1
         ordered = sorted(measure.items(), key=lambda c: (c[0] is TOP, c[0]))
         best = []
-        for owner, scan in ((sets.v0, ordered), (sets.v1, ordered[::-1])):
+        for owner, scan in ((v0, ordered), (v1, ordered[::-1])):
             todo = and_(owner, lift)
             for value, sset in scan:
                 if not todo:
@@ -551,7 +489,7 @@ def _lift(sets, max_rounds):
         # progress step per own priority
         lifted = {}         # new value -> lifted vertices that get it
         for value, sset in best:
-            for p, pset in sets.priorities.items():
+            for p, pset in priorities.items():
                 part = and_(sset, pset)
                 if part:
                     nv = memo.get((value, p))
@@ -579,7 +517,7 @@ def _lift(sets, max_rounds):
         lift = pre(changed)
 
 
-def solve_progress_measure(game, max_rounds=None, backend="auto"):
+def solve_progress_measure(game):
     """Winning region of player 0 by set-based small progress measures.
 
     The measure assignment is kept as a partition of the vertex set into
@@ -588,27 +526,12 @@ def solve_progress_measure(game, max_rounds=None, backend="auto"):
     0, greatest for player 1) under the previous round's assignment.
     Only vertices with a successor whose value changed in the previous
     round are lifted again: any other vertex would get the value it
-    already has, so the rounds are those of a full sweep.  Returns
+    already has, so the rounds are those of a full sweep.  Measures only
+    rise in a finite lattice, so the iteration always ends.  Returns
     (w0, w1) vertex BDDs and leaves the round count in ``game.rounds``.
-
-    ``backend`` selects the set representation: ``"bdd"`` runs every
-    set operation symbolically, ``"dense"`` uses integer bitmasks and
-    requires a game built by :func:`encode_explicit_game`, and
-    ``"auto"`` picks dense when an explicit game is attached.  Both run
-    the same rounds.
     """
-    if backend not in ("auto", "bdd", "dense"):
-        raise InfiniteMcError(f"unknown backend: {backend!r}")
-    exp = game.__dict__.get("_explicit")
-    if backend == "dense" and exp is None:
-        raise InfiniteMcError(
-            "dense backend requires a game built from an explicit game")
-    if exp is not None and backend != "bdd":
-        sets = _BitSets(game, exp)
-    else:
-        sets = _BddSets(game)
-    measure, game.rounds = _lift(sets, max_rounds)
-    w1 = sets.to_bdd(measure.get(TOP, 0))
+    measure, game.rounds = _lift(game)
+    w1 = Bdd(game.store, measure.get(TOP, 0))
     return game.vertices & ~w1, w1
 
 

@@ -69,30 +69,6 @@ class Dfa:
     def letters(self):
         return self.alphabet
 
-    def to_dot(self, name="dfa"):
-        lines = [f"digraph {name} {{", "  rankdir=LR;"]
-        for s in range(self.n_states):
-            shape = "doublecircle" if s in self.finals else "circle"
-            lines.append(f'  s{s} [shape={shape}];')
-        lines.append(f"  init [shape=point]; init -> s{self.initial};")
-        for (s, a), t in sorted(self.delta.items()):
-            labels = [self.atoms[i] for i in range(len(self.atoms)) if (a >> i) & 1]
-            lines.append(f'  s{s} -> s{t} [label="{{{",".join(labels)}}}"];')
-        lines.append("}")
-        return "\n".join(lines)
-
-
-@dataclass
-class Nfa:
-    """Nondeterministic automaton (possibly partial), the input of
-    :func:`determinize_minimize`."""
-
-    atoms: tuple
-    n_states: int
-    initial: frozenset
-    finals: frozenset
-    delta: dict  # (state, letter mask) -> frozenset of states
-
 
 # ---------------------------------------------------------------------------
 # Formula progression
@@ -244,41 +220,7 @@ def translate(psi, labels=None):
 
 
 # ---------------------------------------------------------------------------
-# Subset construction and Hopcroft minimization
-
-def determinize_minimize(nfa):
-    """Subset-construct and minimize; output is canonical up to isomorphism."""
-    letters = tuple(range(1 << len(nfa.atoms)))
-
-    subset_ids = {}
-    subsets = []
-
-    def sid(fs):
-        if fs not in subset_ids:
-            subset_ids[fs] = len(subsets)
-            subsets.append(fs)
-        return subset_ids[fs]
-
-    init = sid(frozenset(nfa.initial))
-    delta = {}
-    frontier = [init]
-    seen = {init}
-    while frontier:
-        s = frontier.pop()
-        for a in letters:
-            succ = frozenset(
-                t for q in subsets[s] for t in nfa.delta.get((q, a), ())
-            )
-            t = sid(succ)
-            delta[(s, a)] = t
-            if t not in seen:
-                seen.add(t)
-                frontier.append(t)
-
-    n = len(subsets)
-    finals = {s for s in range(n) if subsets[s] & nfa.finals}
-    return _minimize(nfa.atoms, letters, n, init, delta, finals)
-
+# Hopcroft minimization
 
 def _minimize(atoms, letters, n, init, delta, finals):
     """Minimal DFA of a total deterministic automaton over ``letters``,
@@ -444,7 +386,3 @@ def encode_dfa(dfa, sg, extra_labels=None):
         valid=states(range(dfa.n_states)),
     )
 
-
-def dfa_accepts(dfa, trace):
-    """Simulate from the initial state; accept iff the run ends final."""
-    return dfa.accepts(trace)

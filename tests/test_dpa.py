@@ -114,13 +114,6 @@ def test_buchi_accepted_as_parity():
         assert d.accepts_lasso(pre, loop) == gfp_truth(pre, loop), (pre, loop)
 
 
-def test_write_hoa_round_trip():
-    d = dp.hoa_to_dpa(dp.parse_hoa(TRANS_PARITY))
-    d2 = dp.hoa_to_dpa(dp.parse_hoa(dp.write_hoa(d)))
-    for pre, loop in lassos(2, 3, 3):
-        assert d.accepts_lasso(pre, loop) == d2.accepts_lasso(pre, loop)
-
-
 def semantic_lasso(psi, atoms, prefix, loop):
     """Exact truth of an LTL formula on the word ``prefix . loop^omega``.
 

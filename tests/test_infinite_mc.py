@@ -161,17 +161,6 @@ def test_progress_measure_matches_zielonka_on_random_games():
         assert _bdd_region(sym, s1) == w1
 
 
-def test_progress_measure_backends_agree():
-    rng = random.Random(31)
-    for _ in range(25):
-        game = random_game(rng, rng.randint(1, 15))
-        sym = imc.encode_explicit_game(game)
-        b0, b1 = imc.solve_progress_measure(sym, backend="bdd")
-        d0, d1 = imc.solve_progress_measure(sym, backend="dense")
-        assert _bdd_region(sym, b0) == _bdd_region(sym, d0)
-        assert _bdd_region(sym, b1) == _bdd_region(sym, d1)
-
-
 def jacobi_lifting(game):
     """Per-vertex Jacobi iteration of small progress measures.
 
@@ -213,8 +202,7 @@ def jacobi_lifting(game):
         m = nxt
 
 
-@pytest.mark.parametrize("backend", ["bdd", "dense"])
-def test_worklist_lifting_runs_the_jacobi_rounds(backend):
+def test_worklist_lifting_runs_the_jacobi_rounds():
     # re-lifting only the predecessors of changed vertices must give the
     # rounds and the top set of lifting every vertex every round
     rng = random.Random(29)
@@ -222,28 +210,9 @@ def test_worklist_lifting_runs_the_jacobi_rounds(backend):
         game = random_game(rng, rng.randint(1, 20))
         rounds, top = jacobi_lifting(game)
         sym = imc.encode_explicit_game(game)
-        _, s1 = imc.solve_progress_measure(sym, backend=backend)
-        assert sym.rounds == rounds, (game, backend)
+        _, s1 = imc.solve_progress_measure(sym)
+        assert sym.rounds == rounds, game
         assert _bdd_region(sym, s1) == top
-
-
-def test_progress_measure_backend_errors():
-    rng = random.Random(33)
-    game = random_game(rng, 5)
-    sym = imc.encode_explicit_game(game)
-    with pytest.raises(imc.InfiniteMcError, match="backend"):
-        imc.solve_progress_measure(sym, backend="sparse")
-    sym.__dict__.pop("_explicit")
-    with pytest.raises(imc.InfiniteMcError, match="explicit"):
-        imc.solve_progress_measure(sym, backend="dense")
-
-
-def test_progress_measure_round_cap():
-    rng = random.Random(41)
-    game = random_game(rng, 15)
-    sym = imc.encode_explicit_game(game)
-    with pytest.raises(imc.InfiniteMcError, match="cap"):
-        imc.solve_progress_measure(sym, max_rounds=0)
 
 
 def test_region_cap_check():

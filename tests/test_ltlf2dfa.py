@@ -38,8 +38,7 @@ def test_corpus_matches_trace_semantics():
         for trace in all_traces(atoms, 5):
             trace = list(trace)
             expected = fm.eval_finite_trace(psi, trace, 0)
-            assert ltlf2dfa.dfa_accepts(dfa, trace) == expected, \
-                (text, trace)
+            assert dfa.accepts(trace) == expected, (text, trace)
 
 
 def test_known_minimal_sizes():
@@ -128,43 +127,6 @@ def test_letter_outside_alphabet_raises():
         dfa.accepts([{"p"}, set()])
     # the full alphabet reads every letter
     assert len(ltlf2dfa.translate(psi).letters()) == 4
-
-
-def random_nfa(rng, n, n_letters):
-    delta = {}
-    for s in range(n):
-        for a in range(n_letters):
-            k = rng.randint(0, min(2, n))
-            delta[(s, a)] = frozenset(rng.sample(range(n), k))
-    finals = frozenset(s for s in range(n) if rng.random() < 0.4)
-    return ltlf2dfa.Nfa(
-        atoms=("p",), n_states=n, initial=frozenset({0}),
-        finals=finals, delta=delta)
-
-
-def nfa_accepts(nfa, word):
-    cur = nfa.initial
-    for a in word:
-        cur = frozenset(t for s in cur for t in nfa.delta[(s, a)])
-    return bool(cur & nfa.finals)
-
-
-def test_determinize_minimize_random_nfas():
-    rng = random.Random(31)
-    for _ in range(40):
-        nfa = random_nfa(rng, rng.randint(1, 6), 2)
-        dfa = ltlf2dfa.determinize_minimize(nfa)
-        for n in range(0, 7):
-            for word in itertools.product(range(2), repeat=n):
-                got = _dfa_accepts_word(dfa, word)
-                assert got == nfa_accepts(nfa, word), (nfa, word)
-
-
-def _dfa_accepts_word(dfa, word):
-    s = dfa.initial
-    for a in word:
-        s = dfa.delta[(s, a)]
-    return s in dfa.finals
 
 
 def test_translate_deterministic():
