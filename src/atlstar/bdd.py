@@ -133,7 +133,11 @@ class BddStore:
         self._lo = [0, 1]
         self._hi = [0, 1]
         self._unique = {}
+        # the computed table: ite results keyed by their operands, and a
+        # memo per quantified variable set and per renaming, keyed by
+        # operand nodes; entries outlive the call that made them
         self._ite_cache = {}
+        self._memos = {}
 
     # -- node layer -------------------------------------------------------
 
@@ -285,10 +289,17 @@ class BddStore:
             if not 0 <= v < self.nvars:
                 raise BddError(f"variable {v} not in store")
         last = max(vs, default=-1)
+        memo = self._quant_memo(vs)
         if kind == "forall":
             return Bdd(self, self._not(
-                self._exists(self._not(a), vs, last, {})))
-        return Bdd(self, self._exists(a, vs, last, {}))
+                self._exists(self._not(a), vs, last, memo)))
+        return Bdd(self, self._exists(a, vs, last, memo))
+
+    def _quant_memo(self, vs):
+        """The computed table's memo for quantifying ``vs``: it holds
+        quantifications keyed by node ids and relational products keyed
+        by node pairs."""
+        return self._memos.setdefault(("exists", vs), {})
 
     def exists(self, vars_, f):
         return self.quantify("exists", vars_, f)
@@ -319,11 +330,10 @@ class BddStore:
         """exists vars_. (f & g) without building the full conjunction."""
         a, b = self._check(f, g)
         vs = self._vars_of(vars_)
-        return Bdd(self, self._and_exists(a, b, vs, max(vs, default=-1), {}))
+        return Bdd(self, self._and_exists(a, b, vs, max(vs, default=-1),
+                                          self._quant_memo(vs)))
 
     def _and_exists(self, a, b, vs, last, memo):
-        # memo holds both products, keyed by node pairs, and the
-        # quantifications of single nodes, keyed by node ids
         if a == FALSE or b == FALSE:
             return FALSE
         if a == TRUE:
@@ -412,7 +422,11 @@ class BddStore:
                 swap[y] = x
         mapped = [swap.get(v, v) for v in sorted(self._support(a))]
         if all(x < y for x, y in zip(mapped, mapped[1:])):
-            return Bdd(self, self._relabel(a, swap, {}))
+            # a swap and its inverse are the same map, so priming and
+            # unpriming share one memo
+            memo = self._memos.setdefault(
+                ("rename", frozenset(swap.items())), {})
+            return Bdd(self, self._relabel(a, swap, memo))
         sub = {x: self._mk(y, FALSE, TRUE) for x, y in swap.items()}
         return Bdd(self, self._compose(a, sub, {}))
 
@@ -596,7 +610,8 @@ class BddStore:
         table.  The caller must hold no handle to a released node: such
         a handle would silently denote whatever node later takes its id.
         The unique table is rebuilt from the kept nodes and the computed
-        table is cleared, since it may name released nodes.
+        table, ite results and memos alike, is cleared, since it may name
+        released nodes.
         """
         n = len(self._var)
         if not 2 <= mark <= n:
@@ -607,13 +622,18 @@ class BddStore:
         del var_[mark:], lo_[mark:], hi_[mark:]
         self._unique = {(var_[i], lo_[i], hi_[i]): i for i in range(2, mark)}
         self._ite_cache.clear()
+        self._memos.clear()
 
     def trim_cache(self):
-        """Clear the computed table once it holds more than four entries
-        per node.  The entries only save recomputation, so a caller may
-        do this whenever no operation is in flight."""
-        if len(self._ite_cache) > 4 * len(self._var):
+        """Clear the ite results once they are more than four per node,
+        and the quantification and renaming memos once their entries
+        together are.  The entries only save recomputation, so a caller
+        may do this whenever no operation is in flight."""
+        limit = 4 * len(self._var)
+        if len(self._ite_cache) > limit:
             self._ite_cache.clear()
+        if sum(map(len, self._memos.values())) > limit:
+            self._memos.clear()
 
 
 def new_store(blocks, byte_budget=256 * 1024 * 1024):

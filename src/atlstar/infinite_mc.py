@@ -161,6 +161,9 @@ def build_explicit_game(g, dpa, coalition, reachable=None):
             ja[i] = m
         return tuple(ja)
 
+    # per coalition move, the joint actions of all opponent responses
+    joints = {m: [joint(m, o) for o in opp_moves] for m in coal_moves}
+
     # entry points: the automaton reads the label of the current state
     entry = {q: dpa.delta[(dpa.initial, letters[q])] for q in reach}
     work = [(q, entry[q]) for q in reach]
@@ -182,8 +185,8 @@ def build_explicit_game(g, dpa, coalition, reachable=None):
                 succ[v].append(get(t))
         else:
             q, s, m = key
-            for omove in opp_moves:
-                qq = g.transitions[(q, joint(m, omove))]
+            for ja in joints[m]:
+                qq = g.transitions[(q, ja)]
                 ss = dpa.delta[(s, letters[qq])]
                 t = (qq, ss)
                 if t not in ids:
@@ -300,10 +303,10 @@ class SymbolicParityGame:
                                  [bp for _, bp in self.blocks])
 
     def pre_exists(self, target):
-        """Vertices with some edge into ``target``."""
-        st = self.store
-        return (st.and_exists(self.e, self.prime(target), self.primed_vars())
-                & self.vertices)
+        """Vertices with some edge into ``target``; both arena builders
+        give every edge a source in ``vertices``."""
+        return self.store.and_exists(self.e, self.prime(target),
+                                     self.primed_vars())
 
 
 def _block_eq(store, b1, b2):

@@ -139,10 +139,15 @@ def test_audit_reduced():
     assert store.audit_reduced()
 
 
+def memo_entries(store):
+    """Quantification and renaming results the computed table holds."""
+    return sum(map(len, store._memos.values()))
+
+
 def test_trim_cache_bounds_the_computed_table():
     # few variables, many operations: more cached results than nodes
-    store = fresh(3)
-    block = store.block("x")
+    store = new_store([("x", 3), ("x'", 3)])
+    block, primed = store.block("x"), store.block("x'")
     rng = random.Random(23)
     fs = [random_bdd(store, block, rng, depth=6) for _ in range(40)]
     want = [f & g for f in fs for g in fs]
@@ -156,6 +161,26 @@ def test_trim_cache_bounds_the_computed_table():
     assert 0 < len(store._ite_cache) <= 4 * store.node_count()
     store.trim_cache()
     assert len(store._ite_cache) > 0
+    # the quantification and renaming memos are bounded the same way
+    var_sets = [vs for k in (1, 2, 3)
+                for vs in itertools.combinations(block.vars, k)]
+
+    def products():
+        return [store.and_exists(f, g, vs)
+                for vs in var_sets for f in fs for g in fs]
+
+    want = products()
+    renamed = [store.rename(f, block, primed) for f in fs]
+    assert memo_entries(store) > 4 * store.node_count()
+    store.trim_cache()
+    assert memo_entries(store) == 0
+    assert products() == want
+    assert [store.rename(f, block, primed) for f in fs] == renamed
+    store.trim_cache()
+    store.exists(var_sets[0], fs[0])
+    assert 0 < memo_entries(store) <= 4 * store.node_count()
+    store.trim_cache()
+    assert memo_entries(store) > 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -163,8 +188,9 @@ def test_trim_cache_bounds_the_computed_table():
        after=st.integers(1, 12), other=st.integers(0, 2**32 - 1))
 def test_release_drops_exactly_the_nodes_after_the_mark(seed, before, after,
                                                         other):
-    store = fresh(6)
-    block = store.block("x")
+    store = new_store([("x", 3), ("x'", 3)])
+    x, xp = store.block("x"), store.block("x'")
+    block = VarBlock("all", tuple(range(store.nvars)))
     rng = random.Random(seed)
     kept = [random_bdd(store, block, rng, depth=5) for _ in range(before)]
     kept_tables = [truth_table(store, f, block.vars) for f in kept]
@@ -174,9 +200,12 @@ def test_release_drops_exactly_the_nodes_after_the_mark(seed, before, after,
     def operations():
         r = random.Random(later)
         fs = [random_bdd(store, block, r, depth=5) for _ in range(after)]
-        # results that pair kept and new nodes, and a quantification
+        # results that pair kept and new nodes, a quantification, a
+        # relational product and a relabelling
         fs += [f ^ g for f, g in zip(kept, fs)]
         fs.append(store.exists([block.vars[0]], fs[0]))
+        fs.append(store.and_exists(fs[0], fs[-2], xp))
+        fs.append(store.rename(store.exists(xp, fs[-3]), x, xp))
         # a stale table entry can make a node point at a missing or
         # shallower child, which evaluation would follow forever
         assert max(f.node for f in fs) < store.node_count()
@@ -196,6 +225,61 @@ def test_release_drops_exactly_the_nodes_after_the_mark(seed, before, after,
         random_bdd(store, block, r, depth=5)
     assert operations() == want
     assert store.audit_reduced()
+
+
+def test_computed_table_matches_a_fresh_store():
+    # results that the computed table keeps across calls and trims must
+    # be those of a store that computes each operation from scratch
+    layout = [("a", 1), ("a'", 1), ("b", 1), ("b'", 1)]
+    store = new_store(layout)
+    allvars = VarBlock("all", tuple(range(store.nvars)))
+    a, ap, b = (store.block(n).vars for n in ("a", "a'", "b"))
+    # operands read every variable (renames compose the swap) or one
+    # side of each pair (renames relabel)
+    reads = [allvars, VarBlock("ab", a + b), VarBlock("a'b", ap + b)]
+    var_sets = [vs for k in (1, 2)
+                for vs in itertools.combinations(allvars.vars, k)]
+    renames = [(["a"], ["a'"]), (["a", "b"], ["a'", "b'"]), (["b'"], ["b"])]
+    rng = random.Random(31)
+    # operands recur, so results outnumber nodes and some trims clear
+    pool = [random_bdd(store, rng.choice(reads), rng, depth=5)
+            for _ in range(24)]
+    cleared = 0
+
+    def rebuild(ref, f):
+        return ref.from_points([allvars], [
+            (x,) for x in range(1 << store.nvars)
+            if store.evaluate(f, {v: bool(x >> v & 1) for v in allvars.vars})])
+
+    for _ in range(3000):
+        kind = rng.choice(["exists", "forall", "and_exists", "rename"])
+        f, g = rng.choice(pool), rng.choice(pool)
+        vs = rng.choice(var_sets)
+        src, dst = rng.choice(renames)
+        ref = new_store(layout)
+        fr, gr = rebuild(ref, f), rebuild(ref, g)
+        if kind == "exists":
+            got, want = store.exists(vs, f), ref.exists(vs, fr)
+        elif kind == "forall":
+            got, want = store.forall(vs, f), ref.forall(vs, fr)
+        elif kind == "and_exists":
+            got, want = store.and_exists(f, g, vs), ref.and_exists(fr, gr, vs)
+        else:
+            got = store.rename(f, [store.block(n) for n in src],
+                               [store.block(n) for n in dst])
+            want = ref.rename(fr, [ref.block(n) for n in src],
+                              [ref.block(n) for n in dst])
+        assert truth_table(store, got, allvars.vars) == \
+            truth_table(ref, want, allvars.vars), kind
+        if rng.random() < 0.1:
+            pool.append(got)
+        if rng.random() < 0.2:
+            held = memo_entries(store)
+            store.trim_cache()
+            cleared += held > 0 and memo_entries(store) == 0
+    assert store.audit_reduced()
+    # some trims cleared the memos, and some calls ran after them
+    assert cleared >= 2
 
 
 def test_release_bounds():

@@ -255,6 +255,37 @@ def test_symbolic_pipeline_matches_explicit_on_random_models():
                 assert sym == exp, (g.to_text(), text, coal)
 
 
+def _random_targets(rng, store, blocks, count=20):
+    """Vertex-variable sets, most of them with non-vertex codes too."""
+    return [store.from_points(blocks, [
+        tuple(rng.randrange(1 << len(b)) for b in blocks)
+        for _ in range(rng.randint(0, 12))]) for _ in range(count)]
+
+
+def test_pre_exists_lies_within_the_vertices():
+    # both arena builders give every edge a source vertex, so the
+    # pre-image needs no conjunction with the vertex set
+    rng = random.Random(47)
+    arenas = [imc.encode_explicit_game(random_game(rng, rng.randint(1, 20)))
+              for _ in range(8)]
+    for text in PATH_FORMULAS:
+        g = random_model(rng, rng.randint(2, 6))
+        dpa, _ = dp.obtain_dpa(fm.parse_formula(text))
+        store = cgs.make_store(g, cgs.bits_for(dpa.n_states), game=True)
+        sg = cgs.encode_symbolic(g, store)
+        sdpa = dp.encode_dpa(dpa, sg)
+        for coal in ((), ("a",), ("a", "b")):
+            arenas.append(imc.build_game(sg, sdpa, coal))
+    for game in arenas:
+        st = game.store
+        blocks = [b for b, _ in game.blocks]
+        targets = [st.true, game.v0, game.v1, game.vertices,
+                   ~game.vertices, *game.priorities.values()]
+        targets += _random_targets(rng, st, blocks)
+        for x in targets:
+            assert (game.pre_exists(x) & ~game.vertices).is_false()
+
+
 def test_explicit_game_region_cap():
     rng = random.Random(43)
     g = random_model(rng, 6)
