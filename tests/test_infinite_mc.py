@@ -255,13 +255,6 @@ def test_symbolic_pipeline_matches_explicit_on_random_models():
                 assert sym == exp, (g.to_text(), text, coal)
 
 
-def _random_targets(rng, store, blocks, count=20):
-    """Vertex-variable sets, most of them with non-vertex codes too."""
-    return [store.from_points(blocks, [
-        tuple(rng.randrange(1 << len(b)) for b in blocks)
-        for _ in range(rng.randint(0, 12))]) for _ in range(count)]
-
-
 def test_pre_exists_lies_within_the_vertices():
     # both arena builders give every edge a source vertex, so the
     # pre-image needs no conjunction with the vertex set
@@ -281,7 +274,10 @@ def test_pre_exists_lies_within_the_vertices():
         blocks = [b for b, _ in game.blocks]
         targets = [st.true, game.v0, game.v1, game.vertices,
                    ~game.vertices, *game.priorities.values()]
-        targets += _random_targets(rng, st, blocks)
+        # random code sets, most with codes that are no vertex
+        targets += [st.from_points(blocks, [
+            tuple(rng.randrange(1 << len(b)) for b in blocks)
+            for _ in range(rng.randint(0, 12))]) for _ in range(20)]
         for x in targets:
             assert (game.pre_exists(x) & ~game.vertices).is_false()
 
