@@ -82,6 +82,26 @@ class Cgs:
 
 
 def validate(g):
+    """Check that ``g`` is a well-formed CGS with a total transition
+    function; returns ``g``."""
+    _validate_header(g)
+    for s in range(len(g.states)):
+        for j in g.joint_actions():
+            if (s, j) not in g.transitions:
+                acts = ",".join(
+                    g.actions[a][j[i]] for i, a in enumerate(g.agents)
+                )
+                raise CgsError(
+                    "transition function not total: no row for "
+                    f"state {g.states[s]} and joint action ({acts})"
+                )
+    if len(g.transitions) != len(g.states) * _n_joint(g):
+        raise CgsError("spurious transition rows present")
+    return g
+
+
+def _validate_header(g):
+    """The checks of :func:`validate` that do not read the transitions."""
     if not g.agents:
         raise CgsError("at least one agent required")
     if not g.states:
@@ -97,22 +117,13 @@ def validate(g):
     for p in g.atoms:
         if p.startswith(FRESH_PREFIX) or p.startswith("__"):
             raise CgsError(f"atom {p!r} uses the reserved '__' prefix")
+
+
+def _n_joint(g):
     njoint = 1
     for a in g.agents:
         njoint *= len(g.actions[a])
-    for s in range(len(g.states)):
-        for j in g.joint_actions():
-            if (s, j) not in g.transitions:
-                acts = ",".join(
-                    g.actions[a][j[i]] for i, a in enumerate(g.agents)
-                )
-                raise CgsError(
-                    "transition function not total: no row for "
-                    f"state {g.states[s]} and joint action ({acts})"
-                )
-    if len(g.transitions) != len(g.states) * njoint:
-        raise CgsError("spurious transition rows present")
-    return g
+    return njoint
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +290,13 @@ def parse_model(text):
         transitions=transitions,
         labels=[frozenset(s) for s in labels],
     )
-    return validate(g)
+    _validate_header(g)
+    # every row read names a real state and joint action, and no row
+    # repeats, so the rows are total exactly when none is missing; a
+    # model handed to the driver is validated in full there
+    if len(transitions) != len(states) * _n_joint(g):
+        validate(g)
+    return g
 
 
 # ---------------------------------------------------------------------------

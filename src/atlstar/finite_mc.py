@@ -68,9 +68,10 @@ def build_product(sg, sd, coalition):
     frontier = sg.reach & entry
     reach = frontier
     qs = sg.q.vars + sd.s.vars
-    qsn = sg.q_next.vars + sd.s_next.vars
     step = store.exists(avars, delta & avail)
     while True:
+        # no operation is in flight between iterations
+        store.trim_cache()
         img = store.and_exists(frontier, step, qs)
         img = store.rename(img, [sg.q_next, sd.s_next], [sg.q, sd.s])
         nxt = reach | img
@@ -102,20 +103,21 @@ def solve_safety(prod):
     """
     sg, sd = prod.sg, prod.sd
     store = sg.store
-    qs = sg.q.vars + sd.s.vars
+    qsn = sg.q_next.vars + sd.s_next.vars
     safe0 = prod.reachable & ~prod.unsafe
 
     def pre(y):
         yn = store.rename(y, [sg.q, sd.s], [sg.q_next, sd.s_next])
         # bad: this joint coalition choice admits a successor outside Y
-        bad = store.exists(sg.q_next.vars + sd.s_next.vars,
-                           prod.delta & ~yn)
+        bad = store.and_exists(prod.delta, ~yn, qsn)
         forced = prod.avail & ~bad
         return store.exists(prod.action_vars, forced)
 
     y = safe0
     n = 0
     while True:
+        # no operation is in flight between iterations
+        store.trim_cache()
         nxt = y & pre(y)
         n += 1
         if nxt == y:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import formula as fm
-from .bdd import new_store
+from .bdd import FALSE, TRUE, Bdd, new_store
 
 
 class TranslationError(Exception):
@@ -109,6 +109,14 @@ def _empty_value(f):
 
 
 class _Progression:
+    """The progression of an NNF path formula, on node ids of its own store.
+
+    The store has one variable per obligation key (see
+    ``_obligation_vars``).  ``table`` lists the distinct subformulas of
+    the core, children before parents, so that :meth:`prog` progresses
+    all of them over a letter in one pass.
+    """
+
     def __init__(self, psi):
         if fm.has_strategic(psi):
             raise TranslationError("formula contains a strategic operator")
@@ -116,59 +124,84 @@ class _Progression:
         self.atoms = tuple(sorted(fm.atoms_of(self.core)))
         keys = {}
         _obligation_vars(self.core, keys)
-        self.keys = list(keys)
-        self.store = new_store([("t", max(1, len(self.keys)))])
+        self.store = new_store([("t", max(1, len(keys)))])
         blk = self.store.block("t")
-        self.var_index = {key: blk.vars[i] for i, key in enumerate(self.keys)}
-        self.var_of = {key: self.store.var(v) for key, v in self.var_index.items()}
+        var_index = {key: blk.vars[i] for i, key in enumerate(keys)}
+        var_node = {key: self.store.var(v).node
+                    for key, v in var_index.items()}
+        # the empty suffix's assignment: each obligation holds iff weak
+        self.at_end = {v: weak for (_, weak), v in var_index.items()}
 
-    def letter_has(self, letter, p):
-        return bool((letter >> self.atoms.index(p)) & 1)
+        rows = {}
+        self.table = []  # (kind, operand, ...) with operands as row numbers
 
-    def prog(self, f, letter):
-        """Obligation on the remaining suffix after reading ``letter``."""
+        def row(f):
+            r = rows.get(f)
+            if r is not None:
+                return r
+            k = f.kind
+            kids = tuple(row(c) for c in f.children)
+            if k == "atom":
+                op = ("atom", self.atoms.index(f.name))
+            elif k in ("true", "false"):
+                op = (k,)
+            elif k in ("not", "and", "or"):  # NNF: negation only on atoms
+                op = (k,) + kids
+            elif k == "next":
+                op = ("var", var_node[(f.children[0], False)])
+            elif k == "wnext":
+                op = ("var", var_node[(f.children[0], True)])
+            elif k == "until":
+                op = (k,) + kids + (var_node[(f, False)],)
+            elif k == "release":
+                op = (k,) + kids + (var_node[(f, True)],)
+            else:
+                raise TranslationError(f"unexpected kind {k!r}")
+            r = rows[f] = len(self.table)
+            self.table.append(op)
+            return r
+
+        self.core_row = row(self.core)
+        # each obligation variable is replaced by its formula's progression
+        self.sub_rows = [(v, rows[g]) for (g, _), v in var_index.items()]
+
+    def prog(self, letter):
+        """Progress the core and every obligation over ``letter``.
+
+        Returns the node of the obligation left after reading ``letter``
+        from the pre-initial state, and the substitution (variable ->
+        node) that takes any later state's obligation across ``letter``.
+        Both depend on the letter alone.
+        """
         st = self.store
-        k = f.kind
-        if k == "atom":
-            return st.true if self.letter_has(letter, f.name) else st.false
-        if k == "true":
-            return st.true
-        if k == "false":
-            return st.false
-        if k == "not":  # NNF: negation only on atoms
-            return ~self.prog(f.children[0], letter)
-        if k == "and":
-            return self.prog(f.children[0], letter) & self.prog(f.children[1], letter)
-        if k == "or":
-            return self.prog(f.children[0], letter) | self.prog(f.children[1], letter)
-        if k == "next":
-            return self.var_of[(f.children[0], False)]
-        if k == "wnext":
-            return self.var_of[(f.children[0], True)]
-        if k == "until":
-            a, b = f.children
-            return self.prog(b, letter) | (
-                self.prog(a, letter) & self.var_of[(f, False)]
-            )
-        if k == "release":
-            a, b = f.children
-            return self.prog(b, letter) & (
-                self.prog(a, letter) | self.var_of[(f, True)]
-            )
-        raise TranslationError(f"unexpected kind {k!r}")
+        vals = []
+        for op in self.table:
+            k = op[0]
+            if k == "atom":
+                r = TRUE if (letter >> op[1]) & 1 else FALSE
+            elif k == "true":
+                r = TRUE
+            elif k == "false":
+                r = FALSE
+            elif k == "not":
+                r = st._not(vals[op[1]])
+            elif k == "and":
+                r = st._and(vals[op[1]], vals[op[2]])
+            elif k == "or":
+                r = st._or(vals[op[1]], vals[op[2]])
+            elif k == "var":
+                r = op[1]
+            elif k == "until":
+                _, a, b, v = op
+                r = st._or(vals[b], st._and(vals[a], v))
+            else:  # release
+                _, a, b, v = op
+                r = st._and(vals[b], st._or(vals[a], v))
+            vals.append(r)
+        return vals[self.core_row], {v: vals[r] for v, r in self.sub_rows}
 
-    def step(self, state_bdd, letter):
-        sub = {
-            self.var_index[(g, weak)]: self.prog(g, letter)
-            for (g, weak) in self.keys
-        }
-        return self.store.compose(state_bdd, sub)
-
-    def accepting(self, state_bdd):
-        assignment = {
-            self.var_index[(g, weak)]: weak for (g, weak) in self.keys
-        }
-        return self.store.evaluate(state_bdd, assignment)
+    def accepting(self, node):
+        return self.store.evaluate(Bdd(self.store, node), self.at_end)
 
 
 def translate(psi, labels=None):
@@ -186,37 +219,32 @@ def translate(psi, labels=None):
     else:
         letters = tuple(sorted({letter_mask(pr.atoms, row) for row in labels}))
 
+    # a letter's progression is the same from every state, so it is built
+    # once, and one compose memo per letter serves every state
+    compose = pr.store._compose
+    steps = [(a, *pr.prog(a), {}) for a in letters]
+
     # state 0 is the pre-initial state (nothing read yet); progression is
     # deterministic, so its states go straight to minimization
-    state_ids = {}
-    bdd_states = []  # id (from 1) -> bdd
-
-    def state_id(b):
-        if b not in state_ids:
-            state_ids[b] = len(bdd_states) + 1
-            bdd_states.append(b)
-        return state_ids[b]
-
+    state_ids = {}  # obligation node -> state id (from 1)
+    nodes = []      # state id - 1 -> obligation node
     delta = {}
     frontier = [0]
-    seen = {0}
     while frontier:
         s = frontier.pop()
-        for a in letters:
-            if s == 0:
-                succ_bdd = pr.prog(pr.core, a)
-            else:
-                succ_bdd = pr.step(bdd_states[s - 1], a)
-            t = state_id(succ_bdd)
-            delta[(s, a)] = t
-            if t not in seen:
-                seen.add(t)
+        for a, first, sub, memo in steps:
+            succ = first if s == 0 else compose(nodes[s - 1], sub, memo)
+            t = state_ids.get(succ)
+            if t is None:
+                t = state_ids[succ] = len(nodes) + 1
+                nodes.append(succ)
                 frontier.append(t)
+            delta[(s, a)] = t
 
-    finals = {s for s in seen if s and pr.accepting(bdd_states[s - 1])}
+    finals = {i + 1 for i, n in enumerate(nodes) if pr.accepting(n)}
     if _empty_value(pr.core):
         finals.add(0)
-    return _minimize(pr.atoms, letters, len(seen), 0, delta, finals)
+    return _minimize(pr.atoms, letters, len(nodes) + 1, 0, delta, finals)
 
 
 # ---------------------------------------------------------------------------

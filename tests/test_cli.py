@@ -238,3 +238,26 @@ def test_translator_errors_are_usage(case, model_file, tmp_path, capsys,
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_check_validates_the_model_once(model_file, monkeypatch, capsys):
+    from atlstar import cgs
+    calls = []
+    real = cgs.validate
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(cgs, "validate", counting)
+    assert cli.main(["check", model_file, "<<a,b>> F goal"]) == \
+        cli.EXIT_HOLDS
+    assert len(calls) == 1
+
+
+def test_check_reports_a_non_total_model(tmp_path, capsys):
+    f = tmp_path / "partial.cgs"
+    f.write_text(MODEL.replace("trans s1 (stay,go) -> s1\n", ""))
+    assert cli.main(["check", str(f), "<<a,b>> F goal"]) == cli.EXIT_USAGE
+    assert ("transition function not total: no row for state s1 and "
+            "joint action (stay,go)") in capsys.readouterr().err

@@ -253,3 +253,18 @@ def test_ladder_depth_10_reads_only_the_model_letters(monkeypatch):
         if steps - t + 1 >= cap and c + 2 * (steps - t) >= cap)
     assert sorted(res.state_names) == want
     assert res.holds
+
+
+def test_non_total_model_reads_the_same_from_parser_and_api():
+    # the parser and the driver each reject a model with a missing row,
+    # with the same message
+    gap = "trans s1 (stay,go) -> s1\n"
+    with pytest.raises(cgs.CgsError) as parsed:
+        cgs.parse_model(MODEL.replace(gap, ""))
+    g = model()
+    del g.transitions[(1, (1, 0))]
+    with pytest.raises(cgs.CgsError) as checked:
+        driver.check(model=g, formula="<<a,b>> F goal")
+    assert str(parsed.value) == str(checked.value) == (
+        "transition function not total: no row for state s1 and joint "
+        "action (stay,go)")

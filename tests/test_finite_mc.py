@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from atlstar import bench
 from atlstar import cgs
+from atlstar.bdd import BddStore
 from atlstar import finite_mc as fmc
 from atlstar import formula as fm
 from atlstar import ltlf2dfa
@@ -239,3 +241,43 @@ def test_explicit_product_cap():
     with pytest.raises(fmc.FiniteMcError, match="product"):
         fmc.explicit_game_solving(
             g, fm.parse_formula("F p"), ("a",), product_cap=3)
+
+
+def test_finite_engine_trims_the_computed_table_between_iterations(
+        monkeypatch):
+    # a 21-round safety fixpoint: the table is trimmed at every iteration
+    # boundary, stays within trim_cache's bound of four entries per node,
+    # and clearing it outright there changes no winning state
+    g = bench.gen_counter(bench.CounterParams(cap=6, steps=20, agents=3))
+    psi = fm.parse_formula("G !counter_max")
+
+    def solve(trim):
+        sg, sd, dfa = encode(g, psi)
+        store = sg.store
+        sizes = []
+
+        def recording():
+            trim(store)
+            sizes.append((len(store._ite_cache),
+                          sum(map(len, store._memos.values())),
+                          store.node_count()))
+
+        monkeypatch.setattr(store, "trim_cache", recording)
+        prod = fmc.build_product(sg, sd, ("a1",))
+        res = fmc.solve_safety(prod)
+        win = fmc.project_states(sg, sd, res.winning & prod.entry)
+        return win, res.iterations, sizes
+
+    def clear(store):
+        store._ite_cache.clear()
+        store._memos.clear()
+
+    win, iterations, sizes = solve(BddStore.trim_cache)
+    assert iterations > 20
+    # one trim per reachability round (at least one) and per safety round
+    assert len(sizes) > iterations
+    for ite, memo, nodes in sizes:
+        assert ite <= 4 * nodes and memo <= 4 * nodes
+    cleared, cleared_iterations, _ = solve(clear)
+    assert (cleared, cleared_iterations) == (win, iterations)
+    assert win == fmc.explicit_game_solving(g, psi, ("a1",))

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from atlstar import bench
 from atlstar import formula as fm
 from atlstar import ltlf2dfa
 
@@ -133,3 +134,30 @@ def test_translate_deterministic():
     a = ltlf2dfa.translate(fm.parse_formula("G (p -> F q)"))
     b = ltlf2dfa.translate(fm.parse_formula("G (p -> F q)"))
     assert a.delta == b.delta and a.finals == b.finals
+
+
+def test_progression_runs_once_per_letter(monkeypatch):
+    # a letter's progression does not depend on the state it is read
+    # from, so the number of progressions is bounded by the alphabet and
+    # the obligations, not by the automaton's states
+    calls = []
+    real = ltlf2dfa._Progression.prog
+
+    def counting(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(ltlf2dfa._Progression, "prog", counting)
+    ladder = bench.counter_formula(6).children[0]
+    model_labels = [frozenset(f"p{i}" for i in range(1, c + 1))
+                    for c in range(7)]
+    for psi, labels in [(ladder, None), (ladder, model_labels),
+                        (fm.parse_formula("G (p -> F q) & (r U X q)"),
+                         None)]:
+        calls.clear()
+        dfa = ltlf2dfa.translate(psi, labels=labels)
+        obligations = {}
+        ltlf2dfa._obligation_vars(fm.normalize(psi), obligations)
+        letters = len(dfa.letters())
+        assert dfa.n_states > 2
+        assert len(calls) <= letters * (len(obligations) + 1)
