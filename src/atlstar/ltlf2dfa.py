@@ -133,24 +133,30 @@ class _Progression:
         self.at_end = {v: weak for (_, weak), v in var_index.items()}
 
         rows = {}
-        self.table = []  # (kind, operand, ...) with operands as row numbers
+        # (kind, operand, ...): operands are row numbers, except the node
+        # ids of constants and obligation variables
+        self.table = []
 
         def row(f):
             r = rows.get(f)
             if r is not None:
                 return r
             k = f.kind
+            # every child gets a row, an X operand too: the substitution
+            # reads it
             kids = tuple(row(c) for c in f.children)
             if k == "atom":
                 op = ("atom", self.atoms.index(f.name))
-            elif k in ("true", "false"):
-                op = (k,)
+            elif k == "true":
+                op = ("node", TRUE)
+            elif k == "false":
+                op = ("node", FALSE)
             elif k in ("not", "and", "or"):  # NNF: negation only on atoms
                 op = (k,) + kids
             elif k == "next":
-                op = ("var", var_node[(f.children[0], False)])
+                op = ("node", var_node[(f.children[0], False)])
             elif k == "wnext":
-                op = ("var", var_node[(f.children[0], True)])
+                op = ("node", var_node[(f.children[0], True)])
             elif k == "until":
                 op = (k,) + kids + (var_node[(f, False)],)
             elif k == "release":
@@ -179,18 +185,14 @@ class _Progression:
             k = op[0]
             if k == "atom":
                 r = TRUE if (letter >> op[1]) & 1 else FALSE
-            elif k == "true":
-                r = TRUE
-            elif k == "false":
-                r = FALSE
+            elif k == "node":
+                r = op[1]
             elif k == "not":
                 r = st._not(vals[op[1]])
             elif k == "and":
                 r = st._and(vals[op[1]], vals[op[2]])
             elif k == "or":
                 r = st._or(vals[op[1]], vals[op[2]])
-            elif k == "var":
-                r = op[1]
             elif k == "until":
                 _, a, b, v = op
                 r = st._or(vals[b], st._and(vals[a], v))
@@ -240,6 +242,9 @@ def translate(psi, labels=None):
                 nodes.append(succ)
                 frontier.append(t)
             delta[(s, a)] = t
+    # the memos hold up to one entry per transition; free them before
+    # minimization builds its own tables
+    del steps
 
     finals = {i + 1 for i, n in enumerate(nodes) if pr.accepting(n)}
     if _empty_value(pr.core):
