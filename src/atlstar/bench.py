@@ -3,9 +3,11 @@
 Three scalable families: a saturating multi-agent counter, a resource
 scheduler with waiting processes, and an attacker/defenders scenario on
 critical servers where defensive actions unlock with a per-server
-suspicion bucket.  Generators emit CGSL text and re-parse it, so every
-generated model has exercised the parser, and generation is
-deterministic: the same parameters always give byte-identical text.
+suspicion bucket.  Each generator describes its model by a list of
+state keys and functions for names, labels and successors, and
+:func:`cgs.expand` builds the explicit model from them under the same
+checks that the CGSL parser applies.  Generation is deterministic: the
+same parameters always give a model with byte-identical ``to_text()``.
 """
 
 from __future__ import annotations
@@ -69,46 +71,25 @@ def gen_counter(p):
 
     agents = [f"a{i}" for i in range(1, p.agents + 1)]
     atoms = [f"p{j}" for j in range(1, p.cap + 1)] + ["counter_max"]
-
-    if p.mode == "infinite":
-        keys = [(c,) for c in range(p.cap + 1)]
-        name = lambda k: f"c{k[0]}"
-        final = []
-    else:
+    # the label depends on the count alone
+    rows = [frozenset(atoms[:c] + (["counter_max"] if c == p.cap else []))
+            for c in range(p.cap + 1)]
+    # key: (count, tick); the tick stays 0 in infinite mode
+    finite = p.mode == "finite"
+    if finite:
         _guard_states((p.cap + 1) * (p.steps + 1), "counter model",
                       "reduce cap or steps")
-        keys = [(c, t) for c in range(p.cap + 1)
-                for t in range(p.steps + 1)]
-        name = lambda k: f"c{k[0]}_t{k[1]}"
-        final = [name(k) for k in keys if k[1] == p.steps]
+    keys = [(c, t) for c in range(p.cap + 1)
+            for t in range(p.steps + 1 if finite else 1)]
 
-    lines = []
-    lines.append("agents: " + " ".join(agents))
-    lines.append("atoms: " + " ".join(atoms))
-    lines.append("states: " + " ".join(name(k) for k in keys))
-    lines.append("initial: " + name(keys[0]))
-    if final:
-        lines.append("final: " + " ".join(final))
-    for a in agents:
-        lines.append(f"actions {a}: wait inc")
-    for k in keys:
-        c = k[0]
-        labs = [f"p{j}" for j in range(1, c + 1)]
-        if c == p.cap:
-            labs.append("counter_max")
-        if labs:
-            lines.append(f"label {name(k)}: " + " ".join(labs))
-    for k in keys:
-        c = k[0]
-        for moves in itertools.product(("wait", "inc"), repeat=p.agents):
-            nc = min(p.cap, c + sum(1 for m in moves if m == "inc"))
-            if p.mode == "infinite":
-                nk = (nc,)
-            else:
-                nk = (nc, min(p.steps, k[1] + 1))
-            lines.append(
-                f"trans {name(k)} ({','.join(moves)}) -> {name(nk)}")
-    return cgsmod.parse_model("\n".join(lines) + "\n")
+    return cgsmod.expand(
+        agents=agents, atoms=atoms,
+        actions={a: ["wait", "inc"] for a in agents}, keys=keys,
+        name=lambda k: f"c{k[0]}_t{k[1]}" if finite else f"c{k[0]}",
+        label=lambda k: rows[k[0]],
+        final=lambda k: finite and k[1] == p.steps, initial=keys[0],
+        step=lambda k, moves: (min(p.cap, k[0] + moves.count("inc")),
+                               min(p.steps, k[1] + 1) if finite else 0))
 
 
 def counter_formula(depth, coalition=None, agents=2):
@@ -148,12 +129,8 @@ def gen_scheduler(p):
 
     # state: per-process status in {i, w} plus the grant owner (0 = none)
     combos = list(itertools.product("iw", repeat=n))
-    keys = []
-    for owner in range(n + 1):
-        for combo in combos:
-            if owner and combo[owner - 1] != "i":
-                continue
-            keys.append((owner, combo))
+    keys = [(owner, combo) for owner in range(n + 1) for combo in combos
+            if not owner or combo[owner - 1] == "i"]
     _guard_states(len(keys), "scheduler model", "reduce processes")
 
     def name(k):
@@ -162,48 +139,38 @@ def gen_scheduler(p):
                       for i in range(n))
         return f"st_{tag}"
 
-    lines = []
-    lines.append("agents: " + " ".join(agents))
-    lines.append("atoms: " + " ".join(atoms))
-    lines.append("states: " + " ".join(name(k) for k in keys))
-    lines.append("initial: " + name((0, tuple("i" * n))))
-    for q in procs:
-        lines.append(f"actions {q}: req giveup noop")
-    lines.append("actions sched: " + " ".join(
-        [f"grant{i}" for i in range(1, n + 1)] + ["skip"]))
-    for k in keys:
+    def label(k):
         owner, combo = k
         labs = [f"wt_{i+1}" for i in range(n)
                 if owner != i + 1 and combo[i] == "w"]
-        labs += [f"gr_{owner}"] if owner else []
-        if labs:
-            lines.append(f"label {name(k)}: " + " ".join(sorted(labs)))
-    sched_acts = [f"grant{i}" for i in range(1, n + 1)] + ["skip"]
-    for k in keys:
+        return labs + [f"gr_{owner}"] if owner else labs
+
+    def step(k, moves):
         owner, combo = k
-        for moves in itertools.product(("req", "giveup", "noop"),
-                                       repeat=n):
-            for sa in sched_acts:
-                nxt = list(combo)
-                if owner:
-                    nxt[owner - 1] = "i"       # grant expires
-                for i in range(n):
-                    if owner == i + 1:
-                        continue
-                    if combo[i] == "i" and moves[i] == "req":
-                        nxt[i] = "w"
-                    elif combo[i] == "w" and moves[i] == "giveup":
-                        nxt[i] = "i"
-                nowner = 0
-                if sa != "skip":
-                    i = int(sa[5:])
-                    if nxt[i - 1] == "w":
-                        nowner = i
-                        nxt[i - 1] = "i"
-                nk = (nowner, tuple(nxt))
-                acts = ",".join(list(moves) + [sa])
-                lines.append(f"trans {name(k)} ({acts}) -> {name(nk)}")
-    return cgsmod.parse_model("\n".join(lines) + "\n")
+        nxt = list(combo)
+        if owner:
+            nxt[owner - 1] = "i"       # grant expires
+        for i in range(n):
+            if owner == i + 1:
+                continue
+            if combo[i] == "i" and moves[i] == "req":
+                nxt[i] = "w"
+            elif combo[i] == "w" and moves[i] == "giveup":
+                nxt[i] = "i"
+        nowner = 0
+        if moves[n] != "skip":
+            i = int(moves[n][5:])
+            if nxt[i - 1] == "w":
+                nowner = i
+                nxt[i - 1] = "i"
+        return (nowner, tuple(nxt))
+
+    actions = {q: ["req", "giveup", "noop"] for q in procs}
+    actions["sched"] = [f"grant{i}" for i in range(1, n + 1)] + ["skip"]
+    return cgsmod.expand(
+        agents=agents, atoms=atoms, actions=actions, keys=keys, name=name,
+        label=label, final=lambda k: False, initial=(0, tuple("i" * n)),
+        step=step)
 
 
 def scheduler_fairness_formula(n):
@@ -287,12 +254,6 @@ class CyberParams:
     servers: int = 1                    # abstraction knob; see gen_cyber
 
 
-@dataclass
-class SuspicionState:
-    sigma: int = 0
-    flags: tuple = (0,) * 6
-
-
 SCENARIOS = ("confidentiality", "integrity", "availability")
 
 MONITOR_ACTIONS = ("monitor", "analyze")
@@ -337,6 +298,9 @@ def gen_cyber(p):
         raise BenchError("cyber horizon must be at least 1 (or None)")
     if p.servers < 1:
         raise BenchError("cyber needs at least one server")
+    if any(not 0 <= i < 6 for i in p.critical):
+        raise BenchError("critical flags must be indices 0-5 of the six "
+                         f"alert flags, got {p.critical}")
 
     has_flag = p.scenario in ("integrity", "availability")
     per_server = 3 * 2 * (2 if has_flag else 1) * 3
@@ -352,21 +316,19 @@ def gen_cyber(p):
     att_actions = ["nop"] + [f"{a}{s}" for a in attack[1:] for s in servers]
     def_actions = ["do_nothing"] + [
         f"{a}{s}" for a in defend[1:] for s in servers]
+    # action name -> (verb, server); the idle actions name no server
+    verb_server = {f"{a}{s}": (a, s) for a in attack[1:] + defend[1:]
+                   for s in servers}
 
     # server record: (priv, scanned, flag)   flag = tampered or down
-    srv0 = (0, 0, 0)
-    keys = []
-    srv_space = [
-        (priv, sc, fl)
-        for priv in (0, 1, 2) for sc in (0, 1)
-        for fl in ((0, 1) if has_flag else (0,))
-    ]
-    sigma_space = list(itertools.product((0, 1, 2), repeat=p.servers))
-    for srvs in itertools.product(srv_space, repeat=p.servers):
-        for b in range(p.budget + 1):
-            for sig in sigma_space:
-                for t in range(ticks):
-                    keys.append((srvs, b, sig, t))
+    srv_space = itertools.product((0, 1, 2), (0, 1),
+                                  (0, 1) if has_flag else (0,))
+    # key: (server records, budget left, suspicion buckets, tick)
+    keys = list(itertools.product(
+        itertools.product(srv_space, repeat=p.servers),
+        range(p.budget + 1),
+        itertools.product((0, 1, 2), repeat=p.servers),
+        range(ticks)))
 
     def name(k):
         srvs, b, sig, t = k
@@ -384,19 +346,8 @@ def gen_cyber(p):
 
     atoms = [f"compromised_{s}" for s in servers] + \
             [f"alert_{s}" for s in servers] + ["budget_ok"]
-    lines = []
-    lines.append("agents: attacker d1 d2")
-    lines.append("atoms: " + " ".join(atoms))
-    lines.append("states: " + " ".join(name(k) for k in keys))
-    lines.append("initial: " + name(
-        ((srv0,) * p.servers, p.budget, (0,) * p.servers, 0)))
-    if p.horizon is not None:
-        lines.append("final: " + " ".join(
-            name(k) for k in keys if k[3] == p.horizon))
-    lines.append("actions attacker: " + " ".join(att_actions))
-    lines.append("actions d1: " + " ".join(def_actions))
-    lines.append("actions d2: " + " ".join(def_actions))
-    for k in keys:
+
+    def label(k):
         srvs, b, sig, t = k
         labs = []
         for i, s in enumerate(servers):
@@ -406,17 +357,10 @@ def gen_cyber(p):
                 labs.append(f"alert_{s}")
         if b > 0:
             labs.append("budget_ok")
-        if labs:
-            lines.append(f"label {name(k)}: " + " ".join(labs))
-
-    def split(action):
-        if action in ("nop", "do_nothing"):
-            return action, None
-        verb = action.rstrip("0123456789")
-        return verb, int(action[len(verb):])
+        return labs
 
     def attacker_effect(srvs, action):
-        verb, s = split(action)
+        verb, s = verb_server.get(action, (action, None))
         if s is None:
             return srvs
         out = list(srvs)
@@ -431,7 +375,7 @@ def gen_cyber(p):
         return tuple(out)
 
     def defender_effect(srvs, b, sig, action):
-        verb, s = split(action)
+        verb, s = verb_server.get(action, (action, None))
         if s is None:
             return srvs, b, False, None
         cost = ACTION_COSTS[verb]
@@ -452,14 +396,14 @@ def gen_cyber(p):
         return (bool(sc), priv >= 1, priv >= 1, bool(fl),
                 priv == 2, bool(fl))
 
-    def step(k, att, df1, df2):
+    def step(k, moves):
         srvs, b, sig, t = k
         if p.horizon is not None and t == p.horizon:
             return k            # the scenario is over; freeze
 
-        srvs = attacker_effect(srvs, att)
+        srvs = attacker_effect(srvs, moves[0])
         observed = set()
-        for action in (df1, df2):
+        for action in moves[1:]:
             srvs, b, saw, s = defender_effect(srvs, b, sig, action)
             if saw:
                 observed.add(s)
@@ -472,15 +416,14 @@ def gen_cyber(p):
             t = min(p.horizon, t + 1)
         return (srvs, b, tuple(nsig), t)
 
-    for k in keys:
-        for att in att_actions:
-            for df1 in def_actions:
-                for df2 in def_actions:
-                    nk = step(k, att, df1, df2)
-                    lines.append(
-                        f"trans {name(k)} ({att},{df1},{df2}) "
-                        f"-> {name(nk)}")
-    return cgsmod.parse_model("\n".join(lines) + "\n")
+    return cgsmod.expand(
+        agents=["attacker", "d1", "d2"], atoms=atoms,
+        actions={"attacker": att_actions, "d1": def_actions,
+                 "d2": def_actions},
+        keys=keys, name=name, label=label,
+        final=lambda k: k[3] == p.horizon,
+        initial=(((0, 0, 0),) * p.servers, p.budget, (0,) * p.servers, 0),
+        step=step)
 
 
 def cyber_defense_formula(server=1):

@@ -1,9 +1,10 @@
-"""Concurrent game structures: data model, CGSL text format, BDD encoding."""
+"""Concurrent game structures: data model, expansion from functions,
+CGSL text format, BDD encoding."""
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bdd import BddStore, new_store
 from .formula import FRESH_PREFIX
@@ -35,6 +36,11 @@ class Cgs:
         ranges = [range(len(self.actions[a])) for a in self.agents]
         return itertools.product(*ranges)
 
+    def joint_moves(self):
+        """Each joint action with its action names, one per agent."""
+        return [(j, tuple(self.actions[a][i] for a, i in zip(self.agents, j)))
+                for j in self.joint_actions()]
+
     def n_states(self):
         return len(self.states)
 
@@ -64,20 +70,14 @@ class Cgs:
             )
         for a in self.agents:
             lines.append(f"actions {a}: " + " ".join(self.actions[a]))
-        for s in range(len(self.states)):
-            if self.labels[s]:
-                lines.append(
-                    f"label {self.states[s]}: " + " ".join(sorted(self.labels[s]))
-                )
-        for s in range(len(self.states)):
-            for j in self.joint_actions():
-                acts = ",".join(
-                    self.actions[a][j[i]] for i, a in enumerate(self.agents)
-                )
+        for name, row in zip(self.states, self.labels):
+            if row:
+                lines.append(f"label {name}: " + " ".join(sorted(row)))
+        joint = [(j, ",".join(moves)) for j, moves in self.joint_moves()]
+        for s, name in enumerate(self.states):
+            for j, acts in joint:
                 t = self.transitions[(s, j)]
-                lines.append(
-                    f"trans {self.states[s]} ({acts}) -> {self.states[t]}"
-                )
+                lines.append(f"trans {name} ({acts}) -> {self.states[t]}")
         return "\n".join(lines) + "\n"
 
 
@@ -85,16 +85,14 @@ def validate(g):
     """Check that ``g`` is a well-formed CGS with a total transition
     function; returns ``g``."""
     _validate_header(g)
+    joint = g.joint_moves()
     for s in range(len(g.states)):
-        for j in g.joint_actions():
+        for j, moves in joint:
             if (s, j) not in g.transitions:
-                acts = ",".join(
-                    g.actions[a][j[i]] for i, a in enumerate(g.agents)
-                )
                 raise CgsError(
                     "transition function not total: no row for "
-                    f"state {g.states[s]} and joint action ({acts})"
-                )
+                    f"state {g.states[s]} and joint action "
+                    f"({','.join(moves)})")
     if len(g.transitions) != len(g.states) * _n_joint(g):
         raise CgsError("spurious transition rows present")
     return g
@@ -124,6 +122,67 @@ def _n_joint(g):
     for a in g.agents:
         njoint *= len(g.actions[a])
     return njoint
+
+
+# ---------------------------------------------------------------------------
+# Expansion of a state space given by functions
+
+def expand(agents, atoms, actions, keys, name, label, final, initial, step):
+    """Build a validated Cgs from a state space given by functions.
+
+    ``keys`` lists distinct hashable state keys in declaration order and
+    ``actions`` maps each agent to its action names.  ``name(k)`` is a
+    state's name, ``label(k)`` its atoms, ``final(k)`` whether it is
+    final, and ``step(k, moves)`` its successor key when ``moves`` holds
+    one action name per agent.  The checks the parser applies to model
+    text apply here too.
+    """
+    states = [name(k) for k in keys]
+    for names, what in [(agents, "agent names"), (atoms, "atoms"),
+                        (states, "state names")] + [
+            (actions.get(a, ()), f"actions for agent {a}") for a in agents]:
+        if len(set(names)) != len(names):
+            raise CgsError(f"duplicate {what}")
+    index = {k: i for i, k in enumerate(keys)}
+    if initial not in index:
+        raise CgsError(f"initial key {initial!r} is not a state")
+
+    # states that carry the same atoms share one label set
+    declared = frozenset(atoms)
+    rows = {}
+    labels = []
+    for k in keys:
+        row = frozenset(label(k))
+        if row not in rows:
+            if not row <= declared:
+                raise CgsError(f"undefined atom {min(row - declared)!r} "
+                               f"in label of state {name(k)}")
+            rows[row] = row
+        labels.append(rows[row])
+
+    g = Cgs(
+        agents=list(agents),
+        atoms=list(atoms),
+        states=states,
+        initial=index[initial],
+        final=frozenset(i for i, k in enumerate(keys) if final(k)),
+        actions={a: list(actions.get(a, ())) for a in agents},
+        transitions={},
+        labels=labels,
+    )
+    _validate_header(g)
+    joint = g.joint_moves()
+    transitions = g.transitions
+    for s, k in enumerate(keys):
+        for j, moves in joint:
+            nk = step(k, moves)
+            t = index.get(nk)
+            if t is None:
+                raise CgsError(
+                    f"successor {nk!r} of state {states[s]} under "
+                    f"({','.join(moves)}) is not a state")
+            transitions[(s, j)] = t
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -63,9 +63,6 @@ class HoaAutomaton:
         return range(1 << len(self.aps))
 
 
-_HOA_TOKEN = re.compile(r"\s+|\"(?:[^\"\\]|\\.)*\"|\[|\]|\{|\}|[()!&|]|[^\s\[\]{}()!&|]+")
-
-
 def _parse_label_expr(text):
     """Parse a HOA label expression into a nested tuple AST."""
     tokens = [t for t in re.findall(r"[()!&|]|t|f|\d+", text)]
@@ -430,8 +427,6 @@ def normalize_acceptance(d):
 
 @dataclass
 class SymbolicDpa:
-    dpa: Dpa
-    store: object
     s: object
     s_next: object
     delta: object      # Bdd over (s, q', s')
@@ -440,17 +435,18 @@ class SymbolicDpa:
     priority_sets: dict  # priority -> Bdd over s
 
 
-def encode_dpa(dpa, sg, extra_labels=None):
-    """Symbolic DPA transition relation and priority map against a CGS."""
+def encode_dpa(dpa, sg, model=None):
+    """Symbolic DPA transition relation and priority map against a CGS;
+    ``model`` is as for :func:`ltlf2dfa.encode_automaton`."""
     if dpa.polarity != "min even":
         raise DpaError("encode_dpa requires a min-even normalized automaton")
-    s, sn, delta, states = ltlf2dfa.encode_automaton(dpa, sg, extra_labels)
+    s, sn, delta, states = ltlf2dfa.encode_automaton(dpa, sg, model)
     members = {}
     for q in range(dpa.n_states):
         members.setdefault(dpa.priority[q], []).append(q)
     return SymbolicDpa(
-        dpa=dpa, store=sg.store, s=s, s_next=sn, delta=delta,
-        init=states([dpa.initial]), valid=states(range(dpa.n_states)),
+        s=s, s_next=sn, delta=delta, init=states([dpa.initial]),
+        valid=states(range(dpa.n_states)),
         priority_sets={p: states(qs) for p, qs in sorted(members.items())},
     )
 

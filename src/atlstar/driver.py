@@ -11,6 +11,7 @@ before each further subformula, so no BDD outlives its subformula.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 import warnings
@@ -140,10 +141,12 @@ def check(request=None, **kwargs):
         for a in coalition:
             if a not in g.agents:
                 raise DriverError(f"unknown agent {a!r} in coalition")
+        # the model as the automaton reads it: fresh atoms label states
+        labelled = _with_extra_labels(g, extra)
         if req.semantics == "finite":
-            win, stats = solve_finite(body, coalition)
+            win, stats = solve_finite(body, coalition, labelled)
         else:
-            win, stats = solve_infinite(body, coalition)
+            win, stats = solve_infinite(body, coalition, labelled)
         details["subformulas"].append(
             {"formula": str(f), "winning": sorted(win), **stats})
         return win & reachable
@@ -174,26 +177,24 @@ def check(request=None, **kwargs):
     explicit_stats = {"rounds": None, "automaton_states": None,
                       "nodes": None}
 
-    def solve_finite(body, coalition):
+    def solve_finite(body, coalition, labelled):
         t0 = time.perf_counter()
         # the explicit oracle reads every letter, independently of the model
         labels = None
         if req.engine == "symbolic":
-            g2 = _with_extra_labels(g, extra)
-            labels = [g2.labels[q] for q in reachable]
+            labels = [labelled.labels[q] for q in reachable]
         dfa = ltlf2dfa.translate(body, labels=labels)
         t1 = time.perf_counter()
         timings["translate"] += (t1 - t0) * 1000
         if req.engine == "explicit":
-            g2 = _with_extra_labels(g, extra)
             t2 = time.perf_counter()
             win = finite_mc.explicit_game_solving(
-                g2, body, coalition, dfa=dfa,
+                labelled, body, coalition, dfa=dfa,
                 product_cap=req.product_cap, reachable=reachable)
             timings["solve"] += (time.perf_counter() - t2) * 1000
             return win, explicit_stats
         sg = encoded(dfa.n_states)
-        sd = ltlf2dfa.encode_dfa(dfa, sg, extra_labels=extra)
+        sd = ltlf2dfa.encode_dfa(dfa, sg, labelled)
         t2 = time.perf_counter()
         prod = finite_mc.build_product(sg, sd, coalition)
         t3 = time.perf_counter()
@@ -207,22 +208,21 @@ def check(request=None, **kwargs):
                      "automaton_states": dfa.n_states,
                      "nodes": sg.store.node_count()}
 
-    def solve_infinite(body, coalition):
+    def solve_infinite(body, coalition, labelled):
         t0 = time.perf_counter()
         dpa, tool = dpamod.obtain_dpa(body, tools=req.tools)
         t1 = time.perf_counter()
         timings["translate"] += (t1 - t0) * 1000
         details.setdefault("translators", []).append(tool)
         if req.engine == "explicit" or req.solver == "zielonka":
-            g2 = _with_extra_labels(g, extra)
             infinite_mc.region_cap_check(len(reachable) * dpa.n_states)
             t2 = time.perf_counter()
             win = infinite_mc.winning_states_explicit(
-                g2, dpa, coalition, reachable=reachable)
+                labelled, dpa, coalition, reachable=reachable)
             timings["solve"] += (time.perf_counter() - t2) * 1000
             return win, explicit_stats
         sg = encoded(dpa.n_states)
-        sd = dpamod.encode_dpa(dpa, sg, extra_labels=extra)
+        sd = dpamod.encode_dpa(dpa, sg, labelled)
         t2 = time.perf_counter()
         game = infinite_mc.build_game(sg, sd, coalition)
         t3 = time.perf_counter()
@@ -256,19 +256,11 @@ def check(request=None, **kwargs):
 
 
 def _with_extra_labels(g, extra):
-    """Copy of the model with fresh labelling atoms added."""
+    """The model with fresh atoms added to its labels: ``extra`` maps each
+    fresh atom to the set of states where it holds."""
     if not extra:
         return g
-    atoms = list(g.atoms) + sorted(extra)
-    labels = []
-    for q in range(len(g.states)):
-        row = set(g.labels[q])
-        for name, states in extra.items():
-            if q in states:
-                row.add(name)
-        labels.append(frozenset(row))
-    return cgsmod.Cgs(
-        agents=g.agents, atoms=atoms, states=g.states, initial=g.initial,
-        final=g.final, actions=g.actions, transitions=g.transitions,
-        labels=labels,
-    )
+    return dataclasses.replace(
+        g, atoms=list(g.atoms) + sorted(extra),
+        labels=[row | {p for p, qs in extra.items() if q in qs}
+                for q, row in enumerate(g.labels)])

@@ -36,11 +36,13 @@ class ProductSpace:
 
 
 def entry_relation(sg, sd):
-    """Pair each CGS state with the DFA state reached on its own label.
+    """Pair each CGS state with the automaton state reached on its own
+    label.
 
-    The automaton starts in its initial state and immediately reads the
-    label of the current CGS state, so state q enters the product at
-    delta(s0, lambda(q)).
+    The automaton (a symbolic DFA here, a symbolic DPA in
+    ``infinite_mc``) starts in its initial state and immediately reads
+    the label of the current CGS state, so state q enters the product
+    at delta(s0, lambda(q)).
     """
     store = sg.store
     step = sd.init & sd.delta          # over (q', s') after fixing s = s0

@@ -211,10 +211,30 @@ def _tokenize(text):
     return tokens
 
 
+# Each operator and each parenthesis opens one nesting level.  Every
+# layer that walks a formula recurses once or a few times per level, so
+# a fixed bound keeps every check within Python's recursion limit.
+MAX_DEPTH = 100
+_TOO_DEEP = f"formula nested deeper than {MAX_DEPTH} levels"
+
+
+def depth(f):
+    """Operators nested in one another in ``f``; an atom has depth 0."""
+    # iterative, so it is safe on a tree of any depth
+    deepest = 0
+    stack = [(f, 0)]
+    while stack:
+        g, d = stack.pop()
+        deepest = max(deepest, d)
+        stack.extend((c, d + 1) for c in g.children)
+    return deepest
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -235,13 +255,25 @@ class _Parser:
         t = self.peek()
         if t[0] != "eof":
             raise ParseError(f"trailing input {t[1]!r}", t[2], t[3])
+        # chains of & and | nest without nesting the parser's calls
+        if depth(f) > MAX_DEPTH:
+            raise ParseError(_TOO_DEEP, 1, 1)
+        return f
+
+    def nested(self, parse):
+        """Parse one nested operand, bounding the parser's recursion."""
+        if self.depth == MAX_DEPTH:
+            raise ParseError(_TOO_DEEP, *self.peek()[2:])
+        self.depth += 1
+        f = parse()
+        self.depth -= 1
         return f
 
     def implies(self):
         left = self.or_()
         if self.peek()[0] == "implies":
             self.next()
-            right = self.implies()
+            right = self.nested(self.implies)
             return or_(not_(left), right)
         return left
 
@@ -264,7 +296,7 @@ class _Parser:
         t = self.peek()
         if t[0] == "op" and t[1] in ("U", "R"):
             self.next()
-            right = self.until()
+            right = self.nested(self.until)
             return until(left, right) if t[1] == "U" else release(left, right)
         return left
 
@@ -272,10 +304,10 @@ class _Parser:
         t = self.peek()
         if t[0] == "not":
             self.next()
-            return not_(self.unary())
+            return not_(self.nested(self.unary))
         if t[0] == "op" and t[1] in ("X", "F", "G"):
             self.next()
-            child = self.unary()
+            child = self.nested(self.unary)
             return {"X": next_, "F": finally_, "G": globally}[t[1]](child)
         if t[0] == "coal_open":
             # a strategic quantifier scopes maximally to the right, so the
@@ -288,13 +320,13 @@ class _Parser:
                     self.next()
                     agents.append(self.expect("name", "agent name")[1])
             self.expect("coal_close", "'>>'")
-            return strategic(agents, self.implies())
+            return strategic(agents, self.nested(self.implies))
         return self.primary()
 
     def primary(self):
         t = self.next()
         if t[0] == "lparen":
-            f = self.implies()
+            f = self.nested(self.implies)
             self.expect("rparen", "')'")
             return f
         if t[0] == "name":

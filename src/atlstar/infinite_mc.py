@@ -21,6 +21,7 @@ import bisect
 from dataclasses import dataclass
 
 from . import cgs as cgsmod
+from . import finite_mc
 from .bdd import Bdd
 
 
@@ -545,13 +546,9 @@ def winning_states(sg, sdpa, coalition, game=None):
     st = sg.store
     w0, _ = solve_progress_measure(game)
 
-    # entry: position vertex at the automaton state reached on the
-    # current state's label from the initial automaton state
-    entry = sdpa.init & sdpa.delta
-    entry = st.exists(sdpa.s.vars, entry)
-    entry = st.rename(entry, [sg.q_next, sdpa.s_next], [sg.q, sdpa.s])
-
-    pos = w0 & game.v0 & entry & sg.reach
+    # a state's position vertex holds the automaton state entered on
+    # its own label
+    pos = w0 & game.v0 & finite_mc.entry_relation(sg, sdpa) & sg.reach
     other_vars = [x for b, _ in game.blocks if b is not sg.q
                   for x in b.vars]
     states = st.exists(other_vars, pos)

@@ -339,8 +339,6 @@ def _hopcroft(n, letters, delta, finals):
 class SymbolicDfa:
     """DFA transition relation with labels replaced by state predicates."""
 
-    dfa: Dfa
-    store: object
     s: object
     s_next: object
     delta: object   # Bdd over (s, q', s')
@@ -349,38 +347,34 @@ class SymbolicDfa:
     valid: object   # Bdd over s
 
 
-def _letter_carriers(aut, sg, extra_labels=None):
-    """Model states grouped by the letter they show the automaton.
+def _letter_carriers(aut, g):
+    """States of the model ``g`` grouped by the letter they show the
+    automaton.
 
-    A state's letter is its label projected onto the automaton's atoms;
-    ``extra_labels`` maps fresh atoms to the explicit sets of states where
-    they hold.  Letters outside the automaton's alphabet are left out:
-    only states that no play reaches carry them.
+    A state's letter is its label projected onto the automaton's atoms.
+    Letters outside the automaton's alphabet are left out: only states
+    that no play reaches carry them.
     """
-    extra_labels = extra_labels or {}
-    g = sg.g
     for p in aut.atoms:
-        if p not in g.atoms and p not in extra_labels:
+        if p not in g.atoms:
             raise TranslationError(f"atom {p!r} has no labelling entry")
     carriers = {}
-    for q in range(len(g.states)):
-        row = g.labels[q]
-        if extra_labels:
-            row = row | {p for p, qs in extra_labels.items() if q in qs}
+    for q, row in enumerate(g.labels):
         carriers.setdefault(letter_mask(aut.atoms, row), []).append(q)
     alphabet = {a for _, a in aut.delta}
     return {a: qs for a, qs in carriers.items() if a in alphabet}
 
 
-def encode_automaton(aut, sg, extra_labels=None):
+def encode_automaton(aut, sg, model=None):
     """Encode a deterministic automaton's transitions against a CGS.
 
     Shared by :func:`encode_dfa` and :func:`dpa.encode_dpa`.  The guard
     of a letter is the set of next states that carry it (see
     ``_letter_carriers``), so the automaton synchronizes on the
-    successor's label.  Returns the ``s``/``s'`` blocks, the relation
-    over (s, q', s') and a function mapping automaton state ids to a Bdd
-    over ``s``.
+    successor's label.  ``model`` is the encoded model with the labels
+    the automaton reads, fresh atoms included; it defaults to ``sg.g``.
+    Returns the ``s``/``s'`` blocks, the relation over (s, q', s') and
+    a function mapping automaton state ids to a Bdd over ``s``.
     """
     store = sg.store
     s = store.block("s")
@@ -388,7 +382,7 @@ def encode_automaton(aut, sg, extra_labels=None):
     if len(s.vars) < max(1, (aut.n_states - 1).bit_length()):
         raise TranslationError("store too small for automaton states")
     guards = {a: store.from_points([sg.q_next], [(q,) for q in qs])
-              for a, qs in _letter_carriers(aut, sg, extra_labels).items()}
+              for a, qs in _letter_carriers(aut, model or sg.g).items()}
 
     # state pairs that share a letter set share one guard
     letters = {}
@@ -410,12 +404,11 @@ def encode_automaton(aut, sg, extra_labels=None):
     return s, sn, delta, states
 
 
-def encode_dfa(dfa, sg, extra_labels=None):
-    """Build the symbolic transition relation over (s, q', s')."""
-    s, sn, delta, states = encode_automaton(dfa, sg, extra_labels)
+def encode_dfa(dfa, sg, model=None):
+    """Build the symbolic transition relation over (s, q', s'); ``model``
+    is as for :func:`encode_automaton`."""
+    s, sn, delta, states = encode_automaton(dfa, sg, model)
     return SymbolicDfa(
-        dfa=dfa, store=sg.store, s=s, s_next=sn, delta=delta,
-        init=states([dfa.initial]), finals=states(dfa.finals),
-        valid=states(range(dfa.n_states)),
+        s=s, s_next=sn, delta=delta, init=states([dfa.initial]),
+        finals=states(dfa.finals), valid=states(range(dfa.n_states)),
     )
-

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -144,6 +145,52 @@ def test_reserved_atom_prefix():
         cgs.parse_model(
             "agents: a\natoms: __x\nstates: s\ninitial: s\n"
             "actions a: m\nlabel s: __x\ntrans s (m) -> s\n")
+
+
+def _basic_step(k, moves):
+    if k == 0:
+        return moves.count("go")
+    return 2 if k == 2 or moves[0] == "go" else 1
+
+
+def expand_basic(**changes):
+    """BASIC as state keys 0-2 and functions; ``changes`` replaces
+    arguments of :func:`cgs.expand`."""
+    args = dict(
+        agents=["a", "b"], atoms=["p", "goal"],
+        actions={"a": ["go", "stay"], "b": ["go", "stay"]},
+        keys=[0, 1, 2], name=lambda k: f"s{k}",
+        label=lambda k: [[], ["p"], ["p", "goal"]][k],
+        final=lambda k: k == 2, initial=0, step=_basic_step)
+    args.update(changes)
+    return cgs.expand(**args)
+
+
+def test_expand_matches_the_parser():
+    assert expand_basic() == cgs.parse_model(BASIC)
+
+
+EXPAND_ERRORS = {
+    "duplicate agent names": dict(agents=["a", "a"]),
+    "duplicate atoms": dict(atoms=["p", "p"]),
+    "duplicate actions for agent b": dict(
+        actions={"a": ["go", "stay"], "b": ["go", "go"]}),
+    "duplicate state names": dict(name=lambda k: f"s{min(k, 1)}"),
+    "initial key 5 is not a state": dict(initial=5),
+    "undefined atom 'q' in label of state s1": dict(
+        label=lambda k: ["q"] if k == 1 else []),
+    "atom '__x' uses the reserved '__' prefix": dict(
+        atoms=["__x"], label=lambda k: []),
+    "agent b has no actions": dict(actions={"a": ["go", "stay"]}),
+    "successor 3 of state s0 under (go,go) is not a state": dict(
+        step=lambda k, moves: 3),
+}
+
+
+@pytest.mark.parametrize("message", sorted(EXPAND_ERRORS))
+def test_expand_applies_the_parser_checks(message):
+    with pytest.raises(cgs.CgsError, match=re.escape(message)):
+        expand_basic(**EXPAND_ERRORS[message])
 
 
 def test_delta_implies_action_validity():

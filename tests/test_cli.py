@@ -261,3 +261,43 @@ def test_check_reports_a_non_total_model(tmp_path, capsys):
     assert cli.main(["check", str(f), "<<a,b>> F goal"]) == cli.EXIT_USAGE
     assert ("transition function not total: no row for state s1 and "
             "joint action (stay,go)") in capsys.readouterr().err
+
+
+# formulas of a given nesting depth, one per kind of nesting
+DEEP = {
+    "negation": lambda n: "!" * n + "p",
+    "parentheses": lambda n: "(" * n + "p" + ")" * n,
+    "next": lambda n: "<<a>> " + "X " * (n - 1) + "p",
+    "globally": lambda n: "<<a>> " + "G " * (n - 1) + "p",
+    "conjunction": lambda n: "<<a>> F (" + " & ".join(["p"] * (n - 1)) + ")",
+    "strategic": lambda n: "<<a>> X " * (n // 2) + "X " * (n % 2) + "p",
+}
+
+
+@pytest.mark.parametrize("semantics", ["finite", "infinite"])
+@pytest.mark.parametrize("shape", sorted(DEEP))
+def test_nesting_bound(shape, semantics, model_file, capsys):
+    from atlstar import formula as fm
+    text = DEEP[shape](fm.MAX_DEPTH)
+    if shape != "parentheses":
+        assert fm.depth(fm.parse_formula(text)) == fm.MAX_DEPTH
+    rc = cli.main(["check", model_file, text, "--semantics", semantics])
+    assert rc in (cli.EXIT_HOLDS, cli.EXIT_NOT_HOLDS)
+    capsys.readouterr()
+
+    rc = cli.main(["check", model_file, DEEP[shape](fm.MAX_DEPTH + 1),
+                   "--semantics", semantics])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_USAGE
+    assert err.startswith("error: formula nested deeper than")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_gen_rejects_unknown_critical_flags(capsys):
+    rc = cli.main(["gen", "cyber", "--param", "critical=9",
+                   "--param", "heuristic=aggressive"])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_USAGE
+    assert err.startswith("error: critical flags must be indices 0-5")
+    assert "Traceback" not in err
