@@ -20,6 +20,10 @@ class BudgetExceeded(BddError):
     """Raised when the node table outgrows the configured byte budget."""
 
 
+class _OrderBroken(Exception):
+    """A relabelling would put a variable below one of its children."""
+
+
 # approximate cost of one node (table entry + unique-table slot)
 _BYTES_PER_NODE = 96
 
@@ -400,10 +404,11 @@ class BddStore:
 
         ``from_block`` and ``to_block`` may also be equal-length lists of
         blocks, swapped pairwise in one pass.  Both directions are
-        exchanged, so a double rename is the identity.  When the swap
-        keeps f's support in the same relative order (it does whenever f
-        reads only one block of each interleaved pair), the nodes are
-        relabelled directly; otherwise the swap is composed.
+        exchanged, so a double rename is the identity.  The nodes are
+        relabelled directly while the swap keeps every relabelled node
+        above its children (it does whenever f reads only one block of
+        each interleaved pair); a node where it does not makes the whole
+        swap composed instead.
         """
         if isinstance(from_block, VarBlock):
             from_block, to_block = [from_block], [to_block]
@@ -420,27 +425,31 @@ class BddStore:
             for x, y in zip(fb.vars, tb.vars):
                 swap[x] = y
                 swap[y] = x
-        mapped = [swap.get(v, v) for v in sorted(self._support(a))]
-        if all(x < y for x, y in zip(mapped, mapped[1:])):
-            # a swap and its inverse are the same map, so priming and
-            # unpriming share one memo
-            memo = self._memos.setdefault(
-                ("rename", frozenset(swap.items())), {})
+        # a swap and its inverse are the same map, so priming and
+        # unpriming share one memo
+        memo = self._memos.setdefault(("rename", frozenset(swap.items())), {})
+        try:
             return Bdd(self, self._relabel(a, swap, memo))
-        sub = {x: self._mk(y, FALSE, TRUE) for x, y in swap.items()}
-        return Bdd(self, self._compose(a, sub, {}))
+        except _OrderBroken:
+            sub = {x: self._mk(y, FALSE, TRUE) for x, y in swap.items()}
+            return Bdd(self, self._compose(a, sub, {}))
 
     def _relabel(self, n, swap, memo):
-        """Node n with each variable v renamed to swap.get(v, v); the
-        renaming must preserve the order of n's support."""
+        """Node n with each variable v renamed to swap.get(v, v).  Raises
+        _OrderBroken, before making the node, where a renamed variable
+        would not lie above its relabelled children; the memo then keeps
+        only the nodes relabelled in order."""
         if n <= 1:
             return n
         r = memo.get(n)
         if r is None:
             v = self._var[n]
-            r = memo[n] = self._mk(swap.get(v, v),
-                                   self._relabel(self._lo[n], swap, memo),
-                                   self._relabel(self._hi[n], swap, memo))
+            v = swap.get(v, v)
+            lo = self._relabel(self._lo[n], swap, memo)
+            hi = self._relabel(self._hi[n], swap, memo)
+            if v >= self._var[lo] or v >= self._var[hi]:
+                raise _OrderBroken
+            r = memo[n] = self._mk(v, lo, hi)
         return r
 
     # -- evaluation / counting -------------------------------------------

@@ -194,48 +194,70 @@ def scheduler_fairness_formula(n):
 HEURISTICS = ("conservative", "aggressive", "proportional", "diversity")
 
 
-def suspicion_update(heuristic, flags, weights, thresholds,
-                     critical=(4, 5), norm_thresholds=(0.25, 0.5),
-                     diversity_thresholds=(2, 4)):
-    """Suspicion bucket in {0, 1, 2} from the latest alert flags.
+def suspicion_rule(heuristic, weights, thresholds, critical=(4, 5),
+                   norm_thresholds=(0.25, 0.5), diversity_thresholds=(2, 4)):
+    """The bucket function ``flags -> {0, 1, 2}`` of one heuristic.
 
     ``thresholds`` is the (t1, t2) pair for the weighted score.
     Conservative compares the weighted flag sum against t1/t2;
     aggressive escalates straight to 2 on any critical flag and is
     otherwise capped at the low bucket; proportional compares the score
     as a fraction of total weight against normalized thresholds; and
-    diversity counts how many distinct flags are raised.
+    diversity counts how many distinct flags are raised.  The parameters
+    are checked here, once, so a model generator can call the rule per
+    transition; ``flags`` must hold one entry per weight.
     """
     t1, t2 = thresholds
     if t1 >= t2:
         raise BenchError("suspicion thresholds must satisfy t1 < t2")
-    if len(flags) != len(weights):
-        raise BenchError("flag/weight length mismatch")
     if any(w < 0 for w in weights):
         raise BenchError("suspicion weights must be non-negative")
-    score = sum(w for w, f in zip(weights, flags) if f)
+
+    def score(flags):
+        return sum(w for w, f in zip(weights, flags) if f)
+
     if heuristic == "conservative":
-        return 2 if score >= t2 else 1 if score >= t1 else 0
-    if heuristic == "aggressive":
-        if any(flags[i] for i in critical):
-            return 2
-        return 1 if score >= t1 else 0
-    if heuristic == "proportional":
+        def rule(flags):
+            s = score(flags)
+            return 2 if s >= t2 else 1 if s >= t1 else 0
+    elif heuristic == "aggressive":
+        def rule(flags):
+            if any(flags[i] for i in critical):
+                return 2
+            return 1 if score(flags) >= t1 else 0
+    elif heuristic == "proportional":
         n1, n2 = norm_thresholds
         if not 0 <= n1 < n2 <= 1:
             raise BenchError("normalized thresholds must be ordered "
                              "within [0, 1]")
         total = sum(weights)
-        ratio = score / total if total else 0.0
-        return 2 if ratio >= n2 else 1 if ratio >= n1 else 0
-    if heuristic == "diversity":
+
+        def rule(flags):
+            ratio = score(flags) / total if total else 0.0
+            return 2 if ratio >= n2 else 1 if ratio >= n1 else 0
+    elif heuristic == "diversity":
         d1, d2 = diversity_thresholds
         if d1 >= d2:
             raise BenchError("diversity thresholds must satisfy d1 < d2")
-        count = sum(1 for f in flags if f)
-        return 2 if count >= d2 else 1 if count >= d1 else 0
-    raise BenchError(f"unknown suspicion heuristic {heuristic!r}; "
-                     f"pick from {HEURISTICS}")
+
+        def rule(flags):
+            count = sum(1 for f in flags if f)
+            return 2 if count >= d2 else 1 if count >= d1 else 0
+    else:
+        raise BenchError(f"unknown suspicion heuristic {heuristic!r}; "
+                         f"pick from {HEURISTICS}")
+    return rule
+
+
+def suspicion_update(heuristic, flags, weights, thresholds,
+                     critical=(4, 5), norm_thresholds=(0.25, 0.5),
+                     diversity_thresholds=(2, 4)):
+    """Suspicion bucket in {0, 1, 2} from the latest alert flags, by
+    :func:`suspicion_rule`."""
+    if len(flags) != len(weights):
+        raise BenchError("flag/weight length mismatch")
+    return suspicion_rule(heuristic, weights, thresholds, critical,
+                          norm_thresholds, diversity_thresholds)(flags)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +323,11 @@ def gen_cyber(p):
     if any(not 0 <= i < 6 for i in p.critical):
         raise BenchError("critical flags must be indices 0-5 of the six "
                          f"alert flags, got {p.critical}")
+    if len(p.weights) != 6:
+        raise BenchError("cyber needs one weight per alert flag (six), "
+                         f"got {len(p.weights)}")
+    update = suspicion_rule(p.heuristic, p.weights, (p.t1, p.t2),
+                            critical=p.critical)
 
     has_flag = p.scenario in ("integrity", "availability")
     per_server = 3 * 2 * (2 if has_flag else 1) * 3
@@ -409,9 +436,7 @@ def gen_cyber(p):
                 observed.add(s)
         nsig = list(sig)
         for s in observed:
-            nsig[s - 1] = suspicion_update(
-                p.heuristic, flags_of(srvs[s - 1]), p.weights,
-                (p.t1, p.t2), critical=p.critical)
+            nsig[s - 1] = update(flags_of(srvs[s - 1]))
         if p.horizon is not None:
             t = min(p.horizon, t + 1)
         return (srvs, b, tuple(nsig), t)
@@ -588,7 +613,8 @@ def run_suite(text, csv_path=None, json_path=None):
                     result = driver.check(
                         model=g, formula=fields["formula"],
                         semantics=semantics, engine=row["engine"],
-                        solver=fields.get("solver", "progress"))
+                        solver=fields.get("solver",
+                                          driver.CheckRequest.solver))
                     for key in timings:
                         timings[key] += result.timings_ms.get(key, 0.0)
             row["verdict"] = "holds" if result.holds else "not-holds"

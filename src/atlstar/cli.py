@@ -59,7 +59,7 @@ def build_parser():
                    default=None)
     c.add_argument("--engine", choices=["symbolic", "explicit"],
                    default=None)
-    c.add_argument("--solver", choices=["progress", "zielonka"],
+    c.add_argument("--solver", choices=["zielonka", "progress"],
                    default=None)
     c.add_argument("--tool", action="append", default=[],
                    help="external DPA translator command template; "
@@ -106,7 +106,7 @@ def cmd_check(args):
     semantics = args.semantics or cfg.get("semantics") or \
         ("finite" if g.final else "infinite")
     engine = args.engine or cfg.get("engine", "symbolic")
-    solver = args.solver or cfg.get("solver", "progress")
+    solver = args.solver or cfg.get("solver", driver.CheckRequest.solver)
     tools = list(args.tool)
     if not tools and cfg.get("tools"):
         tools = [t for t in cfg["tools"].split("|") if t]

@@ -35,7 +35,7 @@ class CheckRequest:
     formula: object          # Formula or str
     semantics: str = "finite"      # "finite" | "infinite"
     engine: str = "symbolic"       # "symbolic" | "explicit"
-    solver: str = "progress"       # infinite only: "progress" | "zielonka"
+    solver: str = "zielonka"       # infinite only: "zielonka" | "progress"
     tools: tuple = ()              # external DPA translator commands
     byte_budget: int = 256 * 1024 * 1024
     product_cap: int = finite_mc.DEFAULT_PRODUCT_CAP
@@ -87,7 +87,7 @@ def check(request=None, **kwargs):
         raise DriverError(f"unknown semantics {req.semantics!r}")
     if req.engine not in ("symbolic", "explicit"):
         raise DriverError(f"unknown engine {req.engine!r}")
-    if req.solver not in ("progress", "zielonka"):
+    if req.solver not in infinite_mc.SOLVERS:
         raise DriverError(f"unknown solver {req.solver!r}")
 
     g = req.model
@@ -214,8 +214,7 @@ def check(request=None, **kwargs):
         t1 = time.perf_counter()
         timings["translate"] += (t1 - t0) * 1000
         details.setdefault("translators", []).append(tool)
-        if req.engine == "explicit" or req.solver == "zielonka":
-            infinite_mc.region_cap_check(len(reachable) * dpa.n_states)
+        if req.engine == "explicit":
             t2 = time.perf_counter()
             win = infinite_mc.winning_states_explicit(
                 labelled, dpa, coalition, reachable=reachable)
@@ -226,7 +225,8 @@ def check(request=None, **kwargs):
         t2 = time.perf_counter()
         game = infinite_mc.build_game(sg, sd, coalition)
         t3 = time.perf_counter()
-        win = infinite_mc.winning_states(sg, sd, coalition, game=game)
+        win = infinite_mc.winning_states(sg, sd, coalition, game=game,
+                                         solver=req.solver)
         t4 = time.perf_counter()
         timings["encode"] += (t2 - t1) * 1000
         timings["build"] += (t3 - t2) * 1000

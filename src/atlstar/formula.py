@@ -38,6 +38,16 @@ class Formula:
     children: tuple = ()
     name: str = ""
     coalition: frozenset = field(default_factory=frozenset)
+    # the dataclass hash of the fields above, computed once: sets and
+    # dicts of formulas would otherwise hash whole subtrees per lookup
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(
+            (self.kind, self.children, self.name, self.coalition)))
+
+    def __hash__(self):
+        return self._hash
 
     def __str__(self):
         return to_str(self)

@@ -7,12 +7,13 @@ opponent vertices resolve the remaining agents and advance the
 automaton.  Acceptance is min-even throughout: player 0 wins a play iff
 the minimal priority occurring infinitely often is even.
 
-Two solvers are provided: a recursive attractor decomposition on an
-explicit arena (the oracle) and a set-based small-progress-measures
-iteration that works directly on the BDD node ids of the symbolic
-arena.  That one lifting loop solves every symbolic arena: those the
-checker builds and those that ``encode_explicit_game`` makes from
-explicit games for cross-checks.
+Zielonka's recursive attractor decomposition is implemented twice: on
+an explicit arena (the oracle) and on the BDD node ids of a symbolic
+arena, where attractors iterate pre-images (the default solver).  A
+set-based small-progress-measures iteration on the same node ids is the
+alternative symbolic solver.  Both symbolic solvers run on every
+symbolic arena: those the checker builds and those that
+``encode_explicit_game`` makes from explicit games for cross-checks.
 """
 
 from __future__ import annotations
@@ -281,7 +282,8 @@ class SymbolicParityGame:
     v1: object           # opponent choice vertices (layer 1)
     e: object            # edge relation over both copies
     priorities: dict     # p -> Bdd over unprimed vertex vars
-    rounds: int = None   # lifting rounds of the last progress-measure solve
+    rounds: int = None   # iterations of the last solve: attractor steps
+                         # (Zielonka) or lifting rounds (progress measures)
 
     @property
     def vertices(self):
@@ -303,10 +305,12 @@ class SymbolicParityGame:
         return self.store.rename(f, [b for b, _ in self.blocks],
                                  [bp for _, bp in self.blocks])
 
-    def pre_exists(self, target):
-        """Vertices with some edge into ``target``; both arena builders
-        give every edge a source in ``vertices``."""
-        return self.store.and_exists(self.e, self.prime(target),
+    def pre_exists(self, target, within=None):
+        """Vertices with some edge into ``target``, among ``within`` when
+        given; both arena builders give every edge a source in
+        ``vertices``."""
+        e = self.e if within is None else self.e & within
+        return self.store.and_exists(e, self.prime(target),
                                      self.primed_vars())
 
 
@@ -539,12 +543,105 @@ def solve_progress_measure(game):
     return game.vertices & ~w1, w1
 
 
-def winning_states(sg, sdpa, coalition, game=None):
-    """CGS state ids from which the coalition wins, symbolically."""
+# ---------------------------------------------------------------------------
+# Symbolic Zielonka
+
+def _attractor(game, player, target, region):
+    """Vertices of ``region`` from which ``player`` forces a visit to
+    ``target`` (a subset of ``region``), on node ids.  Only edges inside
+    ``region`` count.  Returns (attractor, iterations).
+
+    The attractor grows from its last frontier: a vertex of ``player``
+    joins when it has an edge into the frontier, and an opponent vertex
+    whose edge into the frontier makes it a candidate joins when it has
+    no edge left into the rest of the region.  An opponent vertex that
+    stays out is a candidate again once its last escape joins.
+    """
+    st = game.store
+    and_, or_, not_ = st._and, st._or, st._not
+    own, opp = (game.v1.node, game.v0.node) if player else \
+        (game.v0.node, game.v1.node)
+
+    def pre(t, within=None):
+        if within is not None:
+            within = Bdd(st, within)
+        return game.pre_exists(Bdd(st, t), within).node
+
+    attr = frontier = target
+    steps = 0
+    while frontier:
+        steps += 1
+        # no operation is in flight between steps
+        st.trim_cache()
+        reach = and_(pre(frontier), and_(region, not_(attr)))
+        grab = and_(reach, own)
+        attr = or_(attr, grab)
+        cand = and_(reach, opp)
+        if cand:
+            rest = and_(region, not_(attr))
+            forced = and_(cand, not_(pre(rest, cand))) if rest else cand
+            attr = or_(attr, forced)
+            grab = or_(grab, forced)
+        frontier = grab
+    return attr, steps
+
+
+def solve_symbolic_zielonka(game):
+    """Winning regions (w0, w1) of a symbolic arena by Zielonka's
+    attractor decomposition.
+
+    A region's least priority p names its player; that player's
+    attractor to the p-vertices is cut off and the rest solved.  If the
+    opponent wins nothing there, the player wins the region; otherwise
+    the opponent's attractor to what it won is the opponent's, and the
+    loop goes on with the region without it.  The first recursive call
+    loses the least priority, so the recursion is no deeper than the
+    number of priorities.  Leaves the total attractor iterations in
+    ``game.rounds``.
+    """
+    st = game.store
+    and_, or_, not_ = st._and, st._or, st._not
+    prios = sorted((p, s.node) for p, s in game.priorities.items())
+    steps = 0
+
+    def attractor(player, target, region):
+        nonlocal steps
+        attr, n = _attractor(game, player, target, region)
+        steps += n
+        return attr
+
+    def solve(region):
+        won = [0, 0]
+        while region:
+            p, pset = next((p, s) for p, s in prios if and_(region, s))
+            player = p % 2
+            a = attractor(player, and_(region, pset), region)
+            lost = solve(and_(region, not_(a)))[1 - player]
+            if not lost:
+                won[player] = or_(won[player], region)
+                break
+            b = attractor(1 - player, lost, region)
+            won[1 - player] = or_(won[1 - player], b)
+            region = and_(region, not_(b))
+        return won
+
+    w0, w1 = solve(game.vertices.node)
+    game.rounds = steps
+    return Bdd(st, w0), Bdd(st, w1)
+
+
+SOLVERS = {"zielonka": solve_symbolic_zielonka,
+           "progress": solve_progress_measure}
+
+
+def winning_states(sg, sdpa, coalition, game=None, *, solver):
+    """CGS state ids from which the coalition wins, symbolically;
+    ``solver`` names a key of ``SOLVERS`` (the driver's default is
+    ``CheckRequest.solver``)."""
     if game is None:
         game = build_game(sg, sdpa, coalition)
     st = sg.store
-    w0, _ = solve_progress_measure(game)
+    w0, _ = SOLVERS[solver](game)
 
     # a state's position vertex holds the automaton state entered on
     # its own label

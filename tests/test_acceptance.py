@@ -160,7 +160,7 @@ def test_dfa_translation_matches_trace_oracle():
 
 
 # ---------------------------------------------------------------------------
-# 3. the two parity solvers agree
+# 3. the parity solvers agree
 
 def _sym_regions(game, w0, w1):
     v = game.blocks[0][0]
@@ -183,9 +183,9 @@ def test_parity_solvers_agree():
         w0, w1 = imc.solve_zielonka(game)
         assert w0 | w1 == set(range(n)) and not (w0 & w1)
         sym = imc.encode_explicit_game(game)
-        s0, s1 = imc.solve_progress_measure(sym)
-        r0, r1 = _sym_regions(sym, s0, s1)
-        assert r0 == w0 and r1 == w1
+        for solve in (imc.solve_progress_measure, imc.solve_symbolic_zielonka):
+            r0, r1 = _sym_regions(sym, *solve(sym))
+            assert r0 == w0 and r1 == w1, solve.__name__
         n_games += 1
 
     # arenas derived from the benchmark generators
@@ -199,11 +199,13 @@ def test_parity_solvers_agree():
     for game in derived:
         w0, w1 = imc.solve_zielonka(game)
         sym = imc.encode_explicit_game(game)
-        r0, r1 = _sym_regions(sym, *imc.solve_progress_measure(sym))
-        assert r0 == w0 and r1 == w1
+        for solve in (imc.solve_progress_measure, imc.solve_symbolic_zielonka):
+            r0, r1 = _sym_regions(sym, *solve(sym))
+            assert r0 == w0 and r1 == w1, solve.__name__
         n_games += 1
     elapsed = time.monotonic() - t0
-    report("attractor vs progress-measure parity solvers",
+    report("explicit Zielonka vs symbolic progress-measure and Zielonka "
+           "parity solvers",
            n_games == 502 and elapsed < 300, elapsed, f"{n_games} games")
 
 

@@ -191,6 +191,23 @@ def test_suspicion_error_paths():
                                diversity_thresholds=(4, 2))
 
 
+@pytest.mark.parametrize("bad, match", [
+    ({"t1": 4, "t2": 4}, "t1 < t2"),
+    ({"weights": (-1, 1, 1, 1, 1, 1)}, "non-negative"),
+    ({"weights": (1, 1, 1)}, "one weight per alert flag"),
+])
+def test_cyber_checks_its_suspicion_parameters_once(bad, match, monkeypatch):
+    with pytest.raises(bench.BenchError, match=match):
+        bench.gen_cyber(bench.CyberParams(horizon=2, budget=1, **bad))
+    # a good model builds its bucket rule once, not once per transition
+    calls = []
+    real = bench.suspicion_rule
+    monkeypatch.setattr(bench, "suspicion_rule",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    bench.gen_cyber(bench.CyberParams(horizon=2, budget=1))
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # Cyber scenario
 

@@ -106,11 +106,21 @@ def test_store_grows_only_for_wider_automata(semantics):
                                  "solver": "zielonka"}])
 def test_explicit_paths_report_no_store(kw):
     res = run("(<<a>> G p) | <<a,b>> F goal", **kw)
-    assert res.details["encodes"] == 0
-    for sub in res.details["subformulas"]:
-        assert sub["rounds"] is None
-        assert sub["automaton_states"] is None
-        assert sub["nodes"] is None
+    subs = res.details["subformulas"]
+    if kw.get("engine") == "explicit":
+        assert res.details["encodes"] == 0
+        for sub in subs:
+            assert sub["rounds"] is None
+            assert sub["automaton_states"] is None
+            assert sub["nodes"] is None
+    else:
+        # Zielonka's solver runs on the symbolic arena and counts its
+        # attractor iterations
+        assert res.details["encodes"] >= 1
+        for sub in subs:
+            assert isinstance(sub["rounds"], int) and sub["rounds"] >= 1
+            assert isinstance(sub["automaton_states"], int)
+            assert isinstance(sub["nodes"], int)
 
 
 def test_double_negation():
@@ -158,11 +168,42 @@ def test_long_lifting_chains_match_the_explicit_engine():
     g = bench.gen_counter(bench.CounterParams(cap=30, mode="infinite"))
     for text in ("<<a1>> G (p1 -> F counter_max)", "<<a2>> G F counter_max",
                  "<<a1,a2>> G !counter_max"):
-        sym = driver.check(model=g, formula=text, semantics="infinite")
+        sym = driver.check(model=g, formula=text, semantics="infinite",
+                           solver="progress")
         exp = driver.check(model=g, formula=text, semantics="infinite",
                            engine="explicit")
-        assert sym.states == exp.states, text
+        zie = driver.check(model=g, formula=text, semantics="infinite",
+                           solver="zielonka")
+        assert sym.states == exp.states == zie.states, text
         assert sym.details["subformulas"][0]["rounds"] > 30, text
+
+
+@pytest.mark.filterwarnings("ignore:infinite-trace semantics")
+def test_zielonka_safety_iterations_do_not_grow_with_the_counter():
+    # keeping the counter below its cap forever is won at once by the
+    # attractor decomposition, while progress measures climb one step
+    # per round through the whole counter
+    text = "<<a1,a2>> G !counter_max"
+    zielonka, progress = [], []
+    for cap in (25, 50):
+        g = bench.gen_counter(bench.CounterParams(cap=cap, steps=cap))
+        for solver, rounds in (("zielonka", zielonka),
+                               ("progress", progress)):
+            res = driver.check(model=g, formula=text, semantics="infinite",
+                               solver=solver)
+            assert res.holds
+            rounds.append(res.details["subformulas"][0]["rounds"])
+    assert zielonka[0] == zielonka[1]
+    assert progress[1] == 13_009 and progress[0] < progress[1]
+    assert zielonka[1] < 20
+
+
+def test_zielonka_is_the_default_solver():
+    assert driver.CheckRequest.solver == "zielonka"
+    text = "<<a>> G (p -> F goal)"
+    default = run(text, semantics="infinite", final=False)
+    zie = run(text, semantics="infinite", final=False, solver="zielonka")
+    assert default.details == zie.details
 
 
 @pytest.mark.parametrize("semantics", ["finite", "infinite"])

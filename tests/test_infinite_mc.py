@@ -151,14 +151,38 @@ def _bdd_region(game, sets):
 
 
 def test_progress_measure_matches_zielonka_on_random_games():
+    # both symbolic solvers against the explicit Zielonka
     rng = random.Random(29)
     for _ in range(60):
         game = random_game(rng, rng.randint(1, 20))
         w0, w1 = imc.solve_zielonka(game)
         sym = imc.encode_explicit_game(game)
-        s0, s1 = imc.solve_progress_measure(sym)
-        assert _bdd_region(sym, s0) == w0
-        assert _bdd_region(sym, s1) == w1
+        for solve in imc.SOLVERS.values():
+            s0, s1 = solve(sym)
+            assert _bdd_region(sym, s0) == w0
+            assert _bdd_region(sym, s1) == w1
+            assert isinstance(sym.rounds, int) and sym.rounds >= 1
+
+
+def test_symbolic_attractor_matches_the_explicit_one():
+    # any region, not only Zielonka's subgames: edges leaving the region
+    # never count, for either player
+    rng = random.Random(31)
+    for _ in range(80):
+        n = rng.randint(1, 24)
+        game = random_game(rng, n)
+        sym = imc.encode_explicit_game(game)
+        st, v = sym.store, sym.blocks[0][0]
+        region = {x for x in range(n) if rng.random() < 0.8}
+        target = {x for x in region if rng.random() < 0.25}
+        player = rng.randint(0, 1)
+        want = imc.attractor(game, player, target, region)
+        got, steps = imc._attractor(
+            sym, player, st.from_points([v], [(x,) for x in target]).node,
+            st.from_points([v], [(x,) for x in region]).node)
+        assert _bdd_region(sym, imc.Bdd(st, got)) == want
+        # one step per frontier, and a last one that adds nothing
+        assert 1 <= steps <= len(want - target) + 1 or not target
 
 
 def jacobi_lifting(game):
@@ -250,9 +274,10 @@ def test_symbolic_pipeline_matches_explicit_on_random_models():
             sg = cgs.encode_symbolic(g, store)
             sdpa = dp.encode_dpa(dpa, sg)
             for coal in ((), ("a",), ("a", "b")):
-                sym = imc.winning_states(sg, sdpa, coal)
                 exp = imc.winning_states_explicit(g, dpa, coal)
-                assert sym == exp, (g.to_text(), text, coal)
+                for solver in imc.SOLVERS:
+                    sym = imc.winning_states(sg, sdpa, coal, solver=solver)
+                    assert sym == exp, (g.to_text(), text, coal, solver)
 
 
 def test_pre_exists_lies_within_the_vertices():
