@@ -508,6 +508,10 @@ SUITE_COLUMNS = ["row", "generator", "params", "formula", "engine",
                  "states", "verdict", "ms_parse", "ms_translate",
                  "ms_encode", "ms_build", "ms_solve", "ms_total"]
 
+# the fields a suite line may set
+SUITE_KEYS = ("generator", "params", "formula", "engine", "semantics",
+              "repeats")
+
 
 def parse_suite_line(line):
     """One suite entry: key=value fields, shell-style quoting.
@@ -536,6 +540,12 @@ def parse_suite_line(line):
                 params[k] = v
         elif "=" in tok:
             k, v = tok.split("=", 1)
+            if k not in SUITE_KEYS:
+                raise BenchError(f"unknown suite key {k!r}; "
+                                 f"known: {', '.join(SUITE_KEYS)}")
+            if k == "params":
+                raise BenchError("params takes its assignments as the next "
+                                 "token, as in params cap=3;steps=4")
             fields[k] = v
         else:
             raise BenchError(f"unexpected token {tok!r} in suite line")
@@ -612,9 +622,7 @@ def run_suite(text, csv_path=None, json_path=None):
                 for _ in range(repeats):
                     result = driver.check(
                         model=g, formula=fields["formula"],
-                        semantics=semantics, engine=row["engine"],
-                        solver=fields.get("solver",
-                                          driver.CheckRequest.solver))
+                        semantics=semantics, engine=row["engine"])
                     for key in timings:
                         timings[key] += result.timings_ms.get(key, 0.0)
             row["verdict"] = "holds" if result.holds else "not-holds"

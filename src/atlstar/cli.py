@@ -28,8 +28,12 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
+CONFIG_KEYS = ("semantics", "engine", "tools")
+
+
 def load_config(path):
-    """key=value lines; blank lines and # comments ignored."""
+    """key=value lines with keys from ``CONFIG_KEYS``; blank lines and
+    # comments ignored."""
     out = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -40,7 +44,12 @@ def load_config(path):
                 raise ValueError(
                     f"{path}:{lineno}: expected key=value, got {line!r}")
             k, v = line.split("=", 1)
-            out[k.strip()] = v.strip()
+            k = k.strip()
+            if k not in CONFIG_KEYS:
+                raise ValueError(
+                    f"{path}:{lineno}: unknown config key {k!r}; "
+                    f"known: {', '.join(CONFIG_KEYS)}")
+            out[k] = v.strip()
     return out
 
 
@@ -58,8 +67,6 @@ def build_parser():
     c.add_argument("--semantics", choices=["finite", "infinite"],
                    default=None)
     c.add_argument("--engine", choices=["symbolic", "explicit"],
-                   default=None)
-    c.add_argument("--solver", choices=["zielonka", "progress"],
                    default=None)
     c.add_argument("--tool", action="append", default=[],
                    help="external DPA translator command template; "
@@ -106,7 +113,6 @@ def cmd_check(args):
     semantics = args.semantics or cfg.get("semantics") or \
         ("finite" if g.final else "infinite")
     engine = args.engine or cfg.get("engine", "symbolic")
-    solver = args.solver or cfg.get("solver", driver.CheckRequest.solver)
     tools = list(args.tool)
     if not tools and cfg.get("tools"):
         tools = [t for t in cfg["tools"].split("|") if t]
@@ -115,7 +121,7 @@ def cmd_check(args):
         warnings.simplefilter("ignore")
         result = driver.check(
             model=g, formula=args.formula, semantics=semantics,
-            engine=engine, solver=solver, tools=tuple(tools))
+            engine=engine, tools=tuple(tools))
     # the model was parsed here, before the driver's clock started
     result.timings_ms["parse"] += parse_ms
     result.timings_ms["total"] += parse_ms

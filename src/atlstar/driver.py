@@ -35,7 +35,7 @@ class CheckRequest:
     formula: object          # Formula or str
     semantics: str = "finite"      # "finite" | "infinite"
     engine: str = "symbolic"       # "symbolic" | "explicit"
-    solver: str = "zielonka"       # infinite only: "zielonka" | "progress"
+    solver: str = "zielonka"       # the only value; kept for callers
     tools: tuple = ()              # external DPA translator commands
     byte_budget: int = 256 * 1024 * 1024
     product_cap: int = finite_mc.DEFAULT_PRODUCT_CAP
@@ -87,7 +87,7 @@ def check(request=None, **kwargs):
         raise DriverError(f"unknown semantics {req.semantics!r}")
     if req.engine not in ("symbolic", "explicit"):
         raise DriverError(f"unknown engine {req.engine!r}")
-    if req.solver not in infinite_mc.SOLVERS:
+    if req.solver != "zielonka":
         raise DriverError(f"unknown solver {req.solver!r}")
 
     g = req.model
@@ -225,8 +225,7 @@ def check(request=None, **kwargs):
         t2 = time.perf_counter()
         game = infinite_mc.build_game(sg, sd, coalition)
         t3 = time.perf_counter()
-        win = infinite_mc.winning_states(sg, sd, coalition, game=game,
-                                         solver=req.solver)
+        win = infinite_mc.winning_states(sg, sd, coalition, game=game)
         t4 = time.perf_counter()
         timings["encode"] += (t2 - t1) * 1000
         timings["build"] += (t3 - t2) * 1000

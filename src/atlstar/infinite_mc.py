@@ -9,16 +9,13 @@ the minimal priority occurring infinitely often is even.
 
 Zielonka's recursive attractor decomposition is implemented twice: on
 an explicit arena (the oracle) and on the BDD node ids of a symbolic
-arena, where attractors iterate pre-images (the default solver).  A
-set-based small-progress-measures iteration on the same node ids is the
-alternative symbolic solver.  Both symbolic solvers run on every
-symbolic arena: those the checker builds and those that
+arena, where attractors iterate pre-images.  The symbolic solver runs
+on every symbolic arena: those the checker builds and those that
 ``encode_explicit_game`` makes from explicit games for cross-checks.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 from . import cgs as cgsmod
@@ -282,8 +279,8 @@ class SymbolicParityGame:
     v1: object           # opponent choice vertices (layer 1)
     e: object            # edge relation over both copies
     priorities: dict     # p -> Bdd over unprimed vertex vars
-    rounds: int = None   # iterations of the last solve: attractor steps
-                         # (Zielonka) or lifting rounds (progress measures)
+    rounds: int = None   # attractor steps of the last solve, summed over
+                         # all its attractors
 
     @property
     def vertices(self):
@@ -419,131 +416,6 @@ def encode_explicit_game(game, byte_budget=64 * 1024 * 1024):
 
 
 # ---------------------------------------------------------------------------
-# Set-based small progress measures
-
-TOP = "top"
-
-
-def _prog_value(value, p, odds, caps):
-    """Least measure m with m >=_p value (strict when p is odd)."""
-    if value is TOP:
-        return TOP
-    # components of odd priorities above p are reset
-    k = bisect.bisect_right(odds, p)
-    out = list(value[:k]) + [0] * (len(odds) - k)
-    if p % 2 == 0:
-        return tuple(out)
-    # strict increase on the components up to and including p
-    i = k - 1
-    while i >= 0:
-        if out[i] < caps[i]:
-            out[i] += 1
-            return tuple(out)
-        out[i] = 0
-        i -= 1
-    return TOP
-
-
-def _lift(game):
-    """Worklist lifting on the store node ids of a symbolic arena.
-
-    Returns the final partition (value -> vertex set) and the number of
-    rounds.  Round 1 lifts every vertex; each later round lifts only the
-    predecessors of the vertices whose value changed in the round before,
-    and the first round that changes nothing is the last.
-    """
-    st = game.store
-    # node-level operations skip the handle checks of the Bdd API;
-    # node 0 is the empty set
-    and_, or_, not_ = st._and, st._or, st._not
-    v0, v1 = game.v0.node, game.v1.node
-    priorities = {p: s.node for p, s in game.priorities.items()}
-    pre_cache = {}
-
-    def pre(t):
-        """Vertices with an edge into t; sets recur, so this caches."""
-        hit = pre_cache.get(t)
-        if hit is None:
-            hit = pre_cache[t] = game.pre_exists(Bdd(st, t)).node
-        return hit
-
-    odds = sorted(p for p in priorities if p % 2 == 1)
-    vertex_vars = game.vertex_vars()
-    caps = [int(st.sat_count(game.priorities[p], vertex_vars)) for p in odds]
-    memo = {}           # (value, priority) -> progressed value
-
-    lift = or_(v0, v1)
-    measure = {(0,) * len(odds): lift}      # value -> vertex set
-    rounds = 0
-    while True:
-        rounds += 1
-        # no operation is in flight between rounds
-        st.trim_cache()
-
-        # best successor value per lifted vertex: the first class hit by
-        # an ascending scan for player 0, by a descending one for player 1
-        ordered = sorted(measure.items(), key=lambda c: (c[0] is TOP, c[0]))
-        best = []
-        for owner, scan in ((v0, ordered), (v1, ordered[::-1])):
-            todo = and_(owner, lift)
-            for value, sset in scan:
-                if not todo:
-                    break
-                got = and_(todo, pre(sset))
-                if got:
-                    best.append((value, got))
-                    todo = and_(todo, not_(got))
-
-        # progress step per own priority
-        lifted = {}         # new value -> lifted vertices that get it
-        for value, sset in best:
-            for p, pset in priorities.items():
-                part = and_(sset, pset)
-                if part:
-                    nv = memo.get((value, p))
-                    if nv is None:
-                        nv = memo[value, p] = _prog_value(value, p, odds, caps)
-                    lifted[nv] = or_(lifted.get(nv, 0), part)
-        changed = 0
-        for value, sset in lifted.items():
-            changed = or_(changed, and_(sset, not_(measure.get(value, 0))))
-        # take the changed vertices out of their old classes, searched
-        # from the top, where vertices that keep climbing sit
-        moved = changed
-        for value, sset in reversed(ordered):
-            if not moved:
-                break
-            out = and_(sset, moved)
-            if out:
-                measure[value] = and_(sset, not_(out))
-                moved = and_(moved, not_(out))
-        for value, sset in lifted.items():
-            measure[value] = or_(measure.get(value, 0), sset)
-        measure = {value: s for value, s in measure.items() if s}
-        if not changed:
-            return measure, rounds
-        lift = pre(changed)
-
-
-def solve_progress_measure(game):
-    """Winning region of player 0 by set-based small progress measures.
-
-    The measure assignment is kept as a partition of the vertex set into
-    value classes.  A lifting round gives a vertex the progress step,
-    for its own priority, of its best successor value (least for player
-    0, greatest for player 1) under the previous round's assignment.
-    Only vertices with a successor whose value changed in the previous
-    round are lifted again: any other vertex would get the value it
-    already has, so the rounds are those of a full sweep.  Measures only
-    rise in a finite lattice, so the iteration always ends.  Returns
-    (w0, w1) vertex BDDs and leaves the round count in ``game.rounds``.
-    """
-    measure, game.rounds = _lift(game)
-    w1 = Bdd(game.store, measure.get(TOP, 0))
-    return game.vertices & ~w1, w1
-
-
-# ---------------------------------------------------------------------------
 # Symbolic Zielonka
 
 def _attractor(game, player, target, region):
@@ -630,18 +502,13 @@ def solve_symbolic_zielonka(game):
     return Bdd(st, w0), Bdd(st, w1)
 
 
-SOLVERS = {"zielonka": solve_symbolic_zielonka,
-           "progress": solve_progress_measure}
-
-
-def winning_states(sg, sdpa, coalition, game=None, *, solver):
-    """CGS state ids from which the coalition wins, symbolically;
-    ``solver`` names a key of ``SOLVERS`` (the driver's default is
-    ``CheckRequest.solver``)."""
+def winning_states(sg, sdpa, coalition, game=None):
+    """CGS state ids from which the coalition wins, by symbolic
+    Zielonka on ``game`` (built here when not given)."""
     if game is None:
         game = build_game(sg, sdpa, coalition)
     st = sg.store
-    w0, _ = SOLVERS[solver](game)
+    w0, _ = solve_symbolic_zielonka(game)
 
     # a state's position vertex holds the automaton state entered on
     # its own label

@@ -183,9 +183,8 @@ def test_parity_solvers_agree():
         w0, w1 = imc.solve_zielonka(game)
         assert w0 | w1 == set(range(n)) and not (w0 & w1)
         sym = imc.encode_explicit_game(game)
-        for solve in (imc.solve_progress_measure, imc.solve_symbolic_zielonka):
-            r0, r1 = _sym_regions(sym, *solve(sym))
-            assert r0 == w0 and r1 == w1, solve.__name__
+        r0, r1 = _sym_regions(sym, *imc.solve_symbolic_zielonka(sym))
+        assert r0 == w0 and r1 == w1
         n_games += 1
 
     # arenas derived from the benchmark generators
@@ -199,13 +198,11 @@ def test_parity_solvers_agree():
     for game in derived:
         w0, w1 = imc.solve_zielonka(game)
         sym = imc.encode_explicit_game(game)
-        for solve in (imc.solve_progress_measure, imc.solve_symbolic_zielonka):
-            r0, r1 = _sym_regions(sym, *solve(sym))
-            assert r0 == w0 and r1 == w1, solve.__name__
+        r0, r1 = _sym_regions(sym, *imc.solve_symbolic_zielonka(sym))
+        assert r0 == w0 and r1 == w1
         n_games += 1
     elapsed = time.monotonic() - t0
-    report("explicit Zielonka vs symbolic progress-measure and Zielonka "
-           "parity solvers",
+    report("explicit vs symbolic Zielonka parity solvers",
            n_games == 502 and elapsed < 300, elapsed, f"{n_games} games")
 
 
@@ -295,14 +292,13 @@ def test_counter_reachability_and_scheduler_fairness():
                               formula="<<a1,a2>> F counter_max",
                               engine="explicit")
             assert sym.holds == exp.holds == want, (cap, steps)
-    # scheduler fairness agrees across both infinite solvers
+    # scheduler fairness agrees across both infinite engines
     for n in (2, 3, 4):
         g = bench.gen_scheduler(bench.SchedulerParams(processes=n))
         f = bench.scheduler_fairness_formula(n)
-        a = quiet_check(model=g, formula=f, semantics="infinite",
-                        solver="progress")
+        a = quiet_check(model=g, formula=f, semantics="infinite")
         b = quiet_check(model=g, formula=f, semantics="infinite",
-                        solver="zielonka")
+                        engine="explicit")
         assert a.holds == b.holds and a.states == b.states, n
     elapsed = time.monotonic() - t0
     report("counter reachability and scheduler fairness", True, elapsed)

@@ -104,10 +104,9 @@ def test_scheduler_fairness_across_solvers():
     for n in (2, 3):
         g = bench.gen_scheduler(bench.SchedulerParams(processes=n))
         f = bench.scheduler_fairness_formula(n)
-        a = quiet_check(model=g, formula=f, semantics="infinite",
-                        solver="progress")
+        a = quiet_check(model=g, formula=f, semantics="infinite")
         b = quiet_check(model=g, formula=f, semantics="infinite",
-                        solver="zielonka")
+                        engine="explicit")
         assert a.holds and b.holds
         assert a.states == b.states
 
@@ -277,6 +276,17 @@ def test_parse_suite_line():
         bench.parse_suite_line('formula="F p"')
     with pytest.raises(bench.BenchError, match="unexpected token"):
         bench.parse_suite_line('generator=counter stray formula="F p"')
+    # a misspelt or retired key is an error, not a silent default
+    for key in ("engne", "solver"):
+        with pytest.raises(bench.BenchError,
+                           match=f"unknown suite key '{key}'; known: "
+                                 "generator, params, formula, engine, "
+                                 "semantics, repeats"):
+            bench.parse_suite_line(
+                f'generator=counter formula="F p" {key}=explicit')
+    with pytest.raises(bench.BenchError, match="next token"):
+        bench.parse_suite_line('generator=counter params=cap=3 '
+                               'formula="F p"')
 
 
 def test_run_suite(tmp_path):

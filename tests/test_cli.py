@@ -116,6 +116,40 @@ def test_bad_config_line(model_file, tmp_path, capsys):
     assert rc == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("line", ["engin=explicit", "solver=progress"])
+def test_unknown_config_key(line, model_file, tmp_path, capsys):
+    # a misspelt or retired key is an error, not a silent default
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(f"semantics=finite\n{line}\n")
+    rc = cli.main(["check", model_file, "<<a,b>> F goal", "--config",
+                   str(cfg), "--json"])
+    out, err = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE
+    assert out == ""
+    key = line.split("=")[0]
+    assert err.splitlines() == [
+        f"error: {cfg}:2: unknown config key {key!r}; "
+        "known: semantics, engine, tools"]
+
+
+def test_config_tools_key(model_file, tmp_path, capsys):
+    # tools are |-separated translator commands, each one raced
+    cfg = tmp_path / "tools.cfg"
+    cfg.write_text("semantics=infinite\ntools=false|exit 3\n")
+    rc = cli.main(["check", model_file, "<<a,b>> F goal", "--config",
+                   str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_USAGE
+    assert err.startswith("error: all translator tools failed")
+    assert "false: exit code 1" in err and "exit 3: exit code 3" in err
+
+
+def test_check_has_no_solver_option(capsys):
+    # Zielonka's is the only parity solver, so nothing selects one
+    assert cli.main(["check", "--help"]) == 0
+    assert "solver" not in capsys.readouterr().out
+
+
 def test_gen_round_trip(tmp_path, capsys):
     out = tmp_path / "counter.cgs"
     rc = cli.main(["gen", "counter", "--param", "cap=1", "--param",
@@ -158,6 +192,19 @@ def test_suite_with_error_row(tmp_path, capsys):
     suite.write_text('generator=bogus formula="<<a>> F p"\n')
     rc = cli.main(["suite", str(suite)])
     assert rc == cli.EXIT_USAGE
+
+
+def test_suite_with_unknown_key(tmp_path, capsys):
+    suite = tmp_path / "suite.txt"
+    suite.write_text('generator=counter params cap=1;steps=1 '
+                     'formula="<<a1,a2>> F counter_max" engne=explicit\n')
+    rc = cli.main(["suite", str(suite)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == cli.EXIT_USAGE
+    assert len(lines) == 1
+    assert lines[0].endswith(
+        "error: unknown suite key 'engne'; known: generator, params, "
+        "formula, engine, semantics, repeats (- ms)")
 
 
 def test_solve_game(tmp_path, capsys):

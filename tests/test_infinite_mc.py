@@ -150,18 +150,16 @@ def _bdd_region(game, sets):
     return out
 
 
-def test_progress_measure_matches_zielonka_on_random_games():
-    # both symbolic solvers against the explicit Zielonka
+def test_symbolic_zielonka_matches_explicit_on_random_games():
     rng = random.Random(29)
     for _ in range(60):
         game = random_game(rng, rng.randint(1, 20))
         w0, w1 = imc.solve_zielonka(game)
         sym = imc.encode_explicit_game(game)
-        for solve in imc.SOLVERS.values():
-            s0, s1 = solve(sym)
-            assert _bdd_region(sym, s0) == w0
-            assert _bdd_region(sym, s1) == w1
-            assert isinstance(sym.rounds, int) and sym.rounds >= 1
+        s0, s1 = imc.solve_symbolic_zielonka(sym)
+        assert _bdd_region(sym, s0) == w0
+        assert _bdd_region(sym, s1) == w1
+        assert isinstance(sym.rounds, int) and sym.rounds >= 1
 
 
 def test_symbolic_attractor_matches_the_explicit_one():
@@ -183,60 +181,6 @@ def test_symbolic_attractor_matches_the_explicit_one():
         assert _bdd_region(sym, imc.Bdd(st, got)) == want
         # one step per frontier, and a last one that adds nothing
         assert 1 <= steps <= len(want - target) + 1 or not target
-
-
-def jacobi_lifting(game):
-    """Per-vertex Jacobi iteration of small progress measures.
-
-    Every round lifts every vertex from the previous round's measures;
-    the last round is the one that changes nothing.  A measure is a
-    tuple with one counter per odd priority (the smallest first), None
-    stands for top.  Returns (rounds, set of vertices at top).
-    """
-    n = game.n()
-    odds = sorted({p for p in game.priority if p % 2})
-    caps = [game.priority.count(p) for p in odds]
-
-    def order(m):
-        return (1,) if m is None else (0, m)
-
-    def prog(m, p):
-        if m is None:
-            return None
-        out = [c if o <= p else 0 for c, o in zip(m, odds)]
-        if p % 2 == 0:
-            return tuple(out)
-        for i in range(odds.index(p), -1, -1):
-            if out[i] < caps[i]:
-                out[i] += 1
-                return tuple(out)
-            out[i] = 0
-        return None
-
-    m = [(0,) * len(odds)] * n
-    rounds = 0
-    while True:
-        rounds += 1
-        pick = [min, max]
-        nxt = [prog(pick[game.owner[x]]((m[w] for w in game.succ[x]),
-                                        key=order), game.priority[x])
-               for x in range(n)]
-        if nxt == m:
-            return rounds, {x for x in range(n) if m[x] is None}
-        m = nxt
-
-
-def test_worklist_lifting_runs_the_jacobi_rounds():
-    # re-lifting only the predecessors of changed vertices must give the
-    # rounds and the top set of lifting every vertex every round
-    rng = random.Random(29)
-    for _ in range(60):
-        game = random_game(rng, rng.randint(1, 20))
-        rounds, top = jacobi_lifting(game)
-        sym = imc.encode_explicit_game(game)
-        _, s1 = imc.solve_progress_measure(sym)
-        assert sym.rounds == rounds, game
-        assert _bdd_region(sym, s1) == top
 
 
 def test_region_cap_check():
@@ -275,9 +219,8 @@ def test_symbolic_pipeline_matches_explicit_on_random_models():
             sdpa = dp.encode_dpa(dpa, sg)
             for coal in ((), ("a",), ("a", "b")):
                 exp = imc.winning_states_explicit(g, dpa, coal)
-                for solver in imc.SOLVERS:
-                    sym = imc.winning_states(sg, sdpa, coal, solver=solver)
-                    assert sym == exp, (g.to_text(), text, coal, solver)
+                sym = imc.winning_states(sg, sdpa, coal)
+                assert sym == exp, (g.to_text(), text, coal)
 
 
 def test_pre_exists_lies_within_the_vertices():
@@ -307,10 +250,15 @@ def test_pre_exists_lies_within_the_vertices():
             assert (game.pre_exists(x) & ~game.vertices).is_false()
 
 
-def test_explicit_game_region_cap():
+def test_explicit_game_region_cap(monkeypatch):
+    # the cap fires inside build_explicit_game, before any vertex is made
     rng = random.Random(43)
     g = random_model(rng, 6)
     dpa, _ = dp.obtain_dpa(fm.parse_formula("G p"))
-    with pytest.raises(imc.InfiniteMcError, match="cap"):
-        game, _ids = imc.build_explicit_game(g, dpa, ("a",))
-        imc.region_cap_check(10**9)
+    check = imc.region_cap_check
+    monkeypatch.setattr(imc, "region_cap_check",
+                        lambda n: check(n, cap=10))
+    with pytest.raises(imc.InfiniteMcError,
+                       match=r"explicit arena would have \d+ vertices "
+                             r"\(cap 10\)"):
+        imc.build_explicit_game(g, dpa, ("a",))
