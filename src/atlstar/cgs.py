@@ -124,6 +124,13 @@ def _n_joint(g):
     return njoint
 
 
+def _shared_rows(rows):
+    """The label ``rows`` as frozensets; states that carry the same atoms
+    share one object."""
+    distinct = {}
+    return [distinct.setdefault(row, row) for row in map(frozenset, rows)]
+
+
 # ---------------------------------------------------------------------------
 # Expansion of a state space given by functions
 
@@ -147,18 +154,12 @@ def expand(agents, atoms, actions, keys, name, label, final, initial, step):
     if initial not in index:
         raise CgsError(f"initial key {initial!r} is not a state")
 
-    # states that carry the same atoms share one label set
+    labels = _shared_rows(label(k) for k in keys)
     declared = frozenset(atoms)
-    rows = {}
-    labels = []
-    for k in keys:
-        row = frozenset(label(k))
-        if row not in rows:
-            if not row <= declared:
-                raise CgsError(f"undefined atom {min(row - declared)!r} "
-                               f"in label of state {name(k)}")
-            rows[row] = row
-        labels.append(rows[row])
+    for k, row in zip(keys, labels):
+        if not row <= declared:
+            raise CgsError(f"undefined atom {min(row - declared)!r} "
+                           f"in label of state {name(k)}")
 
     g = Cgs(
         agents=list(agents),
@@ -299,7 +300,7 @@ def parse_model(text):
             raise CgsError(f"actions declared for unknown agent {a}")
 
     atom_set = set(atoms)
-    labels = [set() for _ in states]
+    labels = [()] * len(states)
     seen_labels = set()
     for state, props, lineno in label_lines:
         if state not in sidx:
@@ -310,7 +311,7 @@ def parse_model(text):
         for p in props:
             if p not in atom_set:
                 err(lineno, f"undefined atom {p!r} in label")
-            labels[sidx[state]].add(p)
+        labels[sidx[state]] = props
 
     joint = {}          # action text -> joint action
     transitions = {}
@@ -347,7 +348,7 @@ def parse_model(text):
         final=frozenset(finals),
         actions=act_lists,
         transitions=transitions,
-        labels=[frozenset(s) for s in labels],
+        labels=_shared_rows(labels),
     )
     _validate_header(g)
     # every row read names a real state and joint action, and no row
@@ -408,7 +409,6 @@ class SymbolicCgs:
     q_next: object
     action_blocks: dict  # agent -> VarBlock
     delta: object        # Bdd over (q, a, q')
-    init: object
     final: object
     valid: object        # encodings of real states
     reach: object        # states reachable from the initial one
@@ -456,7 +456,6 @@ def encode_symbolic(g, store, reachable=None):
         return store.from_points([q], [(s,) for s in ids])
 
     valid = states(range(len(g.states)))
-    init = store.cube(q, g.initial)
     final = states(g.final)
     if reachable is None:
         reachable = g.reachable_states()
@@ -469,7 +468,7 @@ def encode_symbolic(g, store, reachable=None):
 
     return SymbolicCgs(
         g=g, store=store, q=q, q_next=qn, action_blocks=action_blocks,
-        delta=delta, init=init, final=final, valid=valid,
+        delta=delta, final=final, valid=valid,
         reach=reach, action_valid=action_valid,
     )
 

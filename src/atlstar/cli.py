@@ -97,6 +97,8 @@ def build_parser():
 
 
 def cmd_check(args):
+    # a bad config fails before the model, which may be large, is parsed
+    cfg = load_config(args.config) if args.config else {}
     try:
         with open(args.model) as fh:
             text = fh.read()
@@ -107,9 +109,6 @@ def cmd_check(args):
     g = cgsmod.parse_model(text)
     parse_ms = (time.perf_counter() - t0) * 1000
 
-    cfg = {}
-    if args.config:
-        cfg = load_config(args.config)
     semantics = args.semantics or cfg.get("semantics") or \
         ("finite" if g.final else "infinite")
     engine = args.engine or cfg.get("engine", "symbolic")

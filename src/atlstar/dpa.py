@@ -224,6 +224,9 @@ def parse_hoa(text):
     for sid in range(n_states):
         if sid not in states:
             raise HoaError(f"state {sid} missing from body")
+    for sid in (start, *(e.dest for st in states.values() for e in st.edges)):
+        if sid not in states:
+            raise HoaError(f"state {sid} is not declared")
 
     return HoaAutomaton(
         n_states=n_states, start=start, aps=aps, acc_name=acc_name,

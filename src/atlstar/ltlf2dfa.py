@@ -3,7 +3,7 @@
 The construction progresses the formula letter by letter: a translation
 state is the obligation on the unread suffix, canonicalized as a BDD over
 the temporal subformulas of the input.  The resulting automaton is then
-minimized with Hopcroft's partition refinement.  It reads either all
+minimized by Moore's partition refinement.  It reads either all
 2^|atoms| letters or, when a model is known, only the letters that the
 model's states carry.
 """
@@ -224,112 +224,77 @@ def translate(psi, labels=None):
     # a letter's progression is the same from every state, so it is built
     # once, and one compose memo per letter serves every state
     compose = pr.store._compose
-    steps = [(a, *pr.prog(a), {}) for a in letters]
+    steps = [(*pr.prog(a), {}) for a in letters]
 
     # state 0 is the pre-initial state (nothing read yet); progression is
-    # deterministic, so its states go straight to minimization
-    state_ids = {}  # obligation node -> state id (from 1)
-    nodes = []      # state id - 1 -> obligation node
-    delta = {}
-    frontier = [0]
-    while frontier:
-        s = frontier.pop()
-        for a, first, sub, memo in steps:
-            succ = first if s == 0 else compose(nodes[s - 1], sub, memo)
+    # deterministic, so its states go straight to minimization, as one
+    # successor row per state in letter order
+    nodes = [None]  # state id -> obligation node
+    state_ids = {}  # obligation node -> state id
+    rows = []
+    for s, node in enumerate(nodes):  # nodes grows while it is walked
+        row = []
+        for first, sub, memo in steps:
+            succ = first if s == 0 else compose(node, sub, memo)
             t = state_ids.get(succ)
             if t is None:
-                t = state_ids[succ] = len(nodes) + 1
+                t = state_ids[succ] = len(nodes)
                 nodes.append(succ)
-                frontier.append(t)
-            delta[(s, a)] = t
+            row.append(t)
+        rows.append(row)
     # the memos hold up to one entry per transition; free them before
     # minimization builds its own tables
-    del steps
+    del steps, state_ids
 
-    finals = {i + 1 for i, n in enumerate(nodes) if pr.accepting(n)}
-    if _empty_value(pr.core):
-        finals.add(0)
-    return _minimize(pr.atoms, letters, len(nodes) + 1, 0, delta, finals)
+    finals = [_empty_value(pr.core)] + [pr.accepting(n) for n in nodes[1:]]
+    return _minimize(pr.atoms, letters, rows, finals)
 
 
 # ---------------------------------------------------------------------------
-# Hopcroft minimization
+# Moore minimization
 
-def _minimize(atoms, letters, n, init, delta, finals):
-    """Minimal DFA of a total deterministic automaton over ``letters``,
-    numbered canonically: BFS from the initial block, letters ascending."""
-    part = _hopcroft(n, letters, delta, finals)
+def _refine(block, rows):
+    """One Moore pass: renumber the states by (own block, successor blocks
+    in letter order), in order of first appearance."""
+    ids = {}
+    return [ids.setdefault((b, *map(block.__getitem__, row)), len(ids))
+            for b, row in zip(block, rows)]
 
-    block_of = {}
-    for i, block in enumerate(part):
-        for s in block:
-            block_of[s] = i
-    order = []
-    number = {}
-    queue = [block_of[init]]
-    number[block_of[init]] = 0
-    order.append(block_of[init])
-    while queue:
-        b = queue.pop(0)
-        rep = min(part[b])
-        for a in letters:
-            tb = block_of[delta[(rep, a)]]
-            if tb not in number:
-                number[tb] = len(order)
-                order.append(tb)
-                queue.append(tb)
 
-    new_delta = {}
-    for b in order:
-        rep = min(part[b])
-        for a in letters:
-            new_delta[(number[b], a)] = number[block_of[delta[(rep, a)]]]
-    new_finals = frozenset(
-        number[b] for b in order if min(part[b]) in finals
-    )
+def _minimize(atoms, letters, rows, finals):
+    """Minimal DFA of the automaton whose state s reads ``letters[i]`` to
+    ``rows[s][i]``, with initial state 0 and ``finals[s]`` telling whether
+    s accepts; numbered canonically: BFS from the initial block, letters
+    ascending."""
+    ids = {}
+    block = [ids.setdefault(f, len(ids)) for f in finals]
+    while True:
+        # blocks are numbered by first appearance, so a pass that splits
+        # nothing returns the same list
+        finer = _refine(block, rows)
+        if finer == block:
+            break
+        block = finer
+
+    rep = {}  # block -> its lowest state
+    for s, b in enumerate(block):
+        rep.setdefault(b, s)
+    number = {block[0]: 0}
+    order = [block[0]]
+    for b in order:  # order grows while it is walked
+        for t in rows[rep[b]]:
+            if block[t] not in number:
+                number[block[t]] = len(order)
+                order.append(block[t])
     return Dfa(
         atoms=atoms,
         n_states=len(order),
         initial=0,
-        finals=new_finals,
-        delta=new_delta,
+        finals=frozenset(number[b] for b in order if finals[rep[b]]),
+        delta={(number[b], a): number[block[t]]
+               for b in order for a, t in zip(letters, rows[rep[b]])},
         alphabet=letters,
     )
-
-
-def _hopcroft(n, letters, delta, finals):
-    """Return the coarsest congruence as a list of state sets."""
-    preds = {a: [[] for _ in range(n)] for a in letters}
-    for (s, a), t in delta.items():
-        preds[a][t].append(s)
-
-    finals = set(finals)
-    nonfinals = set(range(n)) - finals
-    part = [s for s in (finals, nonfinals) if s]
-    work = [s.copy() for s in part]
-    while work:
-        splitter = work.pop()
-        for a in letters:
-            x = {p for t in splitter for p in preds[a][t]}
-            if not x:
-                continue
-            new_part = []
-            for block in part:
-                inter = block & x
-                diff = block - x
-                if inter and diff:
-                    new_part.append(inter)
-                    new_part.append(diff)
-                    if block in work:
-                        work.remove(block)
-                        work.append(inter)
-                        work.append(diff)
-                    else:
-                        work.append(min(inter, diff, key=len))
-                else:
-                    new_part.append(block)
-            part = new_part
-    return part
 
 
 # ---------------------------------------------------------------------------

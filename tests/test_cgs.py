@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from atlstar import bench
 from atlstar import cgs
 from atlstar import formula as fm
 from atlstar import ltlf2dfa
@@ -170,6 +171,15 @@ def test_expand_matches_the_parser():
     assert expand_basic() == cgs.parse_model(BASIC)
 
 
+def test_equal_label_rows_are_one_object():
+    g = bench.build_model("counter", {"cap": "3", "steps": "3"})
+    parsed = cgs.parse_model(g.to_text())
+    assert parsed == g
+    for h in (g, parsed):
+        # 16 states carry 4 distinct rows, held as 4 objects
+        assert len(set(h.labels)) == len({id(r) for r in h.labels}) == 4
+
+
 EXPAND_ERRORS = {
     "duplicate agent names": dict(agents=["a", "a"]),
     "duplicate atoms": dict(atoms=["p", "p"]),
@@ -248,10 +258,11 @@ def test_labels_inverted():
 
 
 def symbolic_reachable(sg):
-    """Least fixpoint of the post-image of ``delta`` from ``init``."""
+    """Least fixpoint of the post-image of ``delta`` from the initial
+    state."""
     st = sg.store
     quantified = list(sg.q.vars) + cgs.all_action_vars(sg)
-    r = frontier = sg.init
+    r = frontier = st.cube(sg.q, sg.g.initial)
     while not frontier.is_false():
         img = st.and_exists(frontier, sg.delta, quantified)
         img = st.rename(img, sg.q_next, sg.q)

@@ -132,6 +132,20 @@ def test_unknown_config_key(line, model_file, tmp_path, capsys):
         "known: semantics, engine, tools"]
 
 
+def test_config_is_read_before_the_model(tmp_path, capsys):
+    # a bad config key is reported without parsing the model first
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("engin=explicit\n")
+    model = tmp_path / "broken.cgs"
+    model.write_text("agents: a\nthis is not CGSL\n")
+    rc = cli.main(["check", str(model), "<<a>> F p", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_USAGE
+    assert err.splitlines() == [
+        f"error: {cfg}:1: unknown config key 'engin'; "
+        "known: semantics, engine, tools"]
+
+
 def test_config_tools_key(model_file, tmp_path, capsys):
     # tools are |-separated translator commands, each one raced
     cfg = tmp_path / "tools.cfg"

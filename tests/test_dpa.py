@@ -93,6 +93,24 @@ def test_parse_hoa_errors():
         )  # state 1 missing
 
 
+def test_parse_hoa_rejects_undeclared_states(tmp_path):
+    dangling_edge = TRANS_PARITY.replace("[0] 0 {0}", "[0] 5 {0}", 1)
+    with pytest.raises(dp.HoaError, match="state 5 is not declared"):
+        dp.parse_hoa(dangling_edge)
+    with pytest.raises(dp.HoaError, match="state 7 is not declared"):
+        dp.parse_hoa(TRANS_PARITY.replace("Start: 0", "Start: 7"))
+    # in a race, a tool that prints such an automaton loses
+    bad_file = tmp_path / "bad.hoa"
+    bad_file.write_text(dangling_edge)
+    good_file = tmp_path / "good.hoa"
+    good_file.write_text(TRANS_PARITY)
+    bad = _script(tmp_path, "bad.sh", f'cat "{bad_file}"\n')
+    good = _script(tmp_path, "good.sh", f'sleep 0.2; cat "{good_file}"\n')
+    res = dp.race_translate(fm.parse_formula("G F p"), [bad, good],
+                            timeout=10)
+    assert "good.sh" in res.tool
+
+
 def test_transition_based_to_state_based_preserves_language():
     d = dp.hoa_to_dpa(dp.parse_hoa(TRANS_PARITY))
     assert d.polarity == "min even"

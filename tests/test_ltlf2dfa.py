@@ -161,3 +161,24 @@ def test_progression_runs_once_per_letter(monkeypatch):
         letters = len(dfa.letters())
         assert dfa.n_states > 2
         assert len(calls) <= letters * (len(obligations) + 1)
+
+
+def test_minimization_passes_follow_the_distinguishing_depth(monkeypatch):
+    # G (p0 -> X^k p1) remembers the last k readings of p0: 2^k + 1
+    # states, and two of them may first differ k letters ahead, so Moore
+    # refinement splits for k passes and the (k + 1)-th finds nothing new
+    passes = []
+    real = ltlf2dfa._refine
+
+    def counting(block, rows):
+        passes.append(len(block))
+        return real(block, rows)
+
+    monkeypatch.setattr(ltlf2dfa, "_refine", counting)
+    for k in range(2, 9):
+        passes.clear()
+        text = "G (p0 -> " + "X " * k + "p1)"
+        dfa = ltlf2dfa.translate(fm.parse_formula(text))
+        assert dfa.n_states == 2 ** k + 1, text
+        assert len(passes) == k + 1, text
+        assert_minimal(dfa, text)
