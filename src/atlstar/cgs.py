@@ -368,35 +368,33 @@ def bits_for(n):
     return (n - 1).bit_length()
 
 
-def action_block_name(agent):
-    return f"a_{agent}"
+def action_block_name(i):
+    """Name of the action block of the ``i``-th agent.  Blocks are named
+    by position, so no agent name can collide with a block name."""
+    return f"a{i}"
 
 
-def store_blocks(g, automaton_bits, game=False):
+def store_blocks(g, automaton_bits):
     """Block layout for a store hosting this model plus an automaton.
 
-    Current/next pairs are adjacent so the store interleaves them; the
-    automaton block follows the model state block and action blocks come
-    last.  With ``game=True`` a vertex-layer bit and primed action blocks
-    are added for parity-game edge relations.
+    Every block has a primed partner, which the store interleaves with
+    it: the vertex-layer bit of parity arenas, the model state, the
+    automaton state and each agent's action.  The layer bit comes first,
+    the automaton block follows the model state block and action blocks
+    come last.  A layout serves both semantics: variables a product does
+    not use make no nodes.
     """
-    blocks = []
-    if game:
-        blocks += [("l", 1), ("l'", 1)]
     nq = bits_for(len(g.states))
-    blocks += [("q", nq), ("q'", nq)]
-    blocks += [("s", automaton_bits), ("s'", automaton_bits)]
-    for a in g.agents:
-        na = bits_for(len(g.actions[a]))
-        blocks.append((action_block_name(a), na))
-        if game:
-            blocks.append((action_block_name(a) + "'", na))
+    blocks = [("l", 1), ("l'", 1), ("q", nq), ("q'", nq),
+              ("s", automaton_bits), ("s'", automaton_bits)]
+    for i, a in enumerate(g.agents):
+        name, na = action_block_name(i), bits_for(len(g.actions[a]))
+        blocks += [(name, na), (name + "'", na)]
     return blocks
 
 
-def make_store(g, automaton_bits, game=False, byte_budget=256 * 1024 * 1024):
-    return new_store(store_blocks(g, automaton_bits, game=game),
-                     byte_budget=byte_budget)
+def make_store(g, automaton_bits, byte_budget=256 * 1024 * 1024):
+    return new_store(store_blocks(g, automaton_bits), byte_budget=byte_budget)
 
 
 @dataclass
@@ -439,9 +437,9 @@ def encode_symbolic(g, store, reachable=None):
             f"store too small: {len(q.vars)} state bits, need {nq}"
         )
     action_blocks = {}
-    for a in g.agents:
+    for i, a in enumerate(g.agents):
         try:
-            blk = store.block(action_block_name(a))
+            blk = store.block(action_block_name(i))
         except KeyError:
             raise CgsError(f"store lacks action block for agent {a}")
         if len(blk.vars) < bits_for(len(g.actions[a])):
@@ -492,6 +490,17 @@ def coalition_actions(sg, coalition):
         vars_.extend(sg.action_blocks[a].vars)
         act = act & sg.action_valid[a]
     return vars_, act
+
+
+def coalition_moves(sg, coalition):
+    """The coalition's action vars, their availability BDD and its move
+    relation over (q, coalition actions, q'): the successors that some
+    response of the other agents yields.  ``delta`` holds valid joint
+    actions only, so the response needs no availability filter."""
+    vars_, avail = coalition_actions(sg, coalition)
+    others = [v for a in sg.g.agents if a not in coalition
+              for v in sg.action_blocks[a].vars]
+    return vars_, avail, sg.store.exists(others, sg.delta)
 
 
 def audit_determinism(sg):

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 the property holds (or the command succeeded), 1 it does
-not hold, 2 usage or input errors, 3 resource limits hit.
+not hold, 2 usage or input errors, 3 resource limits hit, 4 an internal
+error (a fault of the program, reported in one line).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ EXIT_HOLDS = 0
 EXIT_NOT_HOLDS = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 CONFIG_KEYS = ("semantics", "engine", "tools")
@@ -207,6 +209,15 @@ def main(argv=None):
             infinite_mc.InfiniteMcError) as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return EXIT_RESOURCE
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
+    except Exception as e:
+        # no exit code of a verdict may stand for a fault of the program
+        message = " ".join(str(e).splitlines())
+        print(f"internal error: {type(e).__name__}: {message}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -4,10 +4,10 @@ Automata come either from external translator tools speaking the HOA v1
 format (run as a race, first valid output wins) or, when no tool is
 configured, from a built-in fallback covering the safety / co-safety
 fragments plus the propositional response pattern G(a -> F b); both
-routes meet in ``obtain_dpa``.  Transition-based acceptance is converted
-to state-based priorities and polarity is normalized to min-even:
-coalition-accepting runs are exactly those whose minimal recurring
-priority is even.
+routes meet in ``obtain_dpa``.  Every automaton is state-based and
+min-even: a run is accepting exactly when its minimal recurring priority
+is even.  A HOA automaton's acceptance marks are mapped to such
+priorities on input, and transition-based marks become state-based.
 """
 
 from __future__ import annotations
@@ -245,8 +245,7 @@ class Dpa:
     n_states: int
     initial: int
     delta: dict              # (state, letter mask) -> state
-    priority: dict           # state -> non-negative int
-    polarity: str = "min even"   # acceptance convention for this priority map
+    priority: dict           # state -> non-negative int, min even
 
     def letter(self, labels):
         return ltlf2dfa.letter_mask(self.atoms, labels)
@@ -271,32 +270,60 @@ class Dpa:
             pos += 1
         start = seen[(s, pos % len(loop))]
         recurring = path[start:]
-        prios = [self.priority[q] for q in recurring]
-        kind, par = self.polarity.split()
-        rec = min(prios) if kind == "min" else max(prios)
-        return (rec % 2 == 0) == (par == "even")
+        return min(self.priority[q] for q in recurring) % 2 == 0
 
 
-def state_based_priorities(hoa):
-    """Convert a parity HOA automaton to a state-based Dpa.
+def _mark_priority(hoa):
+    """The min-even priority of an edge, as a function of its marks.
+
+    Each acceptance mark maps to a priority whose parity tells whether
+    the mark accepts; an edge takes the least priority of its marks.
+    Under min parity a mark keeps its rank and an unmarked edge ranks
+    below every mark.  Under max parity the order flips, mark m mapping
+    to K - m for a K >= k of the accepting parity, and an unmarked edge
+    still ranks below every mark.  Büchi is min even with one set and
+    co-Büchi min odd with one set.
+    """
+    name = hoa.acc_name
+    if name[:1] == ("Buchi",):
+        kind, par, k = "min", "even", 1
+    elif name[:1] in (("co-Buchi",), ("coBuchi",)):
+        kind, par, k = "min", "odd", 1
+    elif name[:1] == ("parity",):
+        if (len(name) != 4 or name[1] not in ("min", "max")
+                or name[2] not in ("even", "odd") or not name[3].isdigit()):
+            raise HoaError(f"malformed parity acc-name: {' '.join(name)}")
+        kind, par, k = name[1], name[2], int(name[3])
+    else:
+        raise HoaError(
+            f"unsupported acceptance family: {name or hoa.acceptance!r}")
+    if kind == "min":
+        shift = 0 if par == "even" else 1
+        mapped, unmarked = (lambda m: m + shift), k + shift
+    else:
+        top = k if k % 2 == (par == "odd") else k + 1
+        mapped, unmarked = (lambda m: top - m), top + 1
+
+    def priority(marks):
+        for m in marks:
+            if not 0 <= m < k:
+                raise HoaError(f"acceptance mark {m} outside the {k} sets "
+                               f"of {' '.join(name)}")
+        return min(map(mapped, marks), default=unmarked)
+
+    return priority
+
+
+def hoa_to_dpa(hoa):
+    """Convert a parity, Büchi or co-Büchi HOA automaton to a state-based
+    min-even Dpa.
 
     Transition-based priorities are handled by splitting states per
     incoming priority class, which preserves the language (unlike a
     first-discovered assignment).  Unreachable states are dropped.
     """
-    polarity, k = _parity_polarity(hoa)
+    priority_of = _mark_priority(hoa)
     letters = list(hoa.alphabet())
-
-    # edge priority: explicit mark, else the state mark, else the neutral
-    # priority that cannot affect any acceptance decision
-    neutral = k if polarity.startswith("min") else 0
-
-    def edge_priority(state, edge):
-        if edge.acc_sets:
-            return min(edge.acc_sets)
-        if state.acc_sets:
-            return min(state.acc_sets)
-        return neutral
 
     def resolve(sid, letter):
         st = hoa.states[sid]
@@ -337,17 +364,15 @@ def state_based_priorities(hoa):
         key = order[i]
         sid, prio = key
         me = get_id(key)
-        if prio is None:
-            st = hoa.states[sid]
-            priority[me] = min(st.acc_sets) if st.acc_sets else neutral
-        else:
-            priority[me] = prio
+        st = hoa.states[sid]
+        priority[me] = priority_of(st.acc_sets) if prio is None else prio
         for a in letters:
             e = resolve(sid, a)
             if state_based:
                 tkey = (e.dest, None)
             else:
-                tkey = (e.dest, edge_priority(hoa.states[sid], e))
+                # a state's marks belong to each edge leaving it
+                tkey = (e.dest, priority_of(e.acc_sets + st.acc_sets))
             delta[(me, a)] = get_id(tkey)
         i += 1
 
@@ -357,72 +382,7 @@ def state_based_priorities(hoa):
         initial=0,
         delta=delta,
         priority=priority,
-        polarity=polarity,
     )
-
-
-def _parity_polarity(hoa):
-    """Extract ('min even'/'min odd'/'max even'/'max odd', k) from headers."""
-    name = hoa.acc_name
-    if name and name[0] == "parity":
-        if len(name) < 4:
-            raise HoaError(f"malformed parity acc-name: {name}")
-        return f"{name[1]} {name[2]}", int(name[3])
-    if name and name[0] == "Buchi":
-        return "buchi", 1
-    if name and name[0] in ("co-Buchi", "coBuchi"):
-        return "co-buchi", 1
-    raise HoaError(
-        f"unsupported acceptance family: {name or hoa.acceptance!r}"
-    )
-
-
-def hoa_to_dpa(hoa):
-    """Full pipeline: state-based priorities, then min-even normal form."""
-    polarity, _ = _parity_polarity(hoa)
-    if polarity == "buchi":
-        d = state_based_priorities(_as_parity(hoa, "min even"))
-        # acc set 0 = Buchi accepting: visited infinitely often
-        prio = {s: (0 if p == 0 else 1) for s, p in d.priority.items()}
-        return Dpa(d.atoms, d.n_states, d.initial, d.delta, prio, "min even")
-    if polarity == "co-buchi":
-        d = state_based_priorities(_as_parity(hoa, "min even"))
-        prio = {s: (1 if p == 0 else 2) for s, p in d.priority.items()}
-        return Dpa(d.atoms, d.n_states, d.initial, d.delta, prio, "min even")
-    return normalize_acceptance(state_based_priorities(hoa))
-
-
-def _as_parity(hoa, polarity):
-    kind, par = polarity.split()
-    return HoaAutomaton(
-        n_states=hoa.n_states, start=hoa.start, aps=hoa.aps,
-        acc_name=("parity", kind, par, "2"), acceptance=hoa.acceptance,
-        properties=hoa.properties, states=hoa.states,
-    )
-
-
-def normalize_acceptance(d):
-    """Rewrite priorities so acceptance means: minimal recurring is even."""
-    if d.polarity == "min even":
-        return d
-    prios = d.priority
-    if not prios:
-        return d
-    top = max(prios.values())
-    kind, par = d.polarity.split()
-    if kind == "max":
-        # flip max to min; parity of each priority flips iff top is odd
-        new = {s: top - p for s, p in prios.items()}
-        par = par if top % 2 == 0 else ("odd" if par == "even" else "even")
-    else:
-        new = dict(prios)
-    if par == "odd":
-        # uniform shift keeps relative order and swaps parity
-        if min(new.values()) >= 1:
-            new = {s: p - 1 for s, p in new.items()}
-        else:
-            new = {s: p + 1 for s, p in new.items()}
-    return Dpa(d.atoms, d.n_states, d.initial, d.delta, new, "min even")
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +401,6 @@ class SymbolicDpa:
 def encode_dpa(dpa, sg, model=None):
     """Symbolic DPA transition relation and priority map against a CGS;
     ``model`` is as for :func:`ltlf2dfa.encode_automaton`."""
-    if dpa.polarity != "min even":
-        raise DpaError("encode_dpa requires a min-even normalized automaton")
     s, sn, delta, states = ltlf2dfa.encode_automaton(dpa, sg, model)
     members = {}
     for q in range(dpa.n_states):
@@ -542,7 +500,7 @@ def fallback_translate(psi):
                 delta[(st, a)] = nxt
         return Dpa(
             atoms=atoms, n_states=2, initial=0, delta=delta,
-            priority={0: 0, 1: 1}, polarity="min even",
+            priority={0: 0, 1: 1},
         )
 
     if _is_cosafety(core):
@@ -550,15 +508,13 @@ def fallback_translate(psi):
         # infinitely often iff some good prefix exists
         d = ltlf2dfa.translate(psi)
         prio = {s: (0 if s in d.finals else 1) for s in range(d.n_states)}
-        return Dpa(d.atoms, d.n_states, d.initial, dict(d.delta), prio,
-                   "min even")
+        return Dpa(d.atoms, d.n_states, d.initial, dict(d.delta), prio)
 
     if _is_safety(core):
         # bad prefixes of psi = good prefixes of !psi, a co-safety formula
         d = ltlf2dfa.translate(fm.not_(psi))
         prio = {s: (1 if s in d.finals else 0) for s in range(d.n_states)}
-        return Dpa(d.atoms, d.n_states, d.initial, dict(d.delta), prio,
-                   "min even")
+        return Dpa(d.atoms, d.n_states, d.initial, dict(d.delta), prio)
 
     raise DpaError(
         "no external translator configured and the built-in fallback does "

@@ -163,9 +163,8 @@ def check(request=None, **kwargs):
         if sg is not None and len(sg.store.block("s")) >= bits:
             sg.store.release(encoding["mark"])
             return sg
-        store = cgsmod.make_store(
-            g, automaton_bits=bits, game=req.semantics == "infinite",
-            byte_budget=req.byte_budget)
+        store = cgsmod.make_store(g, automaton_bits=bits,
+                                  byte_budget=req.byte_budget)
         sg = cgsmod.encode_symbolic(g, store, reachable=reachable)
         encoding.update(sg=sg, mark=store.node_count())
         details["encodes"] += 1
@@ -203,7 +202,7 @@ def check(request=None, **kwargs):
         timings["encode"] += (t2 - t1) * 1000
         timings["build"] += (t3 - t2) * 1000
         timings["solve"] += (t4 - t3) * 1000
-        win = finite_mc.project_states(sg, sd, res.winning & prod.entry)
+        win = finite_mc.project_states(sg, res.winning & prod.entry)
         return win, {"rounds": res.iterations,
                      "automaton_states": dfa.n_states,
                      "nodes": sg.store.node_count()}

@@ -3,8 +3,11 @@
 For a strategic subformula <<A>> psi the path formula psi is translated
 to a DFA, the complement automaton is run in lockstep with the game
 structure, and the coalition wins from exactly the states where it can
-keep the product inside the safe region forever.  Everything here works
-on the symbolic encodings from ``cgs`` and ``ltlf2dfa``; an explicit
+keep the product inside the safe region forever.  The product space is
+every CGS state paired with every automaton state, as for the parity
+arenas of ``infinite_mc``; the product's reachable part is never
+computed.  Everything here works on the
+symbolic encodings from ``cgs`` and ``ltlf2dfa``; an explicit
 product construction is kept alongside as an independent baseline.
 """
 
@@ -23,7 +26,7 @@ class FiniteMcError(Exception):
 
 @dataclass
 class ProductSpace:
-    """Joint reachable space of a CGS and a symbolic DFA."""
+    """Safety-game arena of a CGS and a symbolic DFA."""
 
     sg: object
     sd: object
@@ -31,7 +34,8 @@ class ProductSpace:
     avail: object          # coalition action availability Bdd
     delta: object          # Bdd over (q, s, aA, q', s'): coalition moves only
     entry: object          # Bdd over (q, s): automaton state entered at q
-    reachable: object      # Bdd over (q, s)
+    reachable: object      # Bdd over (q, s): the whole arena, every
+                           # CGS state with every automaton state
     unsafe: object         # Bdd over (q, s): final CGS state, non-final DFA
 
 
@@ -52,42 +56,22 @@ def entry_relation(sg, sd):
 
 
 def build_product(sg, sd, coalition):
-    """Assemble the safety-game arena for a coalition against a DFA."""
-    store = sg.store
-    avars, avail = cgsmod.coalition_actions(sg, coalition)
-    ovars = [v for a in sg.g.agents if a not in coalition
-             for v in sg.action_blocks[a].vars]
+    """Assemble the safety-game arena for a coalition against a DFA.
 
-    # resolve opponent moves: the transition relation as seen by the
-    # coalition is the set of successors some opponent response yields
-    # (delta holds valid joint actions only, so no availability filter)
-    delta_g = store.exists(ovars, sg.delta)
-    delta = delta_g & sd.delta
-
-    entry = entry_relation(sg, sd)
-
-    # product reachability from the entry points of all reachable states
-    frontier = sg.reach & entry
-    reach = frontier
-    qs = sg.q.vars + sd.s.vars
-    step = store.exists(avars, delta & avail)
-    while True:
-        # no operation is in flight between iterations
-        store.trim_cache()
-        img = store.and_exists(frontier, step, qs)
-        img = store.rename(img, [sg.q_next, sd.s_next], [sg.q, sd.s])
-        nxt = reach | img
-        if nxt == reach:
-            break
-        frontier = img & ~reach
-        reach = nxt
-
+    The arena pairs every CGS state with every automaton state, as the
+    parity arena of ``infinite_mc`` does.  Whether a state is winning
+    depends only on the states reachable from it, so on the entry points
+    of reachable states the safety fixpoint over this arena agrees with
+    the fixpoint over the part reachable from them.
+    """
+    avars, avail, moves = cgsmod.coalition_moves(sg, coalition)
     # unsafe: the trace may stop here (final CGS state) with the
     # complement automaton accepting, i.e. the DFA for psi rejecting
     unsafe = sg.final & sd.valid & ~sd.finals
     return ProductSpace(
-        sg=sg, sd=sd, action_vars=avars, avail=avail, delta=delta,
-        entry=entry, reachable=reach, unsafe=unsafe,
+        sg=sg, sd=sd, action_vars=avars, avail=avail,
+        delta=moves & sd.delta, entry=entry_relation(sg, sd),
+        reachable=sg.valid & sd.valid, unsafe=unsafe,
     )
 
 
@@ -138,14 +122,16 @@ def game_solving(sg, psi, coalition, dfa=None):
     sd = ltlf2dfa.encode_dfa(dfa, sg)
     prod = build_product(sg, sd, coalition)
     res = solve_safety(prod)
-    return project_states(sg, sd, res.winning & prod.entry)
+    return project_states(sg, res.winning & prod.entry)
 
 
-def project_states(sg, sd, win):
-    """CGS states whose product entry point lies in the winning region."""
+def project_states(sg, win):
+    """Reachable CGS states ``q`` for which some assignment to every
+    other variable of the store satisfies ``win``."""
     store = sg.store
-    states = store.exists(sd.s.vars, win) & sg.valid
-    return set(store.minterms(states, sg.q))
+    q = set(sg.q.vars)
+    states = store.exists([v for v in range(store.nvars) if v not in q], win)
+    return set(store.minterms(states & sg.reach, sg.q))
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,8 @@ def parse_pgsolver(text):
         v, p, o = int(parts[0]), int(parts[1]), int(parts[2])
         if o not in (0, 1):
             raise InfiniteMcError(f"vertex {v}: owner must be 0 or 1")
+        if v in owner:
+            raise InfiniteMcError(f"vertex {v} is declared twice")
         owner[v] = o
         priority[v] = p
         succ[v] = [int(x) for x in parts[3].split(",")]
@@ -325,25 +327,25 @@ def _zero(store, block):
 def build_game(sg, sdpa, coalition):
     """Parity-game arena for a coalition against a min-even DPA.
 
-    The store must have been created with ``game=True`` so the layer bit
-    and primed action blocks exist.  Coalition positions carry action
-    value 0 as a normal form; priorities come from the automaton state
-    on both layers.
+    Vertices pair every CGS state with every automaton state, the space
+    of ``finite_mc.build_product`` too, on two layers told apart by the
+    store's layer bit.  A coalition vertex
+    (layer 0) moves to the opponent vertex (layer 1) that holds its
+    chosen action, and the opponents' response leads back to layer 0;
+    every store has the layer bit and the primed action blocks these
+    edges need.  Coalition positions carry action value 0 as a normal
+    form; priorities come from the automaton state on both layers.
     """
     st = sg.store
     coalition = tuple(coalition)
-    try:
-        l = st.block("l")
-        lp = st.block("l'")
-    except KeyError:
-        raise InfiniteMcError("store lacks game blocks; build with game=True")
+    l = st.block("l")
+    lp = st.block("l'")
 
-    members = [a for a in sg.g.agents if a in set(coalition)]
-    ablocks = [st.block(cgsmod.action_block_name(a)) for a in members]
-    apblocks = [st.block(cgsmod.action_block_name(a) + "'") for a in members]
-    avars, avail = cgsmod.coalition_actions(sg, coalition)
-    ovars = [v for a in sg.g.agents if a not in coalition
-             for v in sg.action_blocks[a].vars]
+    members = [(i, a) for i, a in enumerate(sg.g.agents) if a in coalition]
+    ablocks = [sg.action_blocks[a] for _, a in members]
+    apblocks = [st.block(cgsmod.action_block_name(i) + "'")
+                for i, _ in members]
+    _, avail, moves = cgsmod.coalition_moves(sg, coalition)
 
     layer0 = ~st.var(l.vars[0])
     layer1 = st.var(l.vars[0])
@@ -361,18 +363,11 @@ def build_game(sg, sdpa, coalition):
 
     eq_q = _block_eq(st, sg.q, st.block("q'"))
     eq_s = _block_eq(st, sdpa.s, st.block("s'"))
-    eq_a = st.big_and([_block_eq(st, b, bp)
-                       for b, bp in zip(ablocks, apblocks)]) \
-        if ablocks else st.true
 
     # coalition picks an available joint action; position data unchanged
     e0 = v0 & layer1p & eq_q & eq_s & avail_p
     # opponents respond; the automaton reads the successor's label
-    # (delta holds valid joint actions only, so no availability filter)
-    move = st.exists(ovars, sg.delta) & sdpa.delta
-    e1 = v1 & layer0p & azero_p & move
-
-    # re-express e0 target actions: primed copy carries the chosen action
+    e1 = v1 & layer0p & azero_p & moves & sdpa.delta
     e = e0 | e1
 
     blocks = [(l, lp), (sg.q, st.block("q'")), (sdpa.s, st.block("s'"))]
@@ -507,13 +502,8 @@ def winning_states(sg, sdpa, coalition, game=None):
     Zielonka on ``game`` (built here when not given)."""
     if game is None:
         game = build_game(sg, sdpa, coalition)
-    st = sg.store
     w0, _ = solve_symbolic_zielonka(game)
-
     # a state's position vertex holds the automaton state entered on
     # its own label
-    pos = w0 & game.v0 & finite_mc.entry_relation(sg, sdpa) & sg.reach
-    other_vars = [x for b, _ in game.blocks if b is not sg.q
-                  for x in b.vars]
-    states = st.exists(other_vars, pos)
-    return set(st.minterms(states & sg.valid, sg.q))
+    return finite_mc.project_states(
+        sg, w0 & game.v0 & finite_mc.entry_relation(sg, sdpa))

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from atlstar import cli
+from atlstar import driver
 from atlstar import ltlf2dfa
 
 
@@ -256,6 +257,71 @@ def test_solve_game_bad_successor(tmp_path, capsys):
     assert rc == cli.EXIT_USAGE
     assert "bad successor 5" in err
     assert "Traceback" not in err
+
+
+def test_solve_game_rejects_a_repeated_vertex(tmp_path, capsys):
+    game = tmp_path / "game.gm"
+    # without its second line vertex 0 loses; no line may overwrite another
+    game.write_text("parity 1;\n0 1 0 1;\n1 2 1 0;\n0 0 1 0;\n")
+    rc = cli.main(["solve-game", str(game)])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert "vertex 0 is declared twice" in captured.err
+
+
+# agent x' is no primed copy of agent x
+PRIMED_AGENT_MODEL = """
+agents: x x'
+atoms: p
+states: s0 s1
+initial: s0
+final: s1
+actions x: a b
+actions x': a b
+label s1: p
+trans s0 (a,a) -> s1
+trans s0 (a,b) -> s1
+trans s0 (b,a) -> s0
+trans s0 (b,b) -> s0
+trans s1 (a,a) -> s1
+trans s1 (a,b) -> s0
+trans s1 (b,a) -> s1
+trans s1 (b,b) -> s0
+"""
+
+
+@pytest.mark.parametrize("semantics", ["finite", "infinite"])
+def test_agent_names_cannot_collide_with_store_blocks(semantics, tmp_path,
+                                                      capsys):
+    f = tmp_path / "primed.cgs"
+    f.write_text(PRIMED_AGENT_MODEL)
+    answers = []
+    for engine in ("symbolic", "explicit"):
+        rc = cli.main(["check", str(f), "<<x>> G F p", "--json",
+                       "--semantics", semantics, "--engine", engine])
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        assert rc in (cli.EXIT_HOLDS, cli.EXIT_NOT_HOLDS), err
+        answers.append((rc, json.loads(out)["states"]))
+    assert answers[0] == answers[1]
+
+
+@pytest.mark.parametrize("error, code, line", [
+    (RuntimeError("broken\ninvariant"), 4,
+     "internal error: RuntimeError: broken invariant"),
+    (MemoryError(), cli.EXIT_RESOURCE, "resource limit: out of memory"),
+], ids=["internal", "memory"])
+def test_unexpected_errors_keep_the_exit_code_contract(
+        error, code, line, model_file, monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(driver, "check", failing)
+    rc = cli.main(["check", model_file, "<<a>> F goal"])
+    err = capsys.readouterr().err
+    assert rc == code
+    assert err.splitlines() == [line]
 
 
 RABIN_HOA = """HOA: v1

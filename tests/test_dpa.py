@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import stat
 
 import pytest
@@ -113,23 +114,97 @@ def test_parse_hoa_rejects_undeclared_states(tmp_path):
 
 def test_transition_based_to_state_based_preserves_language():
     d = dp.hoa_to_dpa(dp.parse_hoa(TRANS_PARITY))
-    assert d.polarity == "min even"
     for pre, loop in lassos(2, 2, 2):
         assert d.accepts_lasso(pre, loop) == gfp_truth(pre, loop), (pre, loop)
 
 
 def test_max_odd_normalized_to_min_even():
     d = dp.hoa_to_dpa(dp.parse_hoa(MAX_ODD))
-    assert d.polarity == "min even"
     for pre, loop in lassos(2, 2, 2):
         assert d.accepts_lasso(pre, loop) == gfp_truth(pre, loop), (pre, loop)
 
 
 def test_buchi_accepted_as_parity():
     d = dp.hoa_to_dpa(dp.parse_hoa(BUCHI))
-    assert d.polarity == "min even"
     for pre, loop in lassos(2, 2, 2):
         assert d.accepts_lasso(pre, loop) == gfp_truth(pre, loop), (pre, loop)
+
+
+# acc-name -> acceptance condition as HOA spells it out: every parity
+# condition with 2 and 3 sets, Büchi and co-Büchi
+ACCEPTANCE = {
+    "parity min even 2": "Inf(0) | Fin(1)",
+    "parity min odd 2": "Fin(0) & Inf(1)",
+    "parity max even 2": "Fin(1) & Inf(0)",
+    "parity max odd 2": "Inf(1) | Fin(0)",
+    "parity min even 3": "Inf(0) | (Fin(1) & Inf(2))",
+    "parity min odd 3": "Fin(0) & (Inf(1) | Fin(2))",
+    "parity max even 3": "Inf(2) | (Fin(1) & Inf(0))",
+    "parity max odd 3": "Fin(2) & (Inf(1) | Fin(0))",
+    "Buchi": "Inf(0)",
+    "co-Buchi": "Fin(0)",
+}
+
+
+def condition_holds(condition, marks):
+    """Truth of a HOA acceptance condition when exactly ``marks`` recur."""
+    expr = re.sub(r"(Inf|Fin)\((\d+)\)",
+                  lambda m: f"({m[2]} {'in' if m[1] == 'Inf' else 'not in'} "
+                            "marks)", condition)
+    expr = expr.replace("&", " and ").replace("|", " or ")
+    return eval(expr, {"marks": marks})
+
+
+def follow_p_hoa(name, n_sets, condition, marks):
+    """Two states; reading p leads to state 1 and !p to state 0.  The
+    edges (0, p), (0, !p), (1, p), (1, !p) carry ``marks`` in order."""
+    lines = ["HOA: v1", "States: 2", "Start: 0", 'AP: 1 "p"',
+             f"acc-name: {name}", f"Acceptance: {n_sets} {condition}",
+             "--BODY--"]
+    edges = iter(marks)
+    for state in (0, 1):
+        lines.append(f"State: {state}")
+        for label, dest in (("0", 1), ("!0", 0)):
+            m = next(edges)
+            acc = " {" + " ".join(map(str, m)) + "}" if m else ""
+            lines.append(f"  [{label}] {dest}{acc}")
+    return "\n".join(lines + ["--END--"]) + "\n"
+
+
+def follow_p_accepts(condition, marks, prefix, loop):
+    """The HOA run of ``follow_p_hoa`` on prefix . loop^omega, judged
+    by ``condition`` on the marks of its recurring edges."""
+    state = 0
+    for a in prefix:
+        state = a & 1
+    seen, edges, pos = {}, [], 0
+    while (state, pos) not in seen:
+        seen[(state, pos)] = len(edges)
+        edges.append(2 * state + 1 - (loop[pos] & 1))
+        state, pos = loop[pos] & 1, (pos + 1) % len(loop)
+    recurring = edges[seen[(state, pos)]:]
+    return condition_holds(condition, {m for e in recurring for m in marks[e]})
+
+
+@pytest.mark.parametrize("name", sorted(ACCEPTANCE))
+def test_acceptance_marks_keep_the_hoa_language(name):
+    # unmarked edges and edges with two marks, under each polarity
+    condition = ACCEPTANCE[name]
+    n_sets = int(name[-1]) if name[-1].isdigit() else 1
+    top = n_sets - 1
+    options = [(), (0,), (top,), (0, top)] if top else [(), (0,)]
+    for marks in itertools.product(options, repeat=4):
+        hoa = follow_p_hoa(name, n_sets, condition, marks)
+        d = dp.hoa_to_dpa(dp.parse_hoa(hoa))
+        for pre, loop in lassos(2, 2, 2):
+            assert d.accepts_lasso(pre, loop) == \
+                follow_p_accepts(condition, marks, pre, loop), \
+                (marks, pre, loop)
+
+
+def test_marks_outside_the_acceptance_sets_are_rejected():
+    with pytest.raises(dp.HoaError, match="mark 2 outside the 2 sets"):
+        dp.hoa_to_dpa(dp.parse_hoa(TRANS_PARITY.replace("{1}", "{2}")))
 
 
 def semantic_lasso(psi, atoms, prefix, loop):
@@ -234,7 +309,6 @@ def test_fallback_rejects_uncovered():
 def test_obtain_dpa_builtin():
     d, tool = dp.obtain_dpa(fm.parse_formula("G p"))
     assert tool == "builtin"
-    assert d.polarity == "min even"
 
 
 def _script(tmp_path, name, body):

@@ -214,7 +214,7 @@ def test_symbolic_pipeline_matches_explicit_on_random_models():
         for text in PATH_FORMULAS:
             psi = fm.parse_formula(text)
             dpa, _ = dp.obtain_dpa(psi)
-            store = cgs.make_store(g, cgs.bits_for(dpa.n_states), game=True)
+            store = cgs.make_store(g, cgs.bits_for(dpa.n_states))
             sg = cgs.encode_symbolic(g, store)
             sdpa = dp.encode_dpa(dpa, sg)
             for coal in ((), ("a",), ("a", "b")):
@@ -232,7 +232,7 @@ def test_pre_exists_lies_within_the_vertices():
     for text in PATH_FORMULAS:
         g = random_model(rng, rng.randint(2, 6))
         dpa, _ = dp.obtain_dpa(fm.parse_formula(text))
-        store = cgs.make_store(g, cgs.bits_for(dpa.n_states), game=True)
+        store = cgs.make_store(g, cgs.bits_for(dpa.n_states))
         sg = cgs.encode_symbolic(g, store)
         sdpa = dp.encode_dpa(dpa, sg)
         for coal in ((), ("a",), ("a", "b")):
