@@ -5,6 +5,13 @@ blocks (e.g. current/next state bits, per-agent action bits).  Functions
 are canonical: two handles in the same store are equal iff they denote
 the same Boolean function.  The store is single-threaded; handles must
 not be mixed across stores.
+
+Conjunction, disjunction and difference have dedicated node-level
+kernels (``_and``, ``_or``, ``_diff``) that recurse on two operands.
+They share the one computed table with ``_ite``: each result is keyed
+by the ite triple it equals, commutative operands ordered, following
+Brace, Rudell & Bryant, "Efficient implementation of a BDD package"
+(DAC 1990).
 """
 
 from __future__ import annotations
@@ -137,11 +144,15 @@ class BddStore:
         self._lo = [0, 1]
         self._hi = [0, 1]
         self._unique = {}
-        # the computed table: ite results keyed by their operands, and a
-        # memo per quantified variable set and per renaming, keyed by
+        # the computed table: ite results keyed by their operands (the
+        # binary kernels' results under their ite triples), and a memo
+        # per quantified variable set and per renaming, keyed by
         # operand nodes; entries outlive the call that made them
         self._ite_cache = {}
         self._memos = {}
+        # swaps of rename, by block lists; they name variables, not
+        # nodes, so they outlive release and trim_cache
+        self._renamings = {}
 
     # -- node layer -------------------------------------------------------
 
@@ -169,8 +180,14 @@ class BddStore:
             return h
         if g == h:
             return g
-        if g == TRUE and h == FALSE:
-            return f
+        # the triples of the binary kernels go to the kernels, so each
+        # such result has one normalised key
+        if h == FALSE:
+            return self._and(f, g)
+        if g == TRUE:
+            return self._or(f, h)
+        if g == FALSE:
+            return self._diff(h, f)
         key = (f, g, h)
         r = self._ite_cache.get(key)
         if r is not None:
@@ -184,14 +201,82 @@ class BddStore:
         self._ite_cache[key] = r
         return r
 
-    def _not(self, f):
-        return self._ite(f, FALSE, TRUE)
-
     def _and(self, f, g):
-        return self._ite(f, g, FALSE)
+        """f & g, cached as ite(min, max, FALSE)."""
+        if f == FALSE or g == FALSE:
+            return FALSE
+        if f == TRUE or f == g:
+            return g
+        if g == TRUE:
+            return f
+        if f > g:
+            f, g = g, f
+        key = (f, g, FALSE)
+        r = self._ite_cache.get(key)
+        if r is not None:
+            return r
+        var_, lo_, hi_ = self._var, self._lo, self._hi
+        vf, vg = var_[f], var_[g]
+        if vf == vg:
+            r = self._mk(vf, self._and(lo_[f], lo_[g]),
+                         self._and(hi_[f], hi_[g]))
+        elif vf < vg:
+            r = self._mk(vf, self._and(lo_[f], g), self._and(hi_[f], g))
+        else:
+            r = self._mk(vg, self._and(f, lo_[g]), self._and(f, hi_[g]))
+        self._ite_cache[key] = r
+        return r
 
     def _or(self, f, g):
-        return self._ite(f, TRUE, g)
+        """f | g, cached as ite(min, TRUE, max)."""
+        if f == TRUE or g == TRUE:
+            return TRUE
+        if f == FALSE or f == g:
+            return g
+        if g == FALSE:
+            return f
+        if f > g:
+            f, g = g, f
+        key = (f, TRUE, g)
+        r = self._ite_cache.get(key)
+        if r is not None:
+            return r
+        var_, lo_, hi_ = self._var, self._lo, self._hi
+        vf, vg = var_[f], var_[g]
+        if vf == vg:
+            r = self._mk(vf, self._or(lo_[f], lo_[g]),
+                         self._or(hi_[f], hi_[g]))
+        elif vf < vg:
+            r = self._mk(vf, self._or(lo_[f], g), self._or(hi_[f], g))
+        else:
+            r = self._mk(vg, self._or(f, lo_[g]), self._or(f, hi_[g]))
+        self._ite_cache[key] = r
+        return r
+
+    def _diff(self, f, g):
+        """f & ~g without building ~g, cached as ite(g, FALSE, f)."""
+        if f == FALSE or g == TRUE or f == g:
+            return FALSE
+        if g == FALSE:
+            return f
+        key = (g, FALSE, f)
+        r = self._ite_cache.get(key)
+        if r is not None:
+            return r
+        var_, lo_, hi_ = self._var, self._lo, self._hi
+        vf, vg = var_[f], var_[g]
+        if vf == vg:
+            r = self._mk(vf, self._diff(lo_[f], lo_[g]),
+                         self._diff(hi_[f], hi_[g]))
+        elif vf < vg:
+            r = self._mk(vf, self._diff(lo_[f], g), self._diff(hi_[f], g))
+        else:
+            r = self._mk(vg, self._diff(f, lo_[g]), self._diff(f, hi_[g]))
+        self._ite_cache[key] = r
+        return r
+
+    def _not(self, f):
+        return self._diff(TRUE, f)
 
     # -- public constructors ---------------------------------------------
 
@@ -233,9 +318,9 @@ class BddStore:
             return Bdd(self, self._ite(a, b, c))
         a, b = self._check(f, g)
         if op == "and":
-            r = self._ite(a, b, FALSE)
+            r = self._and(a, b)
         elif op == "or":
-            r = self._ite(a, TRUE, b)
+            r = self._or(a, b)
         elif op == "xor":
             r = self._ite(a, self._not(b), b)
         elif op == "implies":
@@ -348,7 +433,7 @@ class BddStore:
         va, vb = var_[a], var_[b]
         if va > last and vb > last:
             # nothing left to quantify: a plain conjunction
-            return self._ite(a, b, FALSE)
+            return self._and(a, b)
         key = (a, b) if a <= b else (b, a)
         r = memo.get(key)
         if r is not None:
@@ -410,11 +495,20 @@ class BddStore:
         each interleaved pair); a node where it does not makes the whole
         swap composed instead.
         """
+        (a,) = self._check(f)
+        return Bdd(self, self._rename(a, self.renaming(from_block, to_block)))
+
+    def renaming(self, from_block, to_block):
+        """The swap of ``rename(f, from_block, to_block)`` and the key of
+        its memo, built once per store and pair of block lists."""
         if isinstance(from_block, VarBlock):
             from_block, to_block = [from_block], [to_block]
+        key = (tuple(from_block), tuple(to_block))
+        r = self._renamings.get(key)
+        if r is not None:
+            return r
         if len(from_block) != len(to_block):
             raise BddError("rename needs as many target blocks as sources")
-        (a,) = self._check(f)
         swap = {}
         for fb, tb in zip(from_block, to_block):
             if len(fb.vars) != len(tb.vars):
@@ -427,12 +521,20 @@ class BddStore:
                 swap[y] = x
         # a swap and its inverse are the same map, so priming and
         # unpriming share one memo
-        memo = self._memos.setdefault(("rename", frozenset(swap.items())), {})
+        r = self._renamings[key] = (swap, ("rename", frozenset(swap.items())))
+        return r
+
+    def _rename(self, a, renaming):
+        """Node a under a swap that :meth:`renaming` prepared."""
+        swap, key = renaming
+        memo = self._memos.get(key)
+        if memo is None:
+            memo = self._memos[key] = {}
         try:
-            return Bdd(self, self._relabel(a, swap, memo))
+            return self._relabel(a, swap, memo)
         except _OrderBroken:
             sub = {x: self._mk(y, FALSE, TRUE) for x, y in swap.items()}
-            return Bdd(self, self._compose(a, sub, {}))
+            return self._compose(a, sub, {})
 
     def _relabel(self, n, swap, memo):
         """Node n with each variable v renamed to swap.get(v, v).  Raises

@@ -7,7 +7,7 @@ import itertools
 from dataclasses import dataclass
 
 from .bdd import BddStore, new_store
-from .formula import FRESH_PREFIX
+from .formula import FRESH_PREFIX, is_agent_name, is_atom_name
 
 
 class CgsError(Exception):
@@ -105,6 +105,8 @@ def _validate_header(g):
     if not g.states:
         raise CgsError("at least one state required")
     for a in g.agents:
+        if not is_agent_name(a):
+            raise CgsError(f"agent name {a!r} cannot be written in a formula")
         if not g.actions.get(a):
             raise CgsError(f"agent {a} has no actions")
     if not 0 <= g.initial < len(g.states):
@@ -115,6 +117,8 @@ def _validate_header(g):
     for p in g.atoms:
         if p.startswith(FRESH_PREFIX) or p.startswith("__"):
             raise CgsError(f"atom {p!r} uses the reserved '__' prefix")
+        if not is_atom_name(p):
+            raise CgsError(f"atom name {p!r} cannot be written in a formula")
 
 
 def _n_joint(g):
@@ -471,13 +475,6 @@ def encode_symbolic(g, store, reachable=None):
     )
 
 
-def all_action_vars(sg):
-    out = []
-    for a in sg.g.agents:
-        out.extend(sg.action_blocks[a].vars)
-    return out
-
-
 def coalition_actions(sg, coalition):
     """Joint-action vars for a coalition and its availability BDD."""
     for a in coalition:
@@ -501,22 +498,3 @@ def coalition_moves(sg, coalition):
     others = [v for a in sg.g.agents if a not in coalition
               for v in sg.action_blocks[a].vars]
     return vars_, avail, sg.store.exists(others, sg.delta)
-
-
-def audit_determinism(sg):
-    """Check that each (state, joint action) has exactly one successor."""
-    st = sg.store
-    avs = all_action_vars(sg)
-    g = sg.g
-    for s in range(len(g.states)):
-        for j in g.joint_actions():
-            parts = [st.cube(sg.q, s)]
-            for i, a in enumerate(g.agents):
-                parts.append(st.cube(sg.action_blocks[a], j[i]))
-            row = st.big_and(parts) & sg.delta
-            succ = st.exists(list(sg.q.vars) + avs, row)
-            if len(st.minterms(succ, sg.q_next)) != 1:
-                raise CgsError(
-                    f"nondeterministic encoding at state {s}, action {j}"
-                )
-    return True

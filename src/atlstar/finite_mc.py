@@ -111,20 +111,6 @@ def solve_safety(prod):
         y = nxt
 
 
-def game_solving(sg, psi, coalition, dfa=None):
-    """States of the CGS from which the coalition can enforce psi.
-
-    Returns a set of explicit CGS state ids.  A pre-translated DFA can
-    be supplied to share work across calls.
-    """
-    if dfa is None:
-        dfa = ltlf2dfa.translate(psi)
-    sd = ltlf2dfa.encode_dfa(dfa, sg)
-    prod = build_product(sg, sd, coalition)
-    res = solve_safety(prod)
-    return project_states(sg, res.winning & prod.entry)
-
-
 def project_states(sg, win):
     """Reachable CGS states ``q`` for which some assignment to every
     other variable of the store satisfies ``win``."""

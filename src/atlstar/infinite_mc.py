@@ -219,17 +219,6 @@ def winning_states_explicit(g, dpa, coalition, reachable=None):
 # ---------------------------------------------------------------------------
 # PGSolver interchange format
 
-def write_pgsolver(game):
-    lines = [f"parity {game.n() - 1};"]
-    for v in range(game.n()):
-        ss = ",".join(str(w) for w in game.succ[v])
-        name = ""
-        if game.names:
-            name = f' "{game.names[v]}"'
-        lines.append(f"{v} {game.priority[v]} {game.owner[v]} {ss}{name};")
-    return "\n".join(lines) + "\n"
-
-
 def parse_pgsolver(text):
     owner, priority, succ, names = {}, {}, {}, {}
     for raw in text.splitlines():
@@ -300,17 +289,28 @@ class SymbolicParityGame:
             out.extend(bp.vars)
         return out
 
-    def prime(self, f):
-        return self.store.rename(f, [b for b, _ in self.blocks],
-                                 [bp for _, bp in self.blocks])
+    def __post_init__(self):
+        # the priming swap and the primed variable set, built once per
+        # arena for the pre-images
+        self._swap = self.store.renaming([b for b, _ in self.blocks],
+                                         [bp for _, bp in self.blocks])
+        self._primed = frozenset(self.primed_vars())
+        self._last = max(self._primed)
 
     def pre_exists(self, target, within=None):
         """Vertices with some edge into ``target``, among ``within`` when
         given; both arena builders give every edge a source in
         ``vertices``."""
-        e = self.e if within is None else self.e & within
-        return self.store.and_exists(e, self.prime(target),
-                                     self.primed_vars())
+        return Bdd(self.store, self._pre(
+            target.node, None if within is None else within.node))
+
+    def _pre(self, t, within=None):
+        """``pre_exists`` on node ids."""
+        st = self.store
+        e = self.e.node if within is None else st._and(self.e.node, within)
+        vs = self._primed
+        return st._and_exists(e, st._rename(t, self._swap), vs, self._last,
+                              st._quant_memo(vs))
 
 
 def _block_eq(store, b1, b2):
@@ -422,35 +422,33 @@ def _attractor(game, player, target, region):
     joins when it has an edge into the frontier, and an opponent vertex
     whose edge into the frontier makes it a candidate joins when it has
     no edge left into the rest of the region.  An opponent vertex that
-    stays out is a candidate again once its last escape joins.
+    stays out is a candidate again once its last escape joins.  The rest
+    of the region is kept up to date by taking each step's new vertices
+    out of it, and the attractor is the region without its rest.
     """
     st = game.store
-    and_, or_, not_ = st._and, st._or, st._not
+    and_, or_, diff = st._and, st._or, st._diff
     own, opp = (game.v1.node, game.v0.node) if player else \
         (game.v0.node, game.v1.node)
+    pre = game._pre
 
-    def pre(t, within=None):
-        if within is not None:
-            within = Bdd(st, within)
-        return game.pre_exists(Bdd(st, t), within).node
-
-    attr = frontier = target
+    frontier = target
+    rest = diff(region, target)
     steps = 0
     while frontier:
         steps += 1
         # no operation is in flight between steps
         st.trim_cache()
-        reach = and_(pre(frontier), and_(region, not_(attr)))
+        reach = and_(pre(frontier), rest)
         grab = and_(reach, own)
-        attr = or_(attr, grab)
+        rest = diff(rest, grab)
         cand = and_(reach, opp)
         if cand:
-            rest = and_(region, not_(attr))
-            forced = and_(cand, not_(pre(rest, cand))) if rest else cand
-            attr = or_(attr, forced)
+            forced = diff(cand, pre(rest, cand)) if rest else cand
+            rest = diff(rest, forced)
             grab = or_(grab, forced)
         frontier = grab
-    return attr, steps
+    return diff(region, rest), steps
 
 
 def solve_symbolic_zielonka(game):
@@ -467,7 +465,7 @@ def solve_symbolic_zielonka(game):
     ``game.rounds``.
     """
     st = game.store
-    and_, or_, not_ = st._and, st._or, st._not
+    and_, or_, diff = st._and, st._or, st._diff
     prios = sorted((p, s.node) for p, s in game.priorities.items())
     steps = 0
 
@@ -483,13 +481,13 @@ def solve_symbolic_zielonka(game):
             p, pset = next((p, s) for p, s in prios if and_(region, s))
             player = p % 2
             a = attractor(player, and_(region, pset), region)
-            lost = solve(and_(region, not_(a)))[1 - player]
+            lost = solve(diff(region, a))[1 - player]
             if not lost:
                 won[player] = or_(won[player], region)
                 break
             b = attractor(1 - player, lost, region)
             won[1 - player] = or_(won[1 - player], b)
-            region = and_(region, not_(b))
+            region = diff(region, b)
         return won
 
     w0, w1 = solve(game.vertices.node)

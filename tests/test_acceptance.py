@@ -22,6 +22,8 @@ from atlstar import formula as fm
 from atlstar import infinite_mc as imc
 from atlstar import ltlf2dfa
 
+import helpers
+
 
 def report(name, ok, elapsed, extra=""):
     status = "PASS" if ok else "FAIL"
@@ -77,7 +79,7 @@ def test_finite_engines_agree_on_random_models():
             psi = fm.parse_formula(text)
             dfa = dfas[text]
             coal = coalitions[(k + i) % len(coalitions)]
-            sym = fmc.game_solving(sg, psi, coal, dfa)
+            sym = helpers.game_solving(sg, psi, coal, dfa)
             exp = fmc.explicit_game_solving(g, psi, coal, dfa,
                                             product_cap=100000)
             assert sym == exp, (g.to_text(), text, coal)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atlstar.bdd import BddError, BudgetExceeded, VarBlock, new_store
+from atlstar.bdd import (FALSE, TRUE, Bdd, BddError, BudgetExceeded,
+                         VarBlock, new_store)
 
 
 def fresh(nvars=6):
@@ -67,6 +68,42 @@ def test_apply_matches_truth_tables():
             h = store.apply(op, f, g)
             assert truth_table(store, h, block.vars) == \
                 tuple(fn(a, b) for a, b in zip(tf, tg))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_binary_kernels_are_their_ite_triples(seed):
+    store = fresh(6)
+    block = store.block("x")
+    rng = random.Random(seed)
+    f, g = random_bdd(store, block, rng), random_bdd(store, block, rng)
+    a, b = f.node, g.node
+    tf = truth_table(store, f, block.vars)
+    tg = truth_table(store, g, block.vars)
+    kernels = [
+        (store._and, (a, b, FALSE), lambda x, y: x and y),
+        (store._or, (a, TRUE, b), lambda x, y: x or y),
+        (store._diff, (b, FALSE, a), lambda x, y: x and not y),
+    ]
+    for kernel, triple, fn in kernels:
+        r = kernel(a, b)
+        assert r == store._ite(*triple)
+        assert truth_table(store, Bdd(store, r), block.vars) == \
+            tuple(fn(x, y) for x, y in zip(tf, tg))
+    # one normalised entry per commutative pair: the swapped operands
+    # hit it and make nothing
+    for kernel, key in ((store._and, (min(a, b), max(a, b), FALSE)),
+                        (store._or, (min(a, b), TRUE, max(a, b)))):
+        r = kernel(a, b)
+        if a > 1 and b > 1 and a != b:
+            assert store._ite_cache[key] == r
+        entries, nodes = len(store._ite_cache), store.node_count()
+        assert kernel(b, a) == r
+        assert (len(store._ite_cache), store.node_count()) == \
+            (entries, nodes)
+    if a > 1 and b > 1 and a != b:
+        assert store._ite_cache[(b, FALSE, a)] == store._diff(a, b)
+    assert store.audit_reduced()
 
 
 def test_ite_terminal_cases():
@@ -203,6 +240,9 @@ def test_release_drops_exactly_the_nodes_after_the_mark(seed, before, after,
         # results that pair kept and new nodes, a quantification, a
         # relational product and a relabelling
         fs += [f ^ g for f, g in zip(kept, fs)]
+        # the binary kernels on kept and new nodes
+        fs += [h for f, g in zip(kept, fs[::-1])
+               for h in (f & g, f | g, Bdd(store, store._diff(f.node, g.node)))]
         fs.append(store.exists([block.vars[0]], fs[0]))
         fs.append(store.and_exists(fs[0], fs[-2], xp))
         fs.append(store.rename(store.exists(xp, fs[-3]), x, xp))

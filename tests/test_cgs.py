@@ -8,6 +8,8 @@ from atlstar import cgs
 from atlstar import formula as fm
 from atlstar import ltlf2dfa
 
+import helpers
+
 
 BASIC = """
 # a tiny two-agent arena
@@ -222,7 +224,7 @@ def test_symbolic_encoding_soundness():
         g = random_model(rng, rng.randint(1, 9))
         store = cgs.make_store(g, automaton_bits=2)
         sg = cgs.encode_symbolic(g, store)
-        cgs.audit_determinism(sg)
+        helpers.audit_determinism(sg)
         # every explicit transition is in delta, and nothing else
         import itertools
         for q in range(len(g.states)):
@@ -261,7 +263,7 @@ def symbolic_reachable(sg):
     """Least fixpoint of the post-image of ``delta`` from the initial
     state."""
     st = sg.store
-    quantified = list(sg.q.vars) + cgs.all_action_vars(sg)
+    quantified = list(sg.q.vars) + helpers.all_action_vars(sg)
     r = frontier = st.cube(sg.q, sg.g.initial)
     while not frontier.is_false():
         img = st.and_exists(frontier, sg.delta, quantified)

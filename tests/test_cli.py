@@ -270,7 +270,7 @@ def test_solve_game_rejects_a_repeated_vertex(tmp_path, capsys):
     assert "vertex 0 is declared twice" in captured.err
 
 
-# agent x' is no primed copy of agent x
+# agent x' is no primed copy of agent x, and no coalition can name it
 PRIMED_AGENT_MODEL = """
 agents: x x'
 atoms: p
@@ -296,15 +296,35 @@ def test_agent_names_cannot_collide_with_store_blocks(semantics, tmp_path,
                                                       capsys):
     f = tmp_path / "primed.cgs"
     f.write_text(PRIMED_AGENT_MODEL)
-    answers = []
     for engine in ("symbolic", "explicit"):
         rc = cli.main(["check", str(f), "<<x>> G F p", "--json",
                        "--semantics", semantics, "--engine", engine])
         out, err = capsys.readouterr()
         assert "Traceback" not in err
-        assert rc in (cli.EXIT_HOLDS, cli.EXIT_NOT_HOLDS), err
-        answers.append((rc, json.loads(out)["states"]))
-    assert answers[0] == answers[1]
+        assert rc == cli.EXIT_USAGE
+        assert out == ""
+        assert err.splitlines() == [
+            "error: agent name \"x'\" cannot be written in a formula"]
+
+
+@pytest.mark.parametrize("agent, atom, name", [
+    ("a-b", "p", "agent name 'a-b'"),
+    ("F", "p", "agent name 'F'"),
+    ("a", "p'", "atom name \"p'\""),
+    ("a", "Goal", "atom name 'Goal'"),
+    ("a", "true", "atom name 'true'"),
+])
+def test_names_a_formula_cannot_write_exit_2(agent, atom, name, tmp_path,
+                                             capsys):
+    f = tmp_path / "named.cgs"
+    f.write_text(f"agents: {agent}\natoms: {atom}\nstates: s0\n"
+                 f"initial: s0\nfinal: s0\nactions {agent}: go\n"
+                 f"label s0: {atom}\ntrans s0 (go) -> s0\n")
+    rc = cli.main(["check", str(f), "<<>> F true"])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_USAGE
+    assert err.splitlines() == [
+        f"error: {name} cannot be written in a formula"]
 
 
 @pytest.mark.parametrize("error, code, line", [

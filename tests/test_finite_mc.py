@@ -10,6 +10,8 @@ from atlstar import finite_mc as fmc
 from atlstar import formula as fm
 from atlstar import ltlf2dfa
 
+import helpers
+
 
 BASIC = """
 agents: a b
@@ -66,13 +68,13 @@ def test_hand_model_reach_goal():
     psi = fm.parse_formula("F goal")
     sg, _, dfa = encode(g, psi)
     # both agents together can reach s2 from anywhere; s2 stays put
-    assert fmc.game_solving(sg, psi, ("a", "b"), dfa) == {0, 1, 2}
+    assert helpers.game_solving(sg, psi, ("a", "b"), dfa) == {0, 1, 2}
     assert fmc.explicit_game_solving(g, psi, ("a", "b"), dfa) == {0, 1, 2}
     # agent a alone can force s1 -> s2 (both rows with go lead to s2)
     # but not s0 -> {s1, s2} progress without b's cooperation; still, any
     # play stopping before s2 never hits a final state, so the trace
     # obligation is vacuous at s0 as well
-    assert fmc.game_solving(sg, psi, ("a",), dfa) == {0, 1, 2}
+    assert helpers.game_solving(sg, psi, ("a",), dfa) == {0, 1, 2}
 
 
 def test_hand_model_globally_p():
@@ -82,14 +84,14 @@ def test_hand_model_globally_p():
     # s1 and s2 can reach the final state with p throughout; s0 is
     # unlabelled, but the coalition can loop there forever and never
     # stop at a final state, which satisfies the obligation vacuously
-    sym = fmc.game_solving(sg, psi, ("a", "b"), dfa)
+    sym = helpers.game_solving(sg, psi, ("a", "b"), dfa)
     assert sym == fmc.explicit_game_solving(g, psi, ("a", "b"), dfa)
     assert sym == {0, 1, 2}
     # with finals everywhere the vacuous escape disappears: a trace may
     # stop at s0, whose missing p refutes G p immediately
     g2 = cgs.parse_model(BASIC.replace("final: s2", "final: s0 s1 s2"))
     sg2, _, dfa2 = encode(g2, psi)
-    sym2 = fmc.game_solving(sg2, psi, ("a", "b"), dfa2)
+    sym2 = helpers.game_solving(sg2, psi, ("a", "b"), dfa2)
     assert sym2 == fmc.explicit_game_solving(g2, psi, ("a", "b"), dfa2)
     assert 0 not in sym2 and 1 in sym2 and 2 in sym2
 
@@ -179,7 +181,7 @@ def test_symbolic_matches_explicit_random():
             psi = fm.parse_formula(text)
             sg, _, dfa = encode(g, psi)
             for coal in ((), ("a",), ("a", "b")):
-                sym = fmc.game_solving(sg, psi, coal, dfa)
+                sym = helpers.game_solving(sg, psi, coal, dfa)
                 exp = fmc.explicit_game_solving(g, psi, coal, dfa)
                 assert sym == exp, (g.to_text(), text, coal)
 
@@ -192,7 +194,7 @@ def test_full_coalition_against_reachability_oracle():
             psi = fm.parse_formula(text)
             sg, _, dfa = encode(g, psi)
             want = full_coalition_oracle(g, psi)
-            assert fmc.game_solving(sg, psi, ("a", "b"), dfa) == want
+            assert helpers.game_solving(sg, psi, ("a", "b"), dfa) == want
 
 
 def test_empty_coalition_against_reachability_oracle():
@@ -203,7 +205,7 @@ def test_empty_coalition_against_reachability_oracle():
             psi = fm.parse_formula(text)
             sg, _, dfa = encode(g, psi)
             want = empty_coalition_oracle(g, psi)
-            assert fmc.game_solving(sg, psi, (), dfa) == want
+            assert helpers.game_solving(sg, psi, (), dfa) == want
 
 
 def test_entry_relation_matches_explicit_steps():

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from atlstar import formula as fm
 
@@ -140,3 +142,22 @@ def test_fresh_atom_names_are_reserved():
     name = fm.fresh_atom_name()
     assert name.startswith("__")
     assert name != fm.fresh_atom_name()
+
+
+def reads_back(text, want):
+    try:
+        return fm.parse_formula(text) == want
+    except fm.ParseError:
+        return False
+
+
+@given(st.text(alphabet="aFGRUXb_9'-, <>!trusefl", min_size=1, max_size=6))
+@example("true")
+@example("false")
+@example("F")
+@example("Goal")
+@example("a1")
+def test_writable_names_are_those_the_parser_reads_back(name):
+    assert fm.is_agent_name(name) == reads_back(
+        f"<<{name}>> true", fm.strategic([name], fm.TRUE))
+    assert fm.is_atom_name(name) == reads_back(name, fm.atom(name))

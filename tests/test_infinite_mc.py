@@ -3,10 +3,14 @@ import random
 
 import pytest
 
+from atlstar import bench
 from atlstar import cgs
 from atlstar import dpa as dp
+from atlstar import driver
 from atlstar import formula as fm
 from atlstar import infinite_mc as imc
+
+import helpers
 
 
 def random_game(rng, n, max_prio=5):
@@ -125,7 +129,7 @@ def test_pgsolver_round_trip():
     rng = random.Random(17)
     for _ in range(10):
         game = random_game(rng, rng.randint(1, 12))
-        text = imc.write_pgsolver(game)
+        text = helpers.write_pgsolver(game)
         g2 = imc.parse_pgsolver(text)
         assert g2.owner == game.owner
         assert g2.priority == game.priority
@@ -181,6 +185,91 @@ def test_symbolic_attractor_matches_the_explicit_one():
         assert _bdd_region(sym, imc.Bdd(st, got)) == want
         # one step per frontier, and a last one that adds nothing
         assert 1 <= steps <= len(want - target) + 1 or not target
+
+
+def textbook_attractor(game, player, target, region):
+    """mu X. T | (own & pre X) | (opp & !pre(region - X)), within region."""
+    own, opp = (game.v1, game.v0) if player else (game.v0, game.v1)
+    x = target & region
+    while True:
+        nxt = region & (target | (own & game.pre_exists(x))
+                        | (opp & ~game.pre_exists(region & ~x)))
+        if nxt == x:
+            return x
+        x = nxt
+
+
+def random_subset(rng, game, within):
+    """``within`` cut by a disjunction of a few random literal cubes."""
+    st, vars_ = game.store, game.vertex_vars()
+    f = st.false
+    for _ in range(rng.randint(1, 3)):
+        cube = st.true
+        for v in rng.sample(vars_, min(len(vars_), rng.randint(1, 3))):
+            cube &= st.var(v) if rng.random() < 0.5 else ~st.var(v)
+        f |= cube
+    return within & f
+
+
+def trap_region(rng, game):
+    """The vertices outside a random player's attractor to a random set,
+    a trap for that player, or all vertices when the attractor has them
+    all; every vertex of the region keeps an edge into it."""
+    player = rng.randint(0, 1)
+    seed = random_subset(rng, game, game.vertices)
+    region = game.vertices & ~textbook_attractor(game, player, seed,
+                                                 game.vertices)
+    return game.vertices if region.is_false() else region
+
+
+def assert_attractors_are_textbook(rng, game, rounds):
+    st = game.store
+    for _ in range(rounds):
+        region = trap_region(rng, game)
+        target = random_subset(rng, game, region)
+        for player in (0, 1):
+            got, _ = imc._attractor(game, player, target.node, region.node)
+            assert imc.Bdd(st, got) == textbook_attractor(
+                game, player, target, region)
+
+
+def test_attractor_is_the_textbook_fixpoint_on_random_games():
+    rng = random.Random(53)
+    for _ in range(40):
+        game = random_game(rng, rng.randint(1, 24))
+        sym = imc.encode_explicit_game(game)
+        assert_attractors_are_textbook(rng, sym, 4)
+        # and the explicit attractor agrees on the same regions
+        st, v = sym.store, sym.blocks[0][0]
+        region = _bdd_region(sym, trap_region(rng, sym))
+        target = {x for x in region if rng.random() < 0.3}
+        for player in (0, 1):
+            got, _ = imc._attractor(
+                sym, player,
+                st.from_points([v], [(x,) for x in target]).node,
+                st.from_points([v], [(x,) for x in region]).node)
+            assert _bdd_region(sym, imc.Bdd(st, got)) == \
+                imc.attractor(game, player, target, region)
+
+
+def test_attractor_is_the_textbook_fixpoint_on_product_arenas():
+    rng = random.Random(59)
+    for text in PATH_FORMULAS:
+        g = random_model(rng, rng.randint(2, 6))
+        dpa, _ = dp.obtain_dpa(fm.parse_formula(text))
+        store = cgs.make_store(g, cgs.bits_for(dpa.n_states))
+        sg = cgs.encode_symbolic(g, store)
+        sdpa = dp.encode_dpa(dpa, sg)
+        for coal in ((), ("a",), ("a", "b")):
+            assert_attractors_are_textbook(
+                rng, imc.build_game(sg, sdpa, coal), 3)
+
+
+def test_counter_response_attractor_steps_are_pinned():
+    g = bench.gen_counter(bench.CounterParams(cap=100, mode="infinite"))
+    res = driver.check(model=g, formula="<<a1>> G (p1 -> F counter_max)",
+                       semantics="infinite")
+    assert res.details["subformulas"][0]["rounds"] == 202
 
 
 def test_region_cap_check():
