@@ -7,7 +7,7 @@ import itertools
 from dataclasses import dataclass
 
 from .bdd import BddStore, new_store
-from .formula import FRESH_PREFIX, is_agent_name, is_atom_name
+from .formula import is_agent_name, is_atom_name
 
 
 class CgsError(Exception):
@@ -115,9 +115,11 @@ def _validate_header(g):
         if not 0 <= s < len(g.states):
             raise CgsError("final state out of range")
     for p in g.atoms:
-        if p.startswith(FRESH_PREFIX) or p.startswith("__"):
-            raise CgsError(f"atom {p!r} uses the reserved '__' prefix")
+        # no model atom starts with '_', so none clashes with the
+        # driver's fresh atoms; their '__' prefix gets its own message
         if not is_atom_name(p):
+            if p.startswith("__"):
+                raise CgsError(f"atom {p!r} uses the reserved '__' prefix")
             raise CgsError(f"atom name {p!r} cannot be written in a formula")
 
 

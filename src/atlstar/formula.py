@@ -184,21 +184,21 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")   # _TOKEN_RE's name
-_OP_LETTERS = frozenset("XFGUR")
+# the name token of _TOKEN_RE, less what reads back as something else
+_AGENT_RE = re.compile(r"(?![XFGUR]\Z)[A-Za-z_][A-Za-z0-9_]*")
+_ATOM_RE = re.compile(r"(?!(?:true|false)\Z)[a-z][A-Za-z0-9_]*")
 
 
 def is_agent_name(text):
     """Whether a coalition can name the agent ``text``: it reads back as
     one name token, not as an operator letter."""
-    return _NAME_RE.fullmatch(text) is not None and text not in _OP_LETTERS
+    return _AGENT_RE.fullmatch(text) is not None
 
 
 def is_atom_name(text):
     """Whether ``text`` parses back as the atom ``text``: a name token
     that starts with a lowercase letter and is no truth constant."""
-    return (is_agent_name(text) and text[0].islower()
-            and text not in ("true", "false"))
+    return _ATOM_RE.fullmatch(text) is not None
 
 
 _UNICODE_ALIASES = {

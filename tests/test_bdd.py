@@ -242,7 +242,8 @@ def test_release_drops_exactly_the_nodes_after_the_mark(seed, before, after,
         fs += [f ^ g for f, g in zip(kept, fs)]
         # the binary kernels on kept and new nodes
         fs += [h for f, g in zip(kept, fs[::-1])
-               for h in (f & g, f | g, Bdd(store, store._diff(f.node, g.node)))]
+               for h in (f & g, f | g,
+                         Bdd(store, store._diff(f.node, g.node)))]
         fs.append(store.exists([block.vars[0]], fs[0]))
         fs.append(store.and_exists(fs[0], fs[-2], xp))
         fs.append(store.rename(store.exists(xp, fs[-3]), x, xp))
