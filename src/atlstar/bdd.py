@@ -18,12 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import ResourceError
+
 
 class BddError(Exception):
     pass
 
 
-class BudgetExceeded(BddError):
+class BudgetExceeded(BddError, ResourceError):
     """Raised when the node table outgrows the configured byte budget."""
 
 

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 from . import cgs as cgsmod
 from . import driver
 from . import formula as fm
+from .errors import AtlstarError, InputError
 
 
-class BenchError(Exception):
+class BenchError(InputError):
     pass
 
 
@@ -558,13 +559,17 @@ def parse_suite_line(line):
     return fields
 
 
-def _coerce(value, target):
-    if isinstance(target, bool):
-        return value.lower() in ("1", "true", "yes")
-    if isinstance(target, int):
-        return int(value)
-    if isinstance(target, tuple):
-        return tuple(int(x) for x in value.split(","))
+def _coerce(name, value, target):
+    try:
+        if isinstance(target, int):
+            return int(value)
+        if isinstance(target, tuple):
+            return tuple(int(x) for x in value.split(","))
+    except ValueError:
+        what = ("an integer" if isinstance(target, int)
+                else "comma-separated integers")
+        raise BenchError(f"parameter {name!r} expects {what}, "
+                         f"got {value!r}") from None
     return value
 
 
@@ -583,15 +588,17 @@ def build_model(generator, params):
         if k == "horizon" and v in ("none", "None"):
             kwargs[k] = None
         else:
-            kwargs[k] = _coerce(v, cur)
+            kwargs[k] = _coerce(k, v, cur)
     return gen(cls(**kwargs))
 
 
 def run_suite(text, csv_path=None, json_path=None):
     """Run every non-empty suite line; return the result rows.
 
-    A failing row records an ``error: ...`` verdict and the suite moves
-    on.  Results are optionally mirrored to CSV and JSON files.
+    A row that hits an input or resource error records an ``error: ...``
+    verdict and the suite moves on; any other exception is a fault of
+    the program and ends the suite.  Results are optionally mirrored to
+    CSV and JSON files.
     """
     rows = []
     for raw in text.splitlines():
@@ -607,7 +614,11 @@ def run_suite(text, csv_path=None, json_path=None):
                 f"{k}={v}" for k, v in sorted(fields["params"].items()))
             row["formula"] = fields["formula"]
             row["engine"] = fields.get("engine", "symbolic")
-            repeats = int(fields.get("repeats", "1"))
+            try:
+                repeats = int(fields.get("repeats", "1"))
+            except ValueError:
+                raise BenchError("repeats expects an integer, got "
+                                 f"{fields['repeats']!r}") from None
             if repeats < 1:
                 raise BenchError("repeats must be positive")
             g = build_model(fields["generator"], fields["params"])
@@ -628,7 +639,7 @@ def run_suite(text, csv_path=None, json_path=None):
             row["verdict"] = "holds" if result.holds else "not-holds"
             for key in timings:
                 row[f"ms_{key}"] = round(timings[key] / repeats, 3)
-        except Exception as e:
+        except AtlstarError as e:
             row["verdict"] = f"error: {e}"
         rows.append(row)
 

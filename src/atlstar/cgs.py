@@ -7,10 +7,11 @@ import itertools
 from dataclasses import dataclass
 
 from .bdd import BddStore, new_store
+from .errors import InputError
 from .formula import is_agent_name, is_atom_name
 
 
-class CgsError(Exception):
+class CgsError(InputError):
     pass
 
 
@@ -40,9 +41,6 @@ class Cgs:
         """Each joint action with its action names, one per agent."""
         return [(j, tuple(self.actions[a][i] for a, i in zip(self.agents, j)))
                 for j in self.joint_actions()]
-
-    def n_states(self):
-        return len(self.states)
 
     def successors(self, s):
         return {self.transitions[(s, j)] for j in self.joint_actions()}

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 the property holds (or the command succeeded), 1 it does
-not hold, 2 usage or input errors, 3 resource limits hit, 4 an internal
-error (a fault of the program, reported in one line).
+not hold, 2 usage or input errors (``errors.InputError``), 3 resource
+limits hit (``errors.ResourceError``), 4 any other exception: a fault of
+the program.  Every error is reported on one stderr line.
 """
 
 from __future__ import annotations
@@ -15,13 +16,9 @@ import warnings
 
 from . import bench
 from . import cgs as cgsmod
-from . import dpa
 from . import driver
-from . import finite_mc
-from . import formula as fm
 from . import infinite_mc
-from . import ltlf2dfa
-from .bdd import BudgetExceeded
+from .errors import InputError, ResourceError
 
 EXIT_HOLDS = 0
 EXIT_NOT_HOLDS = 1
@@ -33,25 +30,34 @@ EXIT_INTERNAL = 4
 CONFIG_KEYS = ("semantics", "engine", "tools")
 
 
+def read_text(path):
+    """The text of an input file the user named, which must be UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not UTF-8 text (byte {e.start}: "
+                         f"{e.reason})") from None
+
+
 def load_config(path):
     """key=value lines with keys from ``CONFIG_KEYS``; blank lines and
     # comments ignored."""
     out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(
-                    f"{path}:{lineno}: expected key=value, got {line!r}")
-            k, v = line.split("=", 1)
-            k = k.strip()
-            if k not in CONFIG_KEYS:
-                raise ValueError(
-                    f"{path}:{lineno}: unknown config key {k!r}; "
-                    f"known: {', '.join(CONFIG_KEYS)}")
-            out[k] = v.strip()
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise InputError(
+                f"{path}:{lineno}: expected key=value, got {line!r}")
+        k, v = line.split("=", 1)
+        k = k.strip()
+        if k not in CONFIG_KEYS:
+            raise InputError(
+                f"{path}:{lineno}: unknown config key {k!r}; "
+                f"known: {', '.join(CONFIG_KEYS)}")
+        out[k] = v.strip()
     return out
 
 
@@ -101,12 +107,7 @@ def build_parser():
 def cmd_check(args):
     # a bad config fails before the model, which may be large, is parsed
     cfg = load_config(args.config) if args.config else {}
-    try:
-        with open(args.model) as fh:
-            text = fh.read()
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    text = read_text(args.model)
     t0 = time.perf_counter()
     g = cgsmod.parse_model(text)
     parse_ms = (time.perf_counter() - t0) * 1000
@@ -141,7 +142,7 @@ def cmd_gen(args):
     params = {}
     for kv in args.param:
         if "=" not in kv:
-            raise bench.BenchError(f"--param expects K=V, got {kv!r}")
+            raise InputError(f"--param expects K=V, got {kv!r}")
         k, v = kv.split("=", 1)
         params[k] = v
     g = bench.build_model(args.generator, params)
@@ -155,26 +156,21 @@ def cmd_gen(args):
 
 
 def cmd_suite(args):
-    with open(args.suite) as fh:
-        text = fh.read()
-    rows = bench.run_suite(text, csv_path=args.csv, json_path=args.json)
+    rows = bench.run_suite(read_text(args.suite), csv_path=args.csv,
+                           json_path=args.json)
     for row in rows:
         print(f"[{row['row']}] {row['generator']} {row['formula']} "
               f"{row['engine']}: {row['verdict']} "
               f"({row['ms_total'] or '-'} ms)")
-    bad = [r for r in rows if str(r["verdict"]).startswith("error")]
-    return EXIT_USAGE if bad else EXIT_HOLDS
+    bad = sum(str(r["verdict"]).startswith("error") for r in rows)
+    if bad:
+        return _fail(EXIT_USAGE, f"error: {bad} of {len(rows)} suite rows "
+                                 "ended in an error")
+    return EXIT_HOLDS
 
 
 def cmd_solve_game(args):
-    with open(args.game) as fh:
-        text = fh.read()
-    try:
-        game = infinite_mc.parse_pgsolver(text)
-    except infinite_mc.InfiniteMcError as e:
-        # malformed input is a usage error, not a resource limit
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    game = infinite_mc.parse_pgsolver(read_text(args.game))
     w0, w1 = infinite_mc.solve_zielonka(game)
     if args.json:
         print(json.dumps({"W0": sorted(w0), "W1": sorted(w1)}))
@@ -182,6 +178,12 @@ def cmd_solve_game(args):
         print("W0: " + " ".join(str(v) for v in sorted(w0)))
         print("W1: " + " ".join(str(v) for v in sorted(w1)))
     return EXIT_HOLDS
+
+
+def _fail(code, message):
+    """Report ``message`` on one stderr line; return the exit code."""
+    print(" ".join(message.splitlines()), file=sys.stderr)
+    return code
 
 
 def main(argv=None):
@@ -200,24 +202,17 @@ def main(argv=None):
         if args.command == "solve-game":
             return cmd_solve_game(args)
         return EXIT_USAGE
-    except (cgsmod.CgsError, fm.ParseError, bench.BenchError,
-            driver.DriverError, dpa.DpaError, dpa.HoaError,
-            ltlf2dfa.TranslationError, ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (BudgetExceeded, finite_mc.FiniteMcError,
-            infinite_mc.InfiniteMcError) as e:
-        print(f"resource limit: {e}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except MemoryError:
-        print("resource limit: out of memory", file=sys.stderr)
-        return EXIT_RESOURCE
+    except (InputError, OSError) as e:
+        # only the environment raises OSError, for a path or tool the
+        # user named
+        return _fail(EXIT_USAGE, f"error: {e}")
+    except (ResourceError, MemoryError) as e:
+        return _fail(EXIT_RESOURCE,
+                     f"resource limit: {str(e) or 'out of memory'}")
     except Exception as e:
         # no exit code of a verdict may stand for a fault of the program
-        message = " ".join(str(e).splitlines())
-        print(f"internal error: {type(e).__name__}: {message}",
-              file=sys.stderr)
-        return EXIT_INTERNAL
+        return _fail(EXIT_INTERNAL,
+                     f"internal error: {type(e).__name__}: {e}")
 
 
 if __name__ == "__main__":

@@ -17,17 +17,18 @@ import os
 import re
 import subprocess
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import formula as fm
 from . import ltlf2dfa
+from .errors import InputError
 
 
-class HoaError(Exception):
+class HoaError(InputError):
     pass
 
 
-class DpaError(Exception):
+class DpaError(InputError):
     pass
 
 

@@ -23,9 +23,10 @@ from . import finite_mc
 from . import formula as fm
 from . import infinite_mc
 from . import ltlf2dfa
+from .errors import InputError
 
 
-class DriverError(Exception):
+class DriverError(InputError):
     pass
 
 

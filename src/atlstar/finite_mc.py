@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import cgs as cgsmod
-from . import formula as fm
 from . import ltlf2dfa
+from .errors import ResourceError
 
 
-class FiniteMcError(Exception):
+class FiniteMcError(ResourceError):
     pass
 
 
@@ -145,12 +145,10 @@ def explicit_game_solving(g, psi, coalition, dfa=None,
             "product_cap"
         )
     coalition = tuple(coalition)
-    others = tuple(a for a in g.agents if a not in coalition)
 
     def entry(q):
         return dfa.step(dfa.initial, g.labels[q])
 
-    n = len(g.states)
     nodes = {}
     order = []
 

@@ -10,6 +10,8 @@ import itertools
 import re
 from dataclasses import dataclass, field
 
+from .errors import InputError
+
 FRESH_PREFIX = "__sub"
 _fresh_counter = itertools.count(1)
 
@@ -18,7 +20,7 @@ class FormulaError(Exception):
     pass
 
 
-class ParseError(FormulaError):
+class ParseError(FormulaError, InputError):
     def __init__(self, message, line, col):
         super().__init__(f"{message} (line {line}, column {col})")
         self.line = line

@@ -21,10 +21,11 @@ from dataclasses import dataclass
 from . import cgs as cgsmod
 from . import finite_mc
 from .bdd import Bdd
+from .errors import InputError, ResourceError
 
 
-class InfiniteMcError(Exception):
-    pass
+class InfiniteMcError(InputError):
+    """A malformed parity game."""
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +110,7 @@ def solve_zielonka(game):
 
 def region_cap_check(n, cap=1 << 20):
     if n > cap:
-        raise InfiniteMcError(
+        raise ResourceError(
             f"explicit arena would have {n} vertices (cap {cap}); "
             "use the symbolic solver"
         )
@@ -230,17 +231,20 @@ def parse_pgsolver(text):
         if '"' in line:
             line, _, rest = line.partition('"')
             name = rest.rstrip('"')
-        parts = line.split()
-        if len(parts) != 4:
-            raise InfiniteMcError(f"malformed pgsolver line: {raw!r}")
-        v, p, o = int(parts[0]), int(parts[1]), int(parts[2])
+        try:
+            v, p, o, ws = line.split()
+            v, p, o = int(v), int(p), int(o)
+            ws = [int(x) for x in ws.split(",")]
+        except ValueError:
+            raise InfiniteMcError(
+                f"malformed pgsolver line: {raw!r}") from None
         if o not in (0, 1):
             raise InfiniteMcError(f"vertex {v}: owner must be 0 or 1")
         if v in owner:
             raise InfiniteMcError(f"vertex {v} is declared twice")
         owner[v] = o
         priority[v] = p
-        succ[v] = [int(x) for x in parts[3].split(",")]
+        succ[v] = ws
         names[v] = name
     if not owner:
         raise InfiniteMcError("empty parity game")

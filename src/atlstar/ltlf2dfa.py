@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 from . import formula as fm
 from .bdd import FALSE, TRUE, Bdd, new_store
+from .errors import InputError
 
 
-class TranslationError(Exception):
+class TranslationError(InputError):
     pass
 
 

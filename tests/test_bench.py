@@ -115,7 +115,7 @@ def test_scheduler_grant_is_one_tick():
     g = bench.gen_scheduler(bench.SchedulerParams(processes=2))
     # from any state where process 1 holds the grant, every successor
     # has the grant released or reassigned; gr_1 never persists
-    for q in range(g.n_states()):
+    for q in range(len(g.states)):
         if "gr_1" not in g.labels[q]:
             continue
         for ja in g.joint_actions():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from atlstar import bench
 from atlstar import cli
 from atlstar import driver
 from atlstar import ltlf2dfa
@@ -327,21 +328,101 @@ def test_names_a_formula_cannot_write_exit_2(agent, atom, name, tmp_path,
         f"error: {name} cannot be written in a formula"]
 
 
-@pytest.mark.parametrize("error, code, line", [
-    (RuntimeError("broken\ninvariant"), 4,
-     "internal error: RuntimeError: broken invariant"),
-    (MemoryError(), cli.EXIT_RESOURCE, "resource limit: out of memory"),
-], ids=["internal", "memory"])
-def test_unexpected_errors_keep_the_exit_code_contract(
-        error, code, line, model_file, monkeypatch, capsys):
-    def failing(*args, **kwargs):
-        raise error
+SUITE_LINE = ('generator=counter params cap=1;steps=1 '
+              'formula="<<a1,a2>> F counter_max"\n')
 
-    monkeypatch.setattr(driver, "check", failing)
-    rc = cli.main(["check", model_file, "<<a>> F goal"])
+
+def _big_counter():
+    # 2,116 states: with a two-state DFA, over the explicit product cap
+    return bench.build_model("counter", {"cap": "45", "steps": "45"}).to_text()
+
+
+# id: (exit code, first words of the one stderr line, files to write, argv,
+# an exception that driver.check raises instead of checking); TMP in argv
+# stands for the directory the files are written to
+CONTRACT = {
+    "malformed-model": (
+        2, "error: line 2", {"m.cgs": "agents: a\nthis is not CGSL\n"},
+        ["check", "TMP/m.cgs", "<<a>> F p"], None),
+    "non-utf8-model": (
+        2, "error: TMP/m.cgs: not UTF-8 text",
+        {"m.cgs": MODEL.encode() + b"label s0: \xff\n"},
+        ["check", "TMP/m.cgs", "<<a>> F goal"], None),
+    "bad-formula": (
+        2, "error: unexpected token", {"m.cgs": MODEL},
+        ["check", "TMP/m.cgs", "<<a>> F ("], None),
+    "pgsolver-field": (
+        2, "error: malformed pgsolver line: '0 x 0 0;'",
+        {"g.gm": "parity 0;\n0 x 0 0;\n"}, ["solve-game", "TMP/g.gm"], None),
+    "config-line": (
+        2, "error: TMP/c.cfg:1: expected key=value",
+        {"m.cgs": MODEL, "c.cfg": "not a pair\n"},
+        ["check", "TMP/m.cgs", "<<a>> F goal", "--config", "TMP/c.cfg"],
+        None),
+    "config-key": (
+        2, "error: TMP/c.cfg:1: unknown config key 'engin'",
+        {"m.cgs": MODEL, "c.cfg": "engin=explicit\n"},
+        ["check", "TMP/m.cgs", "<<a>> F goal", "--config", "TMP/c.cfg"],
+        None),
+    "config-missing": (
+        2, "error: [Errno 2]", {"m.cgs": MODEL},
+        ["check", "TMP/m.cgs", "<<a>> F goal", "--config", "TMP/c.cfg"],
+        None),
+    "gen-param-type": (
+        2, "error: parameter 'cap' expects an integer, got 'abc'", {},
+        ["gen", "counter", "--param", "cap=abc"], None),
+    "suite-repeats": (
+        2, "error: 1 of 1 suite rows ended in an error",
+        {"s.suite": SUITE_LINE.replace("\n", " repeats=x\n")},
+        ["suite", "TMP/s.suite"], None),
+    "suite-missing": (
+        2, "error: [Errno 2]", {}, ["suite", "TMP/s.suite"], None),
+    "gen-output-dir": (
+        2, "error: [Errno 2]", {}, ["gen", "counter", "-o", "/nonexistent/x"],
+        None),
+    "explicit-product-cap": (
+        3, "resource limit: explicit product 2116 x 2 exceeds 4096 states",
+        {"m.cgs": _big_counter},
+        ["check", "TMP/m.cgs", "<<a1,a2>> F counter_max", "--engine",
+         "explicit"], None),
+    "memory": (
+        3, "resource limit: out of memory", {"m.cgs": MODEL},
+        ["check", "TMP/m.cgs", "<<a>> F goal"], MemoryError()),
+    "internal": (
+        4, "internal error: RuntimeError: broken invariant", {"m.cgs": MODEL},
+        ["check", "TMP/m.cgs", "<<a>> F goal"],
+        RuntimeError("broken\ninvariant")),
+    "internal-value-error": (
+        4, "internal error: ValueError: broken invariant", {"m.cgs": MODEL},
+        ["check", "TMP/m.cgs", "<<a>> F goal"],
+        ValueError("broken invariant")),
+    "suite-row-fault": (
+        4, "internal error: KeyError: 'k'", {"s.suite": SUITE_LINE},
+        ["suite", "TMP/s.suite"], KeyError("k")),
+}
+
+
+@pytest.mark.parametrize("case", list(CONTRACT))
+def test_exit_code_contract(case, tmp_path, monkeypatch, capsys):
+    code, start, files, argv, error = CONTRACT[case]
+    for name, content in files.items():
+        if callable(content):
+            content = content()
+        if isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            (tmp_path / name).write_text(content)
+    if error is not None:
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(driver, "check", failing)
+    rc = cli.main([a.replace("TMP", str(tmp_path)) for a in argv])
     err = capsys.readouterr().err
     assert rc == code
-    assert err.splitlines() == [line]
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(start.replace("TMP", str(tmp_path)))
 
 
 RABIN_HOA = """HOA: v1

@@ -214,7 +214,7 @@ def test_entry_relation_matches_explicit_steps():
     sg, sd, dfa = encode(g, psi)
     entry = fmc.entry_relation(sg, sd)
     store = sg.store
-    for q in range(g.n_states()):
+    for q in range(len(g.states)):
         want = dfa.step(dfa.initial, g.labels[q])
         for s in range(dfa.n_states):
             assign = {}

@@ -9,6 +9,7 @@ from atlstar import dpa as dp
 from atlstar import driver
 from atlstar import formula as fm
 from atlstar import infinite_mc as imc
+from atlstar.errors import ResourceError
 
 import helpers
 
@@ -273,7 +274,7 @@ def test_counter_response_attractor_steps_are_pinned():
 
 
 def test_region_cap_check():
-    with pytest.raises(imc.InfiniteMcError, match="cap"):
+    with pytest.raises(ResourceError, match="cap"):
         imc.region_cap_check(100, cap=10)
     imc.region_cap_check(10, cap=10)
 
@@ -347,7 +348,7 @@ def test_explicit_game_region_cap(monkeypatch):
     check = imc.region_cap_check
     monkeypatch.setattr(imc, "region_cap_check",
                         lambda n: check(n, cap=10))
-    with pytest.raises(imc.InfiniteMcError,
+    with pytest.raises(ResourceError,
                        match=r"explicit arena would have \d+ vertices "
                              r"\(cap 10\)"):
         imc.build_explicit_game(g, dpa, ("a",))
