@@ -524,7 +524,10 @@ def parse_suite_line(line):
     """
     fields = {}
     params = {}
-    toks = shlex.split(line, comments=True)
+    try:
+        toks = shlex.split(line, comments=True)
+    except ValueError as e:  # an unbalanced quote
+        raise BenchError(f"malformed suite line: {e}") from None
     i = 0
     while i < len(toks):
         tok = toks[i]
@@ -595,9 +598,9 @@ def build_model(generator, params):
 def run_suite(text, csv_path=None, json_path=None):
     """Run every non-empty suite line; return the result rows.
 
-    A row that hits an input or resource error records an ``error: ...``
-    verdict and the suite moves on; any other exception is a fault of
-    the program and ends the suite.  Results are optionally mirrored to
+    A row that hits an input or resource error (running out of memory
+    included) records an ``error: ...`` verdict and the suite moves on;
+    any other exception is a fault of the program and ends the suite.  Results are optionally mirrored to
     CSV and JSON files.
     """
     rows = []
@@ -641,6 +644,8 @@ def run_suite(text, csv_path=None, json_path=None):
                 row[f"ms_{key}"] = round(timings[key] / repeats, 3)
         except AtlstarError as e:
             row["verdict"] = f"error: {e}"
+        except MemoryError:
+            row["verdict"] = "error: out of memory"
         rows.append(row)
 
     if csv_path:

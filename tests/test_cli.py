@@ -375,6 +375,13 @@ CONTRACT = {
         2, "error: 1 of 1 suite rows ended in an error",
         {"s.suite": SUITE_LINE.replace("\n", " repeats=x\n")},
         ["suite", "TMP/s.suite"], None),
+    "suite-unbalanced-quote": (
+        2, "error: 1 of 1 suite rows ended in an error",
+        {"s.suite": 'generator=counter formula="<<a1>> F p\n'},
+        ["suite", "TMP/s.suite"], None),
+    "suite-row-memory": (
+        2, "error: 1 of 1 suite rows ended in an error",
+        {"s.suite": SUITE_LINE}, ["suite", "TMP/s.suite"], MemoryError()),
     "suite-missing": (
         2, "error: [Errno 2]", {}, ["suite", "TMP/s.suite"], None),
     "gen-output-dir": (
