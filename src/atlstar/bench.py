@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from . import cgs as cgsmod
 from . import driver
 from . import formula as fm
-from .errors import AtlstarError, InputError
+from .errors import InputError, ResourceError
 
 
 class BenchError(InputError):
@@ -598,10 +598,11 @@ def build_model(generator, params):
 def run_suite(text, csv_path=None, json_path=None):
     """Run every non-empty suite line; return the result rows.
 
-    A row that hits an input or resource error (running out of memory
-    included) records an ``error: ...`` verdict and the suite moves on;
-    any other exception is a fault of the program and ends the suite.  Results are optionally mirrored to
-    CSV and JSON files.
+    A row that hits an input error records an ``error: ...`` verdict,
+    one that hits a resource limit (running out of memory included) a
+    ``resource limit: ...`` verdict, and the suite moves on; any other
+    exception is a fault of the program and ends the suite.  Results are
+    optionally mirrored to CSV and JSON files.
     """
     rows = []
     for raw in text.splitlines():
@@ -642,10 +643,10 @@ def run_suite(text, csv_path=None, json_path=None):
             row["verdict"] = "holds" if result.holds else "not-holds"
             for key in timings:
                 row[f"ms_{key}"] = round(timings[key] / repeats, 3)
-        except AtlstarError as e:
+        except InputError as e:
             row["verdict"] = f"error: {e}"
-        except MemoryError:
-            row["verdict"] = "error: out of memory"
+        except (ResourceError, MemoryError) as e:
+            row["verdict"] = f"resource limit: {str(e) or 'out of memory'}"
         rows.append(row)
 
     if csv_path:

@@ -430,25 +430,10 @@ def encode_symbolic(g, store, reachable=None):
     ``reachable`` is the set of states reachable from the initial one,
     if the caller already holds it; otherwise it is computed here.
     """
-    nq = bits_for(len(g.states))
-    try:
-        q = store.block("q")
-        qn = store.block("q'")
-    except KeyError:
-        raise CgsError("store lacks q/q' blocks")
-    if len(q.vars) < nq:
-        raise CgsError(
-            f"store too small: {len(q.vars)} state bits, need {nq}"
-        )
-    action_blocks = {}
-    for i, a in enumerate(g.agents):
-        try:
-            blk = store.block(action_block_name(i))
-        except KeyError:
-            raise CgsError(f"store lacks action block for agent {a}")
-        if len(blk.vars) < bits_for(len(g.actions[a])):
-            raise CgsError(f"store too small for actions of agent {a}")
-        action_blocks[a] = blk
+    q = store.block("q")
+    qn = store.block("q'")
+    action_blocks = {a: store.block(action_block_name(i))
+                     for i, a in enumerate(g.agents)}
 
     blocks = [q] + [action_blocks[a] for a in g.agents] + [qn]
     delta = store.from_points(
@@ -477,9 +462,6 @@ def encode_symbolic(g, store, reachable=None):
 
 def coalition_actions(sg, coalition):
     """Joint-action vars for a coalition and its availability BDD."""
-    for a in coalition:
-        if a not in sg.g.agents:
-            raise CgsError(f"unknown agent {a!r} in coalition")
     members = [a for a in sg.g.agents if a in set(coalition)]
     vars_ = []
     act = sg.store.true

@@ -162,10 +162,15 @@ def cmd_suite(args):
         print(f"[{row['row']}] {row['generator']} {row['formula']} "
               f"{row['engine']}: {row['verdict']} "
               f"({row['ms_total'] or '-'} ms)")
-    bad = sum(str(r["verdict"]).startswith("error") for r in rows)
+    bad = sum(r["verdict"].startswith("error") for r in rows)
     if bad:
         return _fail(EXIT_USAGE, f"error: {bad} of {len(rows)} suite rows "
                                  "ended in an error")
+    limited = sum(r["verdict"].startswith("resource limit") for r in rows)
+    if limited:
+        return _fail(EXIT_RESOURCE, f"resource limit: {limited} of "
+                                    f"{len(rows)} suite rows hit a "
+                                    "resource limit")
     return EXIT_HOLDS
 
 

@@ -45,7 +45,6 @@ class HoaEdge:
 @dataclass
 class HoaState:
     sid: int
-    label: object
     acc_sets: tuple
     edges: list
 
@@ -57,7 +56,6 @@ class HoaAutomaton:
     aps: list
     acc_name: tuple          # tokens of the acc-name header, may be empty
     acceptance: str
-    properties: list
     states: dict             # sid -> HoaState
 
     def alphabet(self):
@@ -137,7 +135,12 @@ def eval_label(expr, letter):
 
 
 def parse_hoa(text):
-    """Parse a HOA v1 automaton (deterministic, single start state)."""
+    """Parse a HOA v1 automaton (deterministic, single start state).
+
+    As HOA v1 defines, a state label is the label of each of the state's
+    edges, which then carry none of their own; edges are implicit only
+    under an unlabelled state.
+    """
     if "--BODY--" not in text:
         raise HoaError("missing --BODY-- marker")
     header_text, body_text = text.split("--BODY--", 1)
@@ -149,7 +152,6 @@ def parse_hoa(text):
     aps = []
     acc_name = ()
     acceptance = ""
-    properties = []
     for raw in header_text.splitlines():
         line = raw.strip()
         if not line or line.startswith("HOA:"):
@@ -173,8 +175,6 @@ def parse_hoa(text):
             acc_name = tuple(rest.split())
         elif key == "Acceptance":
             acceptance = rest
-        elif key == "properties":
-            properties.extend(rest.split())
         # tool, name, etc. ignored
 
     if start is None:
@@ -182,16 +182,17 @@ def parse_hoa(text):
 
     states = {}
     current = None
+    state_label = None
     for raw in body_text.splitlines():
         line = raw.strip()
         if not line or line.startswith("/*"):
             continue
         if line.startswith("State:"):
             rest = line[len("State:"):].strip()
-            label = None
+            state_label = None
             if rest.startswith("["):
                 lbl, rest = rest[1:].split("]", 1)
-                label = _parse_label_expr(lbl)
+                state_label = _parse_label_expr(lbl)
                 rest = rest.strip()
             m = re.match(r"(\d+)\s*(?:\"[^\"]*\")?\s*(\{[^}]*\})?", rest)
             if not m:
@@ -200,14 +201,17 @@ def parse_hoa(text):
             acc = ()
             if m.group(2):
                 acc = tuple(int(x) for x in m.group(2)[1:-1].split())
-            current = HoaState(sid=sid, label=label, acc_sets=acc, edges=[])
+            current = HoaState(sid=sid, acc_sets=acc, edges=[])
             states[sid] = current
         else:
             if current is None:
                 raise HoaError(f"edge before any State: {line!r}")
-            label = None
+            label = state_label
             rest = line
             if rest.startswith("["):
+                if state_label is not None:
+                    raise HoaError(f"state {current.sid} is labelled, so "
+                                   f"its edges cannot be: {line!r}")
                 lbl, rest = rest[1:].split("]", 1)
                 label = _parse_label_expr(lbl)
                 rest = rest.strip()
@@ -231,7 +235,7 @@ def parse_hoa(text):
 
     return HoaAutomaton(
         n_states=n_states, start=start, aps=aps, acc_name=acc_name,
-        acceptance=acceptance, properties=properties, states=states,
+        acceptance=acceptance, states=states,
     )
 
 
@@ -430,23 +434,26 @@ def _is_safety(f):
     return all(_is_safety(c) for c in f.children)
 
 
-def _response_pattern(psi):
-    """Match G(a -> F b) with propositional a, b; return (a, b) or None."""
-    if psi.kind != "globally":
+def _response_pattern(core):
+    """Match the NNF of G(a -> F b) or G F b with propositional a, b:
+    ``false R (x | true U b)`` (either disjunct first) or
+    ``false R (true U b)``; return (trigger, target) or None."""
+    if core.kind != "release" or core.children[0].kind != "false":
         return None
-    body = psi.children[0]
-    trigger = None
-    target = None
-    if body.kind == "or":
-        l, r = body.children
-        if r.kind == "finally":
-            trigger, target = fm.not_(l), r.children[0]
-        elif l.kind == "finally":
-            trigger, target = fm.not_(r), l.children[0]
-    elif body.kind == "finally":
-        trigger, target = fm.TRUE, body.children[0]
-    if trigger is None:
+    body = core.children[1]
+
+    def eventually(f):
+        return f.kind == "until" and f.children[0].kind == "true"
+
+    if eventually(body):
+        trigger, target = fm.TRUE, body
+    elif body.kind == "or" and eventually(body.children[1]):
+        trigger, target = fm.not_(body.children[0]), body.children[1]
+    elif body.kind == "or" and eventually(body.children[0]):
+        trigger, target = fm.not_(body.children[1]), body.children[0]
+    else:
         return None
+    target = target.children[1]
 
     def propositional(f):
         return f.kind in ("atom", "true", "false") or (
@@ -484,7 +491,7 @@ def fallback_translate(psi):
     """
     core = fm.normalize(psi)
 
-    resp = _response_pattern(psi) or _response_pattern(core_as_gl(core))
+    resp = _response_pattern(core)
     if resp is not None:
         trigger, target = resp
         atoms = tuple(sorted(fm.atoms_of(trigger) | fm.atoms_of(target)))
@@ -523,24 +530,6 @@ def fallback_translate(psi):
     )
 
 
-def core_as_gl(core):
-    # the NNF of G(a -> F b) is false R (!a | true U b); recover a G shape
-    if core.kind == "release" and core.children[0].kind == "false":
-        body = core.children[1]
-        return fm.globally(_unexpand_f(body))
-    return core
-
-
-def _unexpand_f(f):
-    if f.kind == "until" and f.children[0].kind == "true":
-        return fm.finally_(_unexpand_f(f.children[1]))
-    if not f.children:
-        return f
-    return fm.Formula(
-        f.kind, tuple(_unexpand_f(c) for c in f.children), f.name, f.coalition
-    )
-
-
 # ---------------------------------------------------------------------------
 # Translator race
 
@@ -551,12 +540,14 @@ class RaceResult:
 
 
 def race_translate(psi, tools, timeout=60.0):
-    """Run external translator commands concurrently; first valid HOA wins.
+    """Run external translator commands concurrently; the first tool to
+    print valid HOA whose atoms are all atoms of ``psi`` wins.
 
     ``tools`` is a non-empty list of command templates with ``{formula}``
     and optional ``{outfile}`` placeholders.
     """
     text = str(psi)
+    atoms = fm.atoms_of(psi)
     errors = {}
     procs = []
 
@@ -578,7 +569,12 @@ def race_translate(psi, tools, timeout=60.0):
             if "{outfile}" in template:
                 with open(outfile) as fh:
                     data = fh.read()
-            return parse_hoa(data)
+            hoa = parse_hoa(data)
+            foreign = sorted(set(hoa.aps) - atoms)
+            if foreign:
+                raise DpaError(f"automaton reads atoms the formula lacks: "
+                               f"{', '.join(foreign)}")
+            return hoa
         finally:
             if outfile and os.path.exists(outfile):
                 os.unlink(outfile)

@@ -189,8 +189,8 @@ def check(request=None, **kwargs):
         if req.engine == "explicit":
             t2 = time.perf_counter()
             win = finite_mc.explicit_game_solving(
-                labelled, body, coalition, dfa=dfa,
-                product_cap=req.product_cap, reachable=reachable)
+                labelled, dfa, coalition, product_cap=req.product_cap,
+                reachable=reachable)
             timings["solve"] += (time.perf_counter() - t2) * 1000
             return win, explicit_stats
         sg = encoded(dfa.n_states)

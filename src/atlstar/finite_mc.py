@@ -7,8 +7,10 @@ keep the product inside the safe region forever.  The product space is
 every CGS state paired with every automaton state, as for the parity
 arenas of ``infinite_mc``; the product's reachable part is never
 computed.  Everything here works on the
-symbolic encodings from ``cgs`` and ``ltlf2dfa``; an explicit
-product construction is kept alongside as an independent baseline.
+symbolic encodings from ``cgs`` and ``ltlf2dfa``, except the explicit
+baseline: ``explicit_product``, the one explicit product of a model
+with a deterministic automaton that both explicit oracles solve, and
+this module's safety solver on it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import cgs as cgsmod
-from . import ltlf2dfa
 from .errors import ResourceError
 
 
@@ -126,72 +127,71 @@ def project_states(sg, win):
 DEFAULT_PRODUCT_CAP = 4096
 
 
-def explicit_game_solving(g, psi, coalition, dfa=None,
+def explicit_product(g, aut, coalition, reachable):
+    """Explicit product of a model with a deterministic automaton (a
+    ``Dfa`` or a ``Dpa``), explored from the entry node (q, delta(s0,
+    lambda(q))) of each reachable state q.
+
+    Returns ``(nodes, entry, moves)``: ``nodes`` lists the (q, s) pairs
+    in discovery order, ``entry`` maps each reachable state to the index
+    of its entry node, and ``moves[v]`` holds, per coalition move, the
+    set of nodes that some response of the other agents reaches from
+    node ``v``.  Both oracles solve their games on this product.
+    """
+    coalition = set(coalition)
+    # the joint actions grouped by the coalition's part of them
+    groups = {}
+    for ja in g.joint_actions():
+        mine = tuple(m for a, m in zip(g.agents, ja) if a in coalition)
+        groups.setdefault(mine, []).append(ja)
+    groups = list(groups.values())
+    letters = [aut.letter(row) for row in g.labels]
+    delta, trans = aut.delta, g.transitions
+
+    ids = {}
+    nodes = []
+
+    def node(q, s):
+        v = ids.setdefault((q, s), len(nodes))
+        if v == len(nodes):
+            nodes.append((q, s))
+        return v
+
+    entry = {q: node(q, delta[aut.initial, letters[q]])
+             for q in sorted(reachable)}
+    moves = [[{node(t, delta[s, letters[t]])
+               for t in {trans[q, ja] for ja in grp}}
+              for grp in groups]
+             for q, s in nodes]  # nodes grows while it is walked
+    return nodes, entry, moves
+
+
+def explicit_game_solving(g, dfa, coalition,
                           product_cap=DEFAULT_PRODUCT_CAP, reachable=None):
     """Explicit-state safety-game solver over the same product.
 
-    Builds the product adjacency structure directly and removes states
-    from which the coalition cannot avoid the unsafe region.  Intended
-    as an oracle for the symbolic engine on small models; raises once
-    the product exceeds ``product_cap`` states.  ``reachable`` is the
-    model's reachable state set, computed here when not given.
+    Removes the product nodes from which the coalition cannot avoid the
+    unsafe region.  Intended as an oracle for the symbolic engine on
+    small models; raises when |states| x |DFA| exceeds ``product_cap``,
+    which bounds the product.  ``reachable`` is the model's reachable
+    state set, computed here when not given.
     """
-    if dfa is None:
-        dfa = ltlf2dfa.translate(psi)
     if len(g.states) * dfa.n_states > product_cap:
         raise FiniteMcError(
             f"explicit product {len(g.states)} x {dfa.n_states} exceeds "
             f"{product_cap} states; use the symbolic engine or raise "
             "product_cap"
         )
-    coalition = tuple(coalition)
-
-    def entry(q):
-        return dfa.step(dfa.initial, g.labels[q])
-
-    nodes = {}
-    order = []
-
-    def get(q, s):
-        key = (q, s)
-        if key not in nodes:
-            if len(order) >= product_cap:
-                raise FiniteMcError(
-                    f"explicit product exceeds {product_cap} states; "
-                    "use the symbolic engine or raise product_cap"
-                )
-            nodes[key] = len(order)
-            order.append(key)
-        return nodes[key]
-
-    reach_g = g.reachable_states() if reachable is None else reachable
-    frontier = [(q, entry(q)) for q in sorted(reach_g)]
-    for key in frontier:
-        get(*key)
-    # moves[v] : coalition joint action -> set of successor product nodes
-    moves = {}
-    i = 0
-    while i < len(order):
-        q, s = order[i]
-        per_action = {}
-        for ja in g.joint_actions():
-            mine = tuple(ja[g.agents.index(a)] for a in coalition)
-            ti = g.transitions[(q, ja)]
-            ts = dfa.step(s, g.labels[ti])
-            per_action.setdefault(mine, set()).add(get(ti, ts))
-        moves[i] = per_action
-        i += 1
-
-    unsafe = {
-        v for v, (q, s) in enumerate(order)
-        if q in g.final and s not in dfa.finals
-    }
-    alive = set(range(len(order))) - unsafe
+    if reachable is None:
+        reachable = g.reachable_states()
+    nodes, entry, moves = explicit_product(g, dfa, coalition, reachable)
+    alive = {v for v, (q, s) in enumerate(nodes)
+             if q not in g.final or s in dfa.finals}
     changed = True
     while changed:
         changed = False
         for v in list(alive):
-            if not any(succ <= alive for succ in moves[v].values()):
+            if not any(succ <= alive for succ in moves[v]):
                 alive.discard(v)
                 changed = True
-    return {q for q in reach_g if nodes.get((q, entry(q))) in alive}
+    return {q for q, v in entry.items() if v in alive}

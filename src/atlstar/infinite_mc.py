@@ -16,6 +16,7 @@ on every symbolic arena: those the checker builds and those that
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import cgs as cgsmod
@@ -117,85 +118,32 @@ def region_cap_check(n, cap=1 << 20):
 
 
 def build_explicit_game(g, dpa, coalition, reachable=None):
-    """Explicit product arena of a Cgs and a state-based min-even Dpa.
+    """Explicit parity arena of a Cgs and a state-based min-even Dpa.
 
-    Vertex keys are (q, s) for coalition positions and (q, s, move) for
-    opponent positions, where ``move`` fixes the coalition's actions.
+    Each node (q, s) of ``finite_mc.explicit_product`` is a coalition
+    vertex, with the same id, and has one opponent vertex per coalition
+    move, whose successors are the nodes that the other agents' responses
+    reach; every vertex carries its automaton state's priority.
     ``reachable`` is the model's reachable state set, computed here when
-    not given.  Returns (game, index map key -> vertex id).
+    not given.  Returns (game, entry), ``entry`` mapping each reachable
+    state to the vertex it enters the arena at.
     """
-    coalition = tuple(coalition)
-    others = [a for a in g.agents if a not in coalition]
-    cidx = [g.agents.index(a) for a in coalition]
-    oidx = [g.agents.index(a) for a in others]
-    letters = [dpa.letter(g.labels[q]) for q in range(len(g.states))]
-
-    import itertools
-    coal_moves = list(itertools.product(
-        *[range(len(g.actions[a])) for a in coalition]))
-    opp_moves = list(itertools.product(
-        *[range(len(g.actions[a])) for a in others]))
-
     if reachable is None:
         reachable = g.reachable_states()
-    reach = sorted(reachable)
-    region_cap_check(len(reach) * dpa.n_states * (1 + len(coal_moves)))
-
-    ids = {}
-    owner, priority, succ, names = [], [], [], []
-
-    def get(key):
-        if key not in ids:
-            ids[key] = len(owner)
-            owner.append(0 if len(key) == 2 else 1)
-            priority.append(dpa.priority[key[1]])
-            succ.append([])
-            names.append(key)
-        return ids[key]
-
-    def joint(cmove, omove):
-        ja = [0] * len(g.agents)
-        for i, m in zip(cidx, cmove):
-            ja[i] = m
-        for i, m in zip(oidx, omove):
-            ja[i] = m
-        return tuple(ja)
-
-    # per coalition move, the joint actions of all opponent responses
-    joints = {m: [joint(m, o) for o in opp_moves] for m in coal_moves}
-
-    # entry points: the automaton reads the label of the current state
-    entry = {q: dpa.delta[(dpa.initial, letters[q])] for q in reach}
-    work = [(q, entry[q]) for q in reach]
-    for key in work:
-        get(key)
-    done = set()
-    while work:
-        key = work.pop()
-        if key in done:
-            continue
-        done.add(key)
-        v = ids[key]
-        if len(key) == 2:
-            q, s = key
-            for m in coal_moves:
-                t = (q, s, m)
-                if t not in ids:
-                    work.append(t)
-                succ[v].append(get(t))
-        else:
-            q, s, m = key
-            for ja in joints[m]:
-                qq = g.transitions[(q, ja)]
-                ss = dpa.delta[(s, letters[qq])]
-                t = (qq, ss)
-                if t not in ids:
-                    work.append(t)
-                succ[v].append(get(t))
-
-    game = ExplicitGame(owner=owner, priority=priority, succ=succ,
-                        names=names)
-    return game, ids
+    n_moves = math.prod(len(g.actions[a]) for a in coalition)
+    region_cap_check(len(reachable) * dpa.n_states * (1 + n_moves))
+    nodes, entry, moves = finite_mc.explicit_product(
+        g, dpa, coalition, reachable)
+    n = len(nodes)
+    prio = [dpa.priority[s] for _, s in nodes]
+    game = ExplicitGame(
+        owner=[0] * n + [1] * (n * n_moves),
+        priority=prio + [p for p in prio for _ in range(n_moves)],
+        succ=[list(range(n + v * n_moves, n + (v + 1) * n_moves))
+              for v in range(n)]
+        + [list(succ) for per_move in moves for succ in per_move],
+    )
+    return game, entry
 
 
 def winning_states_explicit(g, dpa, coalition, reachable=None):
@@ -204,17 +152,9 @@ def winning_states_explicit(g, dpa, coalition, reachable=None):
     ``reachable`` is the model's reachable state set, computed here when
     not given.
     """
-    if reachable is None:
-        reachable = g.reachable_states()
-    game, ids = build_explicit_game(g, dpa, coalition, reachable)
+    game, entry = build_explicit_game(g, dpa, coalition, reachable)
     w0, _ = solve_zielonka(game)
-    letters = {q: dpa.letter(g.labels[q]) for q in reachable}
-    out = set()
-    for q, a in letters.items():
-        v = ids.get((q, dpa.delta[(dpa.initial, a)]))
-        if v is not None and v in w0:
-            out.add(q)
-    return out
+    return {q for q, v in entry.items() if v in w0}
 
 
 # ---------------------------------------------------------------------------

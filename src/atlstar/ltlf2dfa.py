@@ -321,9 +321,6 @@ def _letter_carriers(aut, g):
     Letters outside the automaton's alphabet are left out: only states
     that no play reaches carry them.
     """
-    for p in aut.atoms:
-        if p not in g.atoms:
-            raise TranslationError(f"atom {p!r} has no labelling entry")
     carriers = {}
     for q, row in enumerate(g.labels):
         carriers.setdefault(letter_mask(aut.atoms, row), []).append(q)
@@ -345,8 +342,6 @@ def encode_automaton(aut, sg, model=None):
     store = sg.store
     s = store.block("s")
     sn = store.block("s'")
-    if len(s.vars) < max(1, (aut.n_states - 1).bit_length()):
-        raise TranslationError("store too small for automaton states")
     guards = {a: store.from_points([sg.q_next], [(q,) for q in qs])
               for a, qs in _letter_carriers(aut, model or sg.g).items()}
 

@@ -1,9 +1,35 @@
-"""Helpers that only the tests call: a one-call finite-trace check, an
-encoding audit and a PGSolver writer."""
+"""Helpers that only the tests call: a random model builder, a one-call
+finite-trace check, an encoding audit and a PGSolver writer."""
 
+import itertools
+
+from atlstar import cgs
 from atlstar import finite_mc
 from atlstar import ltlf2dfa
 from atlstar.cgs import CgsError
+
+
+def random_cgs(rng, n_states, n_actions=2, agents=("a", "b"), finals=True):
+    """A random model over atoms p and q: each atom labels a state with
+    probability 0.4, each (state, joint action) has a uniform successor
+    and, when ``finals`` holds, each state is final with probability
+    0.3 (drawn last, so ``finals=False`` draws the same model without
+    final states)."""
+    states = [f"s{i}" for i in range(n_states)]
+    actions = {ag: [f"m{j}" for j in range(n_actions)] for ag in agents}
+    atoms = ["p", "q"]
+    labels = [frozenset(x for x in atoms if rng.random() < 0.4)
+              for _ in states]
+    trans = {}
+    for q in range(n_states):
+        for ja in itertools.product(range(n_actions), repeat=len(agents)):
+            trans[(q, ja)] = rng.randrange(n_states)
+    final = frozenset()
+    if finals:
+        final = frozenset(q for q in range(n_states) if rng.random() < 0.3)
+    return cgs.Cgs(agents=list(agents), atoms=atoms, states=states,
+                   initial=0, final=final, actions=actions,
+                   transitions=trans, labels=labels)
 
 
 def game_solving(sg, psi, coalition, dfa=None):

@@ -38,22 +38,6 @@ def quiet_check(**kw):
         return driver.check(**kw)
 
 
-def random_cgs(rng, n_states, n_actions, agents=("a", "b")):
-    states = [f"s{i}" for i in range(n_states)]
-    actions = {ag: [f"m{j}" for j in range(n_actions)] for ag in agents}
-    atoms = ["p", "q"]
-    labels = [frozenset(x for x in atoms if rng.random() < 0.4)
-              for _ in states]
-    trans = {}
-    for s in range(n_states):
-        for ja in itertools.product(range(n_actions), repeat=len(agents)):
-            trans[(s, ja)] = rng.randrange(n_states)
-    final = frozenset(s for s in range(n_states) if rng.random() < 0.3)
-    return cgs.Cgs(agents=list(agents), atoms=atoms, states=states,
-                   initial=0, final=final, actions=actions,
-                   transitions=trans, labels=labels)
-
-
 # ---------------------------------------------------------------------------
 # 1. finite-trace engines agree on random models
 
@@ -72,7 +56,7 @@ def test_finite_engines_agree_on_random_models():
     coalitions = [("a",), ("a", "b"), ()]
     checked = 0
     for k in range(200):
-        g = random_cgs(rng, rng.randint(2, 32), rng.randint(1, 3))
+        g = helpers.random_cgs(rng, rng.randint(2, 32), rng.randint(1, 3))
         store = cgs.make_store(g, bits)
         sg = cgs.encode_symbolic(g, store)
         for i, text in enumerate(FINITE_CORPUS):
@@ -80,7 +64,7 @@ def test_finite_engines_agree_on_random_models():
             dfa = dfas[text]
             coal = coalitions[(k + i) % len(coalitions)]
             sym = helpers.game_solving(sg, psi, coal, dfa)
-            exp = fmc.explicit_game_solving(g, psi, coal, dfa,
+            exp = fmc.explicit_game_solving(g, dfa, coal,
                                             product_cap=100000)
             assert sym == exp, (g.to_text(), text, coal)
             checked += 1
@@ -106,7 +90,7 @@ def test_restricted_alphabet_engines_agree_on_random_models():
     bodies = FINITE_CORPUS + NESTED_CORPUS
     checked = 0
     for _ in range(50):
-        g = random_cgs(rng, rng.randint(2, 20), rng.randint(1, 3))
+        g = helpers.random_cgs(rng, rng.randint(2, 20), rng.randint(1, 3))
         for body in bodies:
             for coal in ("a", "a,b", ""):
                 text = f"<<{coal}>> ({body})"
@@ -254,7 +238,7 @@ def test_shared_store_engines_agree_on_random_models():
     rng = random.Random(5309)
     checked = grown = 0
     for _ in range(60):
-        g = random_cgs(rng, rng.randint(2, 12), rng.randint(1, 3))
+        g = helpers.random_cgs(rng, rng.randint(2, 12), rng.randint(1, 3))
         for text in SHARED_STORE_CORPUS:
             sym = quiet_check(model=g, formula=text, semantics="infinite")
             exp = quiet_check(model=g, formula=text, semantics="infinite",

@@ -37,23 +37,6 @@ trans s2 (stay,stay) -> s2
 """
 
 
-def random_model(rng, n_states, agents=("a", "b"), n_actions=2):
-    import itertools
-    states = [f"s{i}" for i in range(n_states)]
-    actions = {ag: [f"m{j}" for j in range(n_actions)] for ag in agents}
-    atoms = ["p", "q"]
-    labels = [frozenset(x for x in atoms if rng.random() < 0.4)
-              for _ in states]
-    trans = {}
-    for q in range(n_states):
-        for ja in itertools.product(range(n_actions), repeat=len(agents)):
-            trans[(q, ja)] = rng.randrange(n_states)
-    final = frozenset(q for q in range(n_states) if rng.random() < 0.3)
-    return cgs.Cgs(agents=list(agents), atoms=atoms, states=states,
-                   initial=0, final=final, actions=actions,
-                   transitions=trans, labels=labels)
-
-
 def test_parse_basic():
     g = cgs.parse_model(BASIC)
     assert g.agents == ["a", "b"]
@@ -211,8 +194,8 @@ def test_delta_implies_action_validity():
     rng = random.Random(31)
     for _ in range(40):
         agents = ("a", "b", "c")[:rng.randint(1, 3)]
-        g = random_model(rng, rng.randint(1, 9), agents=agents,
-                         n_actions=rng.randint(1, 5))
+        g = helpers.random_cgs(rng, rng.randint(1, 9), rng.randint(1, 5),
+                               agents=agents)
         sg = cgs.encode_symbolic(g, cgs.make_store(g, automaton_bits=1))
         for a in agents:
             assert (sg.delta & ~sg.action_valid[a]).is_false()
@@ -221,12 +204,11 @@ def test_delta_implies_action_validity():
 def test_symbolic_encoding_soundness():
     rng = random.Random(17)
     for _ in range(20):
-        g = random_model(rng, rng.randint(1, 9))
+        g = helpers.random_cgs(rng, rng.randint(1, 9))
         store = cgs.make_store(g, automaton_bits=2)
         sg = cgs.encode_symbolic(g, store)
         helpers.audit_determinism(sg)
         # every explicit transition is in delta, and nothing else
-        import itertools
         for q in range(len(g.states)):
             for ja in g.joint_actions():
                 t = g.transitions[(q, ja)]
@@ -276,7 +258,7 @@ def symbolic_reachable(sg):
 def test_reachable_matches_bfs():
     rng = random.Random(23)
     for _ in range(20):
-        g = random_model(rng, rng.randint(1, 12))
+        g = helpers.random_cgs(rng, rng.randint(1, 12))
         store = cgs.make_store(g, automaton_bits=1)
         sg = cgs.encode_symbolic(g, store)
         assert sg.reach == symbolic_reachable(sg)
@@ -292,14 +274,16 @@ def test_coalition_actions():
     vars_none, avail_none = cgs.coalition_actions(sg, ())
     assert vars_none == []
     assert avail_none == store.true
-    with pytest.raises(cgs.CgsError):
-        cgs.coalition_actions(sg, ("zz",))
 
 
 def test_store_too_small():
+    # the program sizes every store itself, so a store too small for the
+    # model is a fault of the program, not bad input
     g = cgs.parse_model(BASIC)
-    from atlstar.bdd import new_store
+    from atlstar.bdd import BddError, new_store
     store = new_store([("q", 1), ("q'", 1), ("s", 1), ("s'", 1),
-                       ("a_a", 1), ("a_b", 1)])
-    with pytest.raises(cgs.CgsError):
+                       ("a0", 1), ("a1", 1)])
+    with pytest.raises(BddError):
         cgs.encode_symbolic(g, store)
+    with pytest.raises(KeyError):
+        cgs.encode_symbolic(g, new_store([("q", 2), ("q'", 2)]))

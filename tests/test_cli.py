@@ -380,8 +380,13 @@ CONTRACT = {
         {"s.suite": 'generator=counter formula="<<a1>> F p\n'},
         ["suite", "TMP/s.suite"], None),
     "suite-row-memory": (
-        2, "error: 1 of 1 suite rows ended in an error",
+        3, "resource limit: 1 of 1 suite rows hit a resource limit",
         {"s.suite": SUITE_LINE}, ["suite", "TMP/s.suite"], MemoryError()),
+    "suite-row-resource": (
+        3, "resource limit: 1 of 1 suite rows hit a resource limit",
+        {"s.suite": 'generator=counter params cap=45;steps=45 '
+                    'formula="<<a1>> F counter_max" engine=explicit\n'},
+        ["suite", "TMP/s.suite"], None),
     "suite-missing": (
         2, "error: [Errno 2]", {}, ["suite", "TMP/s.suite"], None),
     "gen-output-dir": (
@@ -449,9 +454,26 @@ def _fail_translation(*args, **kwargs):
     raise ltlf2dfa.TranslationError("letter {goal} is outside the alphabet")
 
 
+# a Büchi automaton over an atom that no formula of these tests has
+FOREIGN_AP_HOA = """HOA: v1
+States: 2
+Start: 0
+AP: 1 "zzz"
+acc-name: Buchi
+Acceptance: 1 Inf(0)
+--BODY--
+State: 0
+[0] 1
+[!0] 0
+State: 1 {0}
+[t] 1
+--END--
+"""
+
+
 @pytest.mark.parametrize("case", [
     "every-tool-fails", "fallback-uncovered", "non-parity-hoa",
-    "translation-error",
+    "foreign-ap-hoa", "translation-error",
 ])
 def test_translator_errors_are_usage(case, model_file, tmp_path, capsys,
                                      monkeypatch):
@@ -460,19 +482,22 @@ def test_translator_errors_are_usage(case, model_file, tmp_path, capsys,
         argv += ["--tool", "false"]
     elif case == "fallback-uncovered":
         argv[2] = "<<a>> F G goal"
-    elif case == "non-parity-hoa":
-        hoa = tmp_path / "rabin.hoa"
-        hoa.write_text(RABIN_HOA)
+    elif case in ("non-parity-hoa", "foreign-ap-hoa"):
+        hoa = tmp_path / "tool.hoa"
+        hoa.write_text(RABIN_HOA if case == "non-parity-hoa"
+                       else FOREIGN_AP_HOA)
         argv += ["--tool", f"cat {hoa}"]
     else:
         monkeypatch.setattr(ltlf2dfa, "translate", _fail_translation)
         argv[4] = "finite"
-    rc = cli.main(argv)
-    err = capsys.readouterr().err
-    assert rc == cli.EXIT_USAGE
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
+    # both engines read the same automaton, so both refuse it
+    for engine in ("symbolic", "explicit"):
+        rc = cli.main(argv + ["--engine", engine])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_USAGE, engine
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 def test_check_validates_the_model_once(model_file, monkeypatch, capsys):

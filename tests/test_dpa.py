@@ -94,6 +94,27 @@ def test_parse_hoa_errors():
         )  # state 1 missing
 
 
+def _one_state(body):
+    return ("HOA: v1\nStates: 2\nStart: 0\nAP: 1 \"p\"\n"
+            "acc-name: Buchi\nAcceptance: 1 Inf(0)\n--BODY--\n"
+            f"{body}State: 1\n[t] 1\n--END--\n")
+
+
+def test_hoa_state_labels_label_their_edges():
+    # each unlabelled edge of a labelled state carries the state's label:
+    # two edges under [t] are not deterministic, one edge under [0] is
+    # not total; edges are implicit only under an unlabelled state
+    for body in ("State: [t] 0 {0}\n0\n1\n", "State: [0] 0 {0}\n1\n"):
+        with pytest.raises(dp.HoaError, match="deterministic-total"):
+            dp.hoa_to_dpa(dp.parse_hoa(_one_state(body)))
+    with pytest.raises(dp.HoaError, match="is labelled"):
+        dp.parse_hoa(_one_state("State: [t] 0 {0}\n[0] 0\n"))
+    d = dp.hoa_to_dpa(dp.parse_hoa(_one_state("State: [t] 0 {0}\n0\n")))
+    assert d.delta == {(0, 0): 0, (0, 1): 0}
+    d = dp.hoa_to_dpa(dp.parse_hoa(_one_state("State: 0 {0}\n0\n1\n")))
+    assert d.delta == {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1}
+
+
 def test_parse_hoa_rejects_undeclared_states(tmp_path):
     dangling_edge = TRANS_PARITY.replace("[0] 0 {0}", "[0] 5 {0}", 1)
     with pytest.raises(dp.HoaError, match="state 5 is not declared"):
@@ -284,6 +305,8 @@ FALLBACK_OK = [
     "F p", "p U q", "F (p & q)", "X p", "p & F q",
     "G p", "G (p | q)", "!p & G !q",
     "G (p -> F q)", "G F q",
+    # shapes only the NNF shows as the response pattern
+    "!F (p & G !q)", "false R (!p | true U q)",
 ]
 
 

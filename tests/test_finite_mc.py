@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -38,22 +37,6 @@ trans s2 (stay,stay) -> s2
 """
 
 
-def random_model(rng, n_states, agents=("a", "b"), n_actions=2):
-    states = [f"s{i}" for i in range(n_states)]
-    actions = {ag: [f"m{j}" for j in range(n_actions)] for ag in agents}
-    atoms = ["p", "q"]
-    labels = [frozenset(x for x in atoms if rng.random() < 0.4)
-              for _ in states]
-    trans = {}
-    for q in range(n_states):
-        for ja in itertools.product(range(n_actions), repeat=len(agents)):
-            trans[(q, ja)] = rng.randrange(n_states)
-    final = frozenset(q for q in range(n_states) if rng.random() < 0.3)
-    return cgs.Cgs(agents=list(agents), atoms=atoms, states=states,
-                   initial=0, final=final, actions=actions,
-                   transitions=trans, labels=labels)
-
-
 def encode(g, psi):
     dfa = ltlf2dfa.translate(psi)
     bits = cgs.bits_for(dfa.n_states)
@@ -69,7 +52,7 @@ def test_hand_model_reach_goal():
     sg, _, dfa = encode(g, psi)
     # both agents together can reach s2 from anywhere; s2 stays put
     assert helpers.game_solving(sg, psi, ("a", "b"), dfa) == {0, 1, 2}
-    assert fmc.explicit_game_solving(g, psi, ("a", "b"), dfa) == {0, 1, 2}
+    assert fmc.explicit_game_solving(g, dfa, ("a", "b")) == {0, 1, 2}
     # agent a alone can force s1 -> s2 (both rows with go lead to s2)
     # but not s0 -> {s1, s2} progress without b's cooperation; still, any
     # play stopping before s2 never hits a final state, so the trace
@@ -85,14 +68,14 @@ def test_hand_model_globally_p():
     # unlabelled, but the coalition can loop there forever and never
     # stop at a final state, which satisfies the obligation vacuously
     sym = helpers.game_solving(sg, psi, ("a", "b"), dfa)
-    assert sym == fmc.explicit_game_solving(g, psi, ("a", "b"), dfa)
+    assert sym == fmc.explicit_game_solving(g, dfa, ("a", "b"))
     assert sym == {0, 1, 2}
     # with finals everywhere the vacuous escape disappears: a trace may
     # stop at s0, whose missing p refutes G p immediately
     g2 = cgs.parse_model(BASIC.replace("final: s2", "final: s0 s1 s2"))
     sg2, _, dfa2 = encode(g2, psi)
     sym2 = helpers.game_solving(sg2, psi, ("a", "b"), dfa2)
-    assert sym2 == fmc.explicit_game_solving(g2, psi, ("a", "b"), dfa2)
+    assert sym2 == fmc.explicit_game_solving(g2, dfa2, ("a", "b"))
     assert 0 not in sym2 and 1 in sym2 and 2 in sym2
 
 
@@ -176,20 +159,20 @@ FORMULAS = ["F goal", "G p", "p U q", "F (p & q)", "X p", "G (p -> F q)"]
 def test_symbolic_matches_explicit_random():
     rng = random.Random(7)
     for _ in range(25):
-        g = random_model(rng, rng.randint(2, 8))
+        g = helpers.random_cgs(rng, rng.randint(2, 8))
         for text in ("F p", "G p", "p U q", "X q"):
             psi = fm.parse_formula(text)
             sg, _, dfa = encode(g, psi)
             for coal in ((), ("a",), ("a", "b")):
                 sym = helpers.game_solving(sg, psi, coal, dfa)
-                exp = fmc.explicit_game_solving(g, psi, coal, dfa)
+                exp = fmc.explicit_game_solving(g, dfa, coal)
                 assert sym == exp, (g.to_text(), text, coal)
 
 
 def test_full_coalition_against_reachability_oracle():
     rng = random.Random(19)
     for _ in range(20):
-        g = random_model(rng, rng.randint(2, 7))
+        g = helpers.random_cgs(rng, rng.randint(2, 7))
         for text in ("F p", "G p", "p U q"):
             psi = fm.parse_formula(text)
             sg, _, dfa = encode(g, psi)
@@ -200,7 +183,7 @@ def test_full_coalition_against_reachability_oracle():
 def test_empty_coalition_against_reachability_oracle():
     rng = random.Random(23)
     for _ in range(20):
-        g = random_model(rng, rng.randint(2, 7))
+        g = helpers.random_cgs(rng, rng.randint(2, 7))
         for text in ("F p", "G p"):
             psi = fm.parse_formula(text)
             sg, _, dfa = encode(g, psi)
@@ -239,10 +222,11 @@ def test_solve_safety_winning_within_safe_region():
 
 def test_explicit_product_cap():
     rng = random.Random(3)
-    g = random_model(rng, 8)
+    g = helpers.random_cgs(rng, 8)
     with pytest.raises(fmc.FiniteMcError, match="product"):
         fmc.explicit_game_solving(
-            g, fm.parse_formula("F p"), ("a",), product_cap=3)
+            g, ltlf2dfa.translate(fm.parse_formula("F p")), ("a",),
+            product_cap=3)
 
 
 def test_finite_engine_trims_the_computed_table_between_iterations(
@@ -282,4 +266,5 @@ def test_finite_engine_trims_the_computed_table_between_iterations(
         assert ite <= 4 * nodes and memo <= 4 * nodes
     cleared, cleared_iterations, _ = solve(clear)
     assert (cleared, cleared_iterations) == (win, iterations)
-    assert win == fmc.explicit_game_solving(g, psi, ("a1",))
+    assert win == fmc.explicit_game_solving(
+        g, ltlf2dfa.translate(psi), ("a1",))

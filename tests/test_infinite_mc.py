@@ -256,7 +256,7 @@ def test_attractor_is_the_textbook_fixpoint_on_random_games():
 def test_attractor_is_the_textbook_fixpoint_on_product_arenas():
     rng = random.Random(59)
     for text in PATH_FORMULAS:
-        g = random_model(rng, rng.randint(2, 6))
+        g = helpers.random_cgs(rng, rng.randint(2, 6), finals=False)
         dpa, _ = dp.obtain_dpa(fm.parse_formula(text))
         store = cgs.make_store(g, cgs.bits_for(dpa.n_states))
         sg = cgs.encode_symbolic(g, store)
@@ -279,28 +279,13 @@ def test_region_cap_check():
     imc.region_cap_check(10, cap=10)
 
 
-def random_model(rng, n_states, agents=("a", "b"), n_actions=2):
-    states = [f"s{i}" for i in range(n_states)]
-    actions = {ag: [f"m{j}" for j in range(n_actions)] for ag in agents}
-    atoms = ["p", "q"]
-    labels = [frozenset(x for x in atoms if rng.random() < 0.4)
-              for _ in states]
-    trans = {}
-    for s in range(n_states):
-        for ja in itertools.product(range(n_actions), repeat=len(agents)):
-            trans[(s, ja)] = rng.randrange(n_states)
-    return cgs.Cgs(agents=list(agents), atoms=atoms, states=states,
-                   initial=0, final=frozenset(), actions=actions,
-                   transitions=trans, labels=labels)
-
-
 PATH_FORMULAS = ["G p", "F p", "G (p -> F q)", "p U q"]
 
 
 def test_symbolic_pipeline_matches_explicit_on_random_models():
     rng = random.Random(37)
     for _ in range(15):
-        g = random_model(rng, rng.randint(2, 6))
+        g = helpers.random_cgs(rng, rng.randint(2, 6), finals=False)
         for text in PATH_FORMULAS:
             psi = fm.parse_formula(text)
             dpa, _ = dp.obtain_dpa(psi)
@@ -320,7 +305,7 @@ def test_pre_exists_lies_within_the_vertices():
     arenas = [imc.encode_explicit_game(random_game(rng, rng.randint(1, 20)))
               for _ in range(8)]
     for text in PATH_FORMULAS:
-        g = random_model(rng, rng.randint(2, 6))
+        g = helpers.random_cgs(rng, rng.randint(2, 6), finals=False)
         dpa, _ = dp.obtain_dpa(fm.parse_formula(text))
         store = cgs.make_store(g, cgs.bits_for(dpa.n_states))
         sg = cgs.encode_symbolic(g, store)
@@ -343,7 +328,7 @@ def test_pre_exists_lies_within_the_vertices():
 def test_explicit_game_region_cap(monkeypatch):
     # the cap fires inside build_explicit_game, before any vertex is made
     rng = random.Random(43)
-    g = random_model(rng, 6)
+    g = helpers.random_cgs(rng, 6, finals=False)
     dpa, _ = dp.obtain_dpa(fm.parse_formula("G p"))
     check = imc.region_cap_check
     monkeypatch.setattr(imc, "region_cap_check",
