@@ -12,11 +12,19 @@ They share the one computed table with ``_ite``: each result is keyed
 by the ite triple it equals, commutative operands ordered, following
 Brace, Rudell & Bryant, "Efficient implementation of a BDD package"
 (DAC 1990).
+
+Explicit data (model rows, automaton edges, state sets) enters through
+one bulk constructor, ``from_points``, which builds the BDD of a point
+set bottom-up, one variable level at a time, after the ``Reduce`` of
+Bryant, "Graph-based algorithms for Boolean function manipulation"
+(IEEE Transactions on Computers, 1986).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import and_, or_, rshift
 
 from .errors import ResourceError
 
@@ -29,6 +37,10 @@ class BudgetExceeded(BddError, ResourceError):
     """Raised when the node table outgrows the configured byte budget."""
 
 
+def _over_budget(max_nodes):
+    return BudgetExceeded(f"BDD node budget exceeded ({max_nodes} nodes)")
+
+
 class _OrderBroken(Exception):
     """A relabelling would put a variable below one of its children."""
 
@@ -38,6 +50,13 @@ _BYTES_PER_NODE = 96
 
 FALSE = 0
 TRUE = 1
+
+# variables at the bottom of a from_points BDD that are built from one
+# truth table.  Of 4, 6, 8 and 10, 6 was fastest on the model and
+# automaton encodings of three benchmark workloads; 8 and 10 won on the
+# fourth by under a tenth.  A narrower chunk leaves more levels to the
+# fold; a wider one splits more and larger truth tables.
+_CHUNK = 6
 
 _OPS = ("and", "or", "xor", "implies", "iff", "not", "ite")
 
@@ -166,9 +185,7 @@ class BddStore:
         if n is None:
             n = len(self._var)
             if n >= self.max_nodes:
-                raise BudgetExceeded(
-                    f"BDD node budget exceeded ({self.max_nodes} nodes)"
-                )
+                raise _over_budget(self.max_nodes)
             self._var.append(var)
             self._lo.append(lo)
             self._hi.append(hi)
@@ -620,55 +637,105 @@ class BddStore:
     def from_points(self, blocks, points):
         """Disjunction of the cubes ``points`` over ``blocks``.
 
-        Each point is a tuple with one value per block (bit 0 = LSB).  The
-        points are packed into integers whose bits follow the global
-        variable order, then folded from the deepest variable up: at each
-        level, prefixes that agree on their upper bits are paired under
-        one node.  Every node created is a node of the result, so the
-        store holds no intermediate garbage.  Variables outside
-        ``blocks`` stay free.
+        Each point is a tuple with one value per block (bit 0 = LSB).
+        Variables outside ``blocks`` stay free.  The BDD is built in
+        bulk, bottom-up, after Bryant's ``Reduce``:
+
+        - each point is packed into one integer key whose bits follow
+          the global variable order, topmost variable most significant,
+          through one value-to-bits table per block;
+        - the keys are grouped by all but their lowest ``_CHUNK`` bits,
+          and each group's suffixes become one ``2**_CHUNK``-bit truth
+          table, whose sub-BDD is built once per distinct table;
+        - above the chunk, one pass per variable walks the sorted
+          prefixes, pairs each two that differ only in their last bit,
+          and makes their parent node inline: a unique-table lookup and
+          the budget check.
+
+        Every node created is a node of the result, so the store holds
+        no intermediate garbage.  Raises ``BddError`` when blocks share
+        variables or a point is malformed, and ``BudgetExceeded`` when
+        the store is full.
         """
         order = sorted(v for blk in blocks for v in blk.vars)
         if len(set(order)) != len(order):
             raise BddError("from_points: blocks share variables")
-        # bit position of each block bit in the packed key; the topmost
-        # variable of the order is the most significant bit
-        shift = {v: len(order) - 1 - i for i, v in enumerate(order)}
-        # per block: its bits' masks and a memo of value -> packed bits
-        spreads = [(blk, [1 << shift[v] for v in blk.vars], {})
-                   for blk in blocks]
-        level = {}                      # packed key -> node
-        for point in points:
-            if len(point) != len(blocks):
-                raise BddError(
-                    f"point {point!r} needs one value per block "
-                    f"({len(blocks)})")
-            key = 0
-            for (blk, masks, memo), value in zip(spreads, point):
-                bits = memo.get(value)
-                if bits is None:
-                    if not 0 <= value < (1 << len(masks)):
-                        raise BddError(
-                            f"value {value} does not fit in block {blk.name}")
-                    bits = 0
-                    for b, mask in enumerate(masks):
-                        if (value >> b) & 1:
-                            bits |= mask
-                    memo[value] = bits
-                key |= bits
-            level[key] = TRUE
-        if not level:
+        points = list(points)
+        if not points:
             return self.false
-        mk = self._mk
-        for v in reversed(order):
-            pairs = {}                  # key >> 1 -> [lo, hi]
-            for key, n in level.items():
-                pair = pairs.get(key >> 1)
-                if pair is None:
-                    pair = pairs[key >> 1] = [FALSE, FALSE]
-                pair[key & 1] = n
-            level = {key: mk(v, lo, hi) for key, (lo, hi) in pairs.items()}
-        return Bdd(self, level[0])
+        if set(map(len, points)) != {len(blocks)}:
+            _reject_point(blocks, points)
+        # bit position of each block bit in the packed key
+        shift = {v: len(order) - 1 - i for i, v in enumerate(order)}
+        keys = [0] * len(points)
+        for blk, column in zip(blocks, zip(*points)):
+            values = set(column)
+            if min(values) < 0 or max(values) >> len(blk.vars):
+                _reject_point(blocks, points)
+            bits = _spread(values, blk.vars, shift)
+            keys = list(map(or_, keys, map(bits.__getitem__, column)))
+        chunk = min(_CHUNK, len(order))
+        low = (1 << chunk) - 1
+        tables = {}                      # key >> chunk -> truth table
+        for key in keys:
+            prefix = key >> chunk
+            tables[prefix] = tables.get(prefix, 0) | 1 << (key & low)
+        prefixes = sorted(tables)
+        made = {}
+        nodes = [self._table_node(tables[p], chunk, order, made)
+                 for p in prefixes]
+        # the fold, one level per variable above the chunk
+        var_, lo_, hi_, unique = self._var, self._lo, self._hi, self._unique
+        for v in reversed(order[:len(order) - chunk]):
+            up_prefixes, up_nodes = [], []
+            i, count = 0, len(prefixes)
+            while i < count:
+                p = prefixes[i]
+                if p & 1:               # a lone high child
+                    lo, hi = FALSE, nodes[i]
+                    i += 1
+                elif i + 1 < count and prefixes[i + 1] == p + 1:
+                    lo, hi = nodes[i], nodes[i + 1]
+                    i += 2
+                else:                   # a lone low child
+                    lo, hi = nodes[i], FALSE
+                    i += 1
+                if lo == hi:
+                    n = lo
+                else:
+                    key = (v, lo, hi)
+                    n = unique.get(key)
+                    if n is None:
+                        n = len(var_)
+                        if n >= self.max_nodes:
+                            raise _over_budget(self.max_nodes)
+                        var_.append(v)
+                        lo_.append(lo)
+                        hi_.append(hi)
+                        unique[key] = n
+                up_prefixes.append(p >> 1)
+                up_nodes.append(n)
+            prefixes, nodes = up_prefixes, up_nodes
+        return Bdd(self, nodes[0])
+
+    def _table_node(self, table, depth, order, made):
+        """The node of a truth table over the deepest ``depth`` variables
+        of ``order``: bit i of ``table`` is the value where the deepest
+        variable is bit 0 of i, the next deepest bit 1, and so on.
+        ``made`` memoises the nodes by (table, depth)."""
+        if table == 0:
+            return FALSE
+        if table == (1 << (1 << depth)) - 1:
+            return TRUE
+        r = made.get((table, depth))
+        if r is None:
+            half = 1 << (depth - 1)
+            r = made[(table, depth)] = self._mk(
+                order[len(order) - depth],
+                self._table_node(table & ((1 << half) - 1), depth - 1,
+                                 order, made),
+                self._table_node(table >> half, depth - 1, order, made))
+        return r
 
 
     def minterms(self, f, block):
@@ -747,6 +814,33 @@ class BddStore:
             self._ite_cache.clear()
         if sum(map(len, self._memos.values())) > limit:
             self._memos.clear()
+
+
+def _spread(values, vars_, shift):
+    """The packed key bits of each block value, as a dict: one table of
+    every bit combination per byte of the block, read in bulk."""
+    values = list(values)
+    packed = repeat(0)
+    for low in range(0, len(vars_), 8):
+        table = [0]
+        for v in vars_[low:low + 8]:
+            bit = 1 << shift[v]
+            table += [x | bit for x in table]
+        packed = map(or_, packed, map(table.__getitem__, map(
+            and_, map(rshift, values, repeat(low)), repeat(255))))
+    return dict(zip(values, packed))
+
+
+def _reject_point(blocks, points):
+    """Raise the error of the first malformed point, in point order."""
+    for point in points:
+        if len(point) != len(blocks):
+            raise BddError(
+                f"point {point!r} needs one value per block ({len(blocks)})")
+        for blk, value in zip(blocks, point):
+            if not 0 <= value < (1 << len(blk.vars)):
+                raise BddError(
+                    f"value {value} does not fit in block {blk.name}")
 
 
 def new_store(blocks, byte_budget=256 * 1024 * 1024):

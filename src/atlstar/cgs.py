@@ -42,15 +42,15 @@ class Cgs:
         return [(j, tuple(self.actions[a][i] for a, i in zip(self.agents, j)))
                 for j in self.joint_actions()]
 
-    def successors(self, s):
-        return {self.transitions[(s, j)] for j in self.joint_actions()}
-
     def reachable_states(self):
+        joint = list(self.joint_actions())
+        step = self.transitions
         seen = {self.initial}
         frontier = [self.initial]
         while frontier:
             s = frontier.pop()
-            for t in self.successors(s):
+            for j in joint:
+                t = step[(s, j)]
                 if t not in seen:
                     seen.add(t)
                     frontier.append(t)

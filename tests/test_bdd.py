@@ -417,6 +417,73 @@ def test_from_points_is_the_disjunction_of_cubes(case):
         assert store.evaluate(f, env) == (point in wanted)
 
 
+@st.composite
+def wide_point_sets(draw):
+    """Like point_sets, over up to 16 variables and a few hundred points
+    with duplicates, so that both the truth tables of the deepest
+    variables and the fold above them do work."""
+    layout = []
+    room = 16
+    for i in range(draw(st.integers(1, 4))):
+        if room == 0:
+            break
+        width = draw(st.integers(1, min(6, room)))
+        layout.append((f"b{i}", width))
+        room -= width
+        if width <= room and draw(st.booleans()):
+            layout.append((f"b{i}'", width))
+            room -= width
+    names = draw(st.permutations([name for name, _ in layout]))
+    names = names[:draw(st.integers(1, len(names)))]
+    widths = dict(layout)
+    point = st.tuples(*[st.integers(0, (1 << widths[n]) - 1) for n in names])
+    points = draw(st.lists(point, min_size=1, max_size=300))
+    points += draw(st.lists(st.sampled_from(points), max_size=40))
+    return layout, names, draw(st.permutations(points)), draw(st.randoms())
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_point_sets())
+def test_from_points_on_wide_point_sets(case):
+    layout, names, points, rng = case
+    store = new_store(layout)
+    blocks = [store.block(n) for n in names]
+    before = store.node_count()
+    f = store.from_points(blocks, points)
+    assert store.node_count() - before == nodes_below(store, f)
+    assert store.from_points(blocks, reversed(points)) == f
+    assert store.node_count() - before == nodes_below(store, f)
+    assert f == store.big_or([
+        store.big_and([store.cube(b, x) for b, x in zip(blocks, p)])
+        for p in points
+    ])
+    # every point holds whatever the free variables are, and sampled
+    # assignments hold exactly where they spell a point
+    wanted = set(points)
+    envs = [{v: rng.random() < 0.5 for v in range(store.nvars)}
+            for _ in range(len(points) + 64)]
+    for p, env in zip(points, envs):
+        for b, x in zip(blocks, p):
+            env.update((v, bool(x >> i & 1)) for i, v in enumerate(b.vars))
+    for env in envs:
+        point = tuple(sum(env[v] << i for i, v in enumerate(b.vars))
+                      for b in blocks)
+        assert store.evaluate(f, env) == (point in wanted)
+    assert store.audit_reduced()
+
+
+def test_from_points_hits_the_budget():
+    # scattered keys share few nodes: the fold above the truth tables
+    # makes more nodes than the smallest budget allows
+    store = new_store([("x", 20)], byte_budget=1)
+    rng = random.Random(7)
+    points = [(rng.randrange(1 << 20),) for _ in range(3000)]
+    with pytest.raises(BudgetExceeded, match="budget exceeded"):
+        store.from_points([store.block("x")], points)
+    assert store.node_count() == store.max_nodes
+    assert store.audit_reduced()
+
+
 def test_from_points_empty_and_out_of_range():
     store = new_store([("a", 2), ("b", 3)])
     a, b = store.block("a"), store.block("b")

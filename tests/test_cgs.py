@@ -265,6 +265,21 @@ def test_reachable_matches_bfs():
         assert set(sg.decode(sg.reach)) == g.reachable_states()
 
 
+@pytest.mark.parametrize("gen, params, nodes", [
+    (bench.gen_counter, bench.CounterParams(cap=35, steps=35), 1153),
+    (bench.gen_scheduler, bench.SchedulerParams(processes=3), 1229),
+    (bench.gen_counter, bench.CounterParams(cap=100, mode="infinite"), 134),
+])
+def test_benchmark_models_encode_to_pinned_node_counts(gen, params, nodes):
+    # the store holds the encoding's nodes and nothing else, so its size
+    # is fixed by the functions encoded, however they are built
+    g = gen(params)
+    store = cgs.make_store(g, automaton_bits=1)
+    sg = cgs.encode_symbolic(g, store)
+    assert store.node_count() == nodes
+    assert sg.decode(sg.reach) == sorted(g.reachable_states())
+
+
 def test_coalition_actions():
     g = cgs.parse_model(BASIC)
     store = cgs.make_store(g, automaton_bits=1)

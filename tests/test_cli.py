@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import atlstar
 from atlstar import bench
 from atlstar import cli
 from atlstar import driver
@@ -88,6 +92,26 @@ def test_unknown_atom_is_usage(model_file, capsys):
 def test_missing_model_is_usage(tmp_path, capsys):
     rc = cli.main(["check", str(tmp_path / "nope.cgs"), "<<a>> F goal"])
     assert rc == cli.EXIT_USAGE
+
+
+def test_python_dash_m_runs_the_cli(model_file, tmp_path):
+    # the package runs as a module, with the CLI's exit codes
+    src = os.path.dirname(os.path.dirname(atlstar.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(model):
+        return subprocess.run(
+            [sys.executable, "-m", "atlstar", "check", model, "<<a>> F goal"],
+            capture_output=True, text=True, env=env, timeout=120)
+
+    done = run(model_file)
+    assert done.returncode in (cli.EXIT_HOLDS, cli.EXIT_NOT_HOLDS), \
+        done.stderr
+    assert "hold" in done.stdout
+    missing = run(str(tmp_path / "nope.cgs"))
+    assert missing.returncode == cli.EXIT_USAGE
+    assert len(missing.stderr.splitlines()) == 1
+    assert "Traceback" not in missing.stderr
 
 
 def test_bad_subcommand_is_usage(capsys):
