@@ -1,13 +1,16 @@
 """Deterministic parity automata for LTL path formulas.
 
 Automata come either from external translator tools speaking the HOA v1
-format (run as a race, first valid output wins) or, when no tool is
-configured, from a built-in fallback covering the safety / co-safety
-fragments plus the propositional response pattern G(a -> F b); both
-routes meet in ``obtain_dpa``.  Every automaton is state-based and
-min-even: a run is accepting exactly when its minimal recurring priority
-is even.  A HOA automaton's acceptance marks are mapped to such
-priorities on input, and transition-based marks become state-based.
+format or, when no tool is configured, from a built-in fallback covering
+the safety / co-safety fragments plus the propositional response pattern
+G(a -> F b); both routes meet in ``obtain_dpa``.  Tools run as a race in
+which each racer turns its tool's text into a Dpa (``parse_hoa``, then
+``hoa_to_dpa``), so the first tool whose automaton converts wins.  HOA
+edge labels are read by the formula parser as propositional formulas.
+Every automaton is state-based and min-even: a run is accepting exactly
+when its minimal recurring priority is even.  A HOA automaton's
+acceptance marks are mapped to such priorities on input, and
+transition-based marks become state-based.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ class DpaError(InputError):
 
 @dataclass
 class HoaEdge:
-    label: object      # label expression AST, or None for implicit
+    label: object      # propositional Formula over ap0, ap1, ...,
+                       # or None for an implicit edge
     dest: int
     acc_sets: tuple
 
@@ -62,76 +66,43 @@ class HoaAutomaton:
         return range(1 << len(self.aps))
 
 
-def _parse_label_expr(text):
-    """Parse a HOA label expression into a nested tuple AST."""
-    tokens = [t for t in re.findall(r"[()!&|]|t|f|\d+", text)]
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]] if pos[0] < len(tokens) else None
-
-    def eat():
-        t = tokens[pos[0]]
-        pos[0] += 1
-        return t
-
-    def expr():
-        left = term()
-        while peek() == "|":
-            eat()
-            left = ("or", left, term())
-        return left
-
-    def term():
-        left = factor()
-        while peek() == "&":
-            eat()
-            left = ("and", left, factor())
-        return left
-
-    def factor():
-        t = peek()
-        if t == "!":
-            eat()
-            return ("not", factor())
-        if t == "(":
-            eat()
-            e = expr()
-            if eat() != ")":
-                raise HoaError(f"unbalanced parentheses in label [{text}]")
-            return e
-        if t == "t":
-            eat()
-            return ("true",)
-        if t == "f":
-            eat()
-            return ("false",)
-        if t is not None and t.isdigit():
-            eat()
-            return ("ap", int(t))
-        raise HoaError(f"bad label expression [{text}]")
-
-    e = expr()
-    if pos[0] != len(tokens):
-        raise HoaError(f"trailing tokens in label [{text}]")
-    return e
+# one token of a HOA label, or any other character, which is an error
+_LABEL_TOKEN = re.compile(r"\s+|(\d+)|([tf])|([!&|()])|(.)", re.S)
 
 
-def eval_label(expr, letter):
-    op = expr[0]
-    if op == "true":
-        return True
-    if op == "false":
-        return False
-    if op == "ap":
-        return bool((letter >> expr[1]) & 1)
-    if op == "not":
-        return not eval_label(expr[1], letter)
-    if op == "and":
-        return eval_label(expr[1], letter) and eval_label(expr[2], letter)
-    if op == "or":
-        return eval_label(expr[1], letter) or eval_label(expr[2], letter)
-    raise HoaError(f"bad label op {op!r}")
+def _ap(i):
+    """The atom that stands for AP index ``i`` in a label formula."""
+    return f"ap{i}"
+
+
+def _parse_label(text, n_aps):
+    """A HOA label expression as a propositional Formula over the atoms
+    ``ap0``, ``ap1``, ...
+
+    Each token is spelled as the formula parser spells it, and the
+    parser reads the result.  Aliases, any character outside the label
+    syntax and AP indices past the ``n_aps`` declared are errors.
+    """
+    words = []
+    for m in _LABEL_TOKEN.finditer(text):
+        index, const, op, other = m.groups()
+        if other is not None:
+            raise HoaError(f"unexpected {other!r} in label [{text}]")
+        if index is not None:
+            if int(index) >= n_aps:
+                raise HoaError(f"label [{text}] reads AP {index}; the "
+                               f"AP header declares {n_aps}")
+            words.append(_ap(int(index)))
+        elif const is not None:
+            words.append("true" if const == "t" else "false")
+        elif op is not None:
+            words.append(op)
+    try:
+        return fm.parse_formula(" ".join(words))
+    except fm.ParseError as e:
+        # the parser's position counts in the spelled-out words
+        reason = str(e).rsplit(" (line ", 1)[0]
+        raise HoaError(f"bad label [{text}]: {reason}") from None
 
 
 def parse_hoa(text):
@@ -192,7 +163,7 @@ def parse_hoa(text):
             state_label = None
             if rest.startswith("["):
                 lbl, rest = rest[1:].split("]", 1)
-                state_label = _parse_label_expr(lbl)
+                state_label = _parse_label(lbl, len(aps))
                 rest = rest.strip()
             m = re.match(r"(\d+)\s*(?:\"[^\"]*\")?\s*(\{[^}]*\})?", rest)
             if not m:
@@ -213,7 +184,7 @@ def parse_hoa(text):
                     raise HoaError(f"state {current.sid} is labelled, so "
                                    f"its edges cannot be: {line!r}")
                 lbl, rest = rest[1:].split("]", 1)
-                label = _parse_label_expr(lbl)
+                label = _parse_label(lbl, len(aps))
                 rest = rest.strip()
             m = re.match(r"(\d+)\s*(\{[^}]*\})?", rest)
             if not m:
@@ -329,6 +300,9 @@ def hoa_to_dpa(hoa):
     """
     priority_of = _mark_priority(hoa)
     letters = list(hoa.alphabet())
+    # the atoms of the label formulas that hold on each letter
+    holding = [{_ap(i) for i in range(len(hoa.aps)) if a >> i & 1}
+               for a in letters]
 
     def resolve(sid, letter):
         st = hoa.states[sid]
@@ -339,7 +313,8 @@ def hoa_to_dpa(hoa):
                     f"state {sid}: implicit edges must cover the alphabet"
                 )
             return implicit[letter]
-        matches = [e for e in st.edges if eval_label(e.label, letter)]
+        matches = [e for e in st.edges
+                   if _prop_holds(e.label, holding[letter])]
         if len(matches) != 1:
             raise HoaError(
                 f"automaton not deterministic-total at state {sid}, "
@@ -398,7 +373,7 @@ class SymbolicDpa:
     s: object
     s_next: object
     delta: object      # Bdd over (s, q', s')
-    init: object
+    entry: object      # Bdd over (q, s): automaton state entered at q
     valid: object
     priority_sets: dict  # priority -> Bdd over s
 
@@ -406,12 +381,12 @@ class SymbolicDpa:
 def encode_dpa(dpa, sg, model=None):
     """Symbolic DPA transition relation and priority map against a CGS;
     ``model`` is as for :func:`ltlf2dfa.encode_automaton`."""
-    s, sn, delta, states = ltlf2dfa.encode_automaton(dpa, sg, model)
+    s, sn, delta, entry, states = ltlf2dfa.encode_automaton(dpa, sg, model)
     members = {}
     for q in range(dpa.n_states):
         members.setdefault(dpa.priority[q], []).append(q)
     return SymbolicDpa(
-        s=s, s_next=sn, delta=delta, init=states([dpa.initial]),
+        s=s, s_next=sn, delta=delta, entry=entry,
         valid=states(range(dpa.n_states)),
         priority_sets={p: states(qs) for p, qs in sorted(members.items())},
     )
@@ -533,18 +508,15 @@ def fallback_translate(psi):
 # ---------------------------------------------------------------------------
 # Translator race
 
-@dataclass
-class RaceResult:
-    hoa: HoaAutomaton
-    tool: str
-
-
 def race_translate(psi, tools, timeout=60.0):
-    """Run external translator commands concurrently; the first tool to
-    print valid HOA whose atoms are all atoms of ``psi`` wins.
+    """Run external translator commands concurrently and return
+    ``(dpa, tool)`` for the first tool whose output converts to a Dpa
+    over atoms of ``psi``.
 
-    ``tools`` is a non-empty list of command templates with ``{formula}``
-    and optional ``{outfile}`` placeholders.
+    Each racer parses and converts its own tool's output, so a tool
+    whose automaton the checker cannot use loses.  ``tools`` is a
+    non-empty list of command templates with ``{formula}`` and optional
+    ``{outfile}`` placeholders.
     """
     text = str(psi)
     atoms = fm.atoms_of(psi)
@@ -574,7 +546,7 @@ def race_translate(psi, tools, timeout=60.0):
             if foreign:
                 raise DpaError(f"automaton reads atoms the formula lacks: "
                                f"{', '.join(foreign)}")
-            return hoa
+            return hoa_to_dpa(hoa)
         finally:
             if outfile and os.path.exists(outfile):
                 os.unlink(outfile)
@@ -585,11 +557,10 @@ def race_translate(psi, tools, timeout=60.0):
         for fut in concurrent.futures.as_completed(futures, timeout=timeout * 2):
             t = futures[fut]
             try:
-                hoa = fut.result()
-            except Exception as e:  # invalid output or tool failure
+                winner = fut.result(), t
+            except Exception as e:  # unusable output or tool failure
                 errors[t] = str(e)
                 continue
-            winner = RaceResult(hoa=hoa, tool=t)
             break
         for p in procs:
             if p.poll() is None:
@@ -604,5 +575,4 @@ def obtain_dpa(psi, tools=(), timeout=60.0):
     """Translate an LTL path formula to a normalized state-based Dpa."""
     if not tools:
         return fallback_translate(psi), "builtin"
-    res = race_translate(psi, list(tools), timeout=timeout)
-    return hoa_to_dpa(res.hoa), res.tool
+    return race_translate(psi, list(tools), timeout=timeout)

@@ -6,7 +6,9 @@ structure, and the coalition wins from exactly the states where it can
 keep the product inside the safe region forever.  The product space is
 every CGS state paired with every automaton state, as for the parity
 arenas of ``infinite_mc``; the product's reachable part is never
-computed.  Everything here works on the
+computed.  Each model state enters the product with the automaton state
+its own label leads to; that entry relation comes with the automaton's
+encoding (``ltlf2dfa.encode_automaton``).  Everything here works on the
 symbolic encodings from ``cgs`` and ``ltlf2dfa``, except the explicit
 baseline: ``explicit_product``, the one explicit product of a model
 with a deterministic automaton that both explicit oracles solve, and
@@ -40,22 +42,6 @@ class ProductSpace:
     unsafe: object         # Bdd over (q, s): final CGS state, non-final DFA
 
 
-def entry_relation(sg, sd):
-    """Pair each CGS state with the automaton state reached on its own
-    label.
-
-    The automaton (a symbolic DFA here, a symbolic DPA in
-    ``infinite_mc``) starts in its initial state and immediately reads
-    the label of the current CGS state, so state q enters the product
-    at delta(s0, lambda(q)).
-    """
-    store = sg.store
-    step = sd.init & sd.delta          # over (q', s') after fixing s = s0
-    step = store.exists(sd.s.vars, step)
-    step = store.rename(step, [sg.q_next, sd.s_next], [sg.q, sd.s])
-    return step
-
-
 def build_product(sg, sd, coalition):
     """Assemble the safety-game arena for a coalition against a DFA.
 
@@ -71,7 +57,7 @@ def build_product(sg, sd, coalition):
     unsafe = sg.final & sd.valid & ~sd.finals
     return ProductSpace(
         sg=sg, sd=sd, action_vars=avars, avail=avail,
-        delta=moves & sd.delta, entry=entry_relation(sg, sd),
+        delta=moves & sd.delta, entry=sd.entry,
         reachable=sg.valid & sd.valid, unsafe=unsafe,
     )
 

@@ -264,10 +264,6 @@ def _block_eq(store, b1, b2):
     return store.big_and(parts)
 
 
-def _zero(store, block):
-    return store.cube(block, 0)
-
-
 def build_game(sg, sdpa, coalition):
     """Parity-game arena for a coalition against a min-even DPA.
 
@@ -296,9 +292,8 @@ def build_game(sg, sdpa, coalition):
     layer0p = ~st.var(lp.vars[0])
     layer1p = st.var(lp.vars[0])
 
-    azero = st.big_and([_zero(st, b) for b in ablocks]) if ablocks else st.true
-    azero_p = (st.big_and([_zero(st, b) for b in apblocks])
-               if apblocks else st.true)
+    azero = st.from_points(ablocks, [(0,) * len(ablocks)])
+    azero_p = st.from_points(apblocks, [(0,) * len(apblocks)])
     avail_p = st.rename(avail, ablocks, apblocks)
 
     base = sg.valid & sdpa.valid
@@ -447,5 +442,4 @@ def winning_states(sg, sdpa, coalition, game=None):
     w0, _ = solve_symbolic_zielonka(game)
     # a state's position vertex holds the automaton state entered on
     # its own label
-    return finite_mc.project_states(
-        sg, w0 & game.v0 & finite_mc.entry_relation(sg, sdpa))
+    return finite_mc.project_states(sg, w0 & game.v0 & sdpa.entry)

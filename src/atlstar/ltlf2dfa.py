@@ -308,7 +308,7 @@ class SymbolicDfa:
     s: object
     s_next: object
     delta: object   # Bdd over (s, q', s')
-    init: object    # Bdd over s
+    entry: object   # Bdd over (q, s): automaton state entered at q
     finals: object  # Bdd over s
     valid: object   # Bdd over s
 
@@ -336,14 +336,23 @@ def encode_automaton(aut, sg, model=None):
     ``_letter_carriers``), so the automaton synchronizes on the
     successor's label.  ``model`` is the encoded model with the labels
     the automaton reads, fresh atoms included; it defaults to ``sg.g``.
-    Returns the ``s``/``s'`` blocks, the relation over (s, q', s') and
-    a function mapping automaton state ids to a Bdd over ``s``.
+    Returns the ``s``/``s'`` blocks, the relation over (s, q', s'), the
+    entry relation over (q, s) and a function mapping automaton state
+    ids to a Bdd over ``s``.
+
+    The automaton starts in its initial state and immediately reads the
+    label of the current model state, so the entry relation pairs each
+    state q with delta(initial, lambda(q)).
     """
     store = sg.store
     s = store.block("s")
     sn = store.block("s'")
+    carriers = _letter_carriers(aut, model or sg.g)
     guards = {a: store.from_points([sg.q_next], [(q,) for q in qs])
-              for a, qs in _letter_carriers(aut, model or sg.g).items()}
+              for a, qs in carriers.items()}
+    entry = store.from_points(
+        [sg.q, s], [(q, aut.delta[aut.initial, a])
+                    for a, qs in carriers.items() for q in qs])
 
     # state pairs that share a letter set share one guard
     letters = {}
@@ -362,14 +371,14 @@ def encode_automaton(aut, sg, model=None):
     def states(ids):
         return store.from_points([s], [(i,) for i in ids])
 
-    return s, sn, delta, states
+    return s, sn, delta, entry, states
 
 
 def encode_dfa(dfa, sg, model=None):
     """Build the symbolic transition relation over (s, q', s'); ``model``
     is as for :func:`encode_automaton`."""
-    s, sn, delta, states = encode_automaton(dfa, sg, model)
+    s, sn, delta, entry, states = encode_automaton(dfa, sg, model)
     return SymbolicDfa(
-        s=s, s_next=sn, delta=delta, init=states([dfa.initial]),
+        s=s, s_next=sn, delta=delta, entry=entry,
         finals=states(dfa.finals), valid=states(range(dfa.n_states)),
     )

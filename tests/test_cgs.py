@@ -227,7 +227,7 @@ def labelled_states(sg, atom):
     hit = dfa.delta[(dfa.initial, 1)]
     assert hit != dfa.delta[(dfa.initial, 0)]
     st = sg.store
-    s, sn, delta, _ = ltlf2dfa.encode_automaton(dfa, sg)
+    s, sn, delta, _, _ = ltlf2dfa.encode_automaton(dfa, sg)
     edge = delta & st.cube(s, dfa.initial) & st.cube(sn, hit)
     return set(sg.decode(st.exists(s.vars + sn.vars, edge), sg.q_next))
 

@@ -524,6 +524,26 @@ def test_translator_errors_are_usage(case, model_file, tmp_path, capsys,
         assert "Traceback" not in err
 
 
+# FOREIGN_AP_HOA over the formulas' own atom goal: the Büchi automaton
+# of F goal
+GOAL_HOA = FOREIGN_AP_HOA.replace('"zzz"', '"goal"')
+
+
+def test_a_fast_tool_with_an_unusable_automaton_loses(model_file, tmp_path,
+                                                       capsys):
+    # the Rabin tool prints first but its automaton does not convert, so
+    # the slower Büchi tool wins and the check gives a verdict
+    (tmp_path / "rabin.hoa").write_text(RABIN_HOA)
+    (tmp_path / "good.hoa").write_text(GOAL_HOA)
+    slow = f"sleep 0.5; cat {tmp_path / 'good.hoa'}"
+    rc = cli.main(["check", model_file, "<<a>> F goal", "--json",
+                   "--semantics", "infinite",
+                   "--tool", f"cat {tmp_path / 'rabin.hoa'}", "--tool", slow])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == cli.EXIT_NOT_HOLDS
+    assert out["details"]["translators"] == [slow]
+
+
 def test_check_validates_the_model_once(model_file, monkeypatch, capsys):
     from atlstar import cgs
     calls = []

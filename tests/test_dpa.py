@@ -4,6 +4,8 @@ import re
 import stat
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atlstar import dpa as dp
 from atlstar import formula as fm
@@ -128,9 +130,97 @@ def test_parse_hoa_rejects_undeclared_states(tmp_path):
     good_file.write_text(TRANS_PARITY)
     bad = _script(tmp_path, "bad.sh", f'cat "{bad_file}"\n')
     good = _script(tmp_path, "good.sh", f'sleep 0.2; cat "{good_file}"\n')
-    res = dp.race_translate(fm.parse_formula("G F p"), [bad, good],
-                            timeout=10)
-    assert "good.sh" in res.tool
+    _, tool = dp.race_translate(fm.parse_formula("G F p"), [bad, good],
+                                timeout=10)
+    assert "good.sh" in tool
+
+
+# labels outside the HOA label syntax or past its limits, each with the
+# words of its error; the state's other edge reads [0]
+BAD_LABELS = {
+    "tilde": ("!0 & ~0", "unexpected '~'"),
+    "alias": ("@notp", "unexpected '@'"),
+    "stray-letter": ("!0 z", "unexpected 'z'"),
+    "ap-index": ("!0 | 5", "reads AP 5; the AP header declares 1"),
+    "too-deep": (" | ".join(["!0"] * (fm.MAX_DEPTH + 1)), "nested deeper"),
+}
+
+
+def _buchi_with(label):
+    """BUCHI with the label of state 0's [!0] edge replaced."""
+    return BUCHI.replace("  [!0] 1", f"  [{label}] 1", 1)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LABELS))
+def test_parse_hoa_rejects_labels_outside_the_syntax(case):
+    label, words = BAD_LABELS[case]
+    with pytest.raises(dp.HoaError, match=re.escape(words)):
+        dp.parse_hoa(_buchi_with(label))
+
+
+def _labels(n_aps):
+    """HOA label ASTs over ``n_aps`` AP indices: ("t",), ("f",),
+    ("ap", i), ("!", x), ("&", x, y) and ("|", x, y)."""
+    leaves = [st.just(("t",)), st.just(("f",))]
+    if n_aps:
+        leaves.append(st.tuples(st.just("ap"), st.integers(0, n_aps - 1)))
+    return st.recursive(
+        st.one_of(leaves),
+        lambda sub: st.one_of(
+            st.tuples(st.just("!"), sub),
+            st.tuples(st.sampled_from("&|"), sub, sub)),
+        max_leaves=12)
+
+
+# binding strength: ! binds tighter than &, which binds tighter than |
+_BINDS = {"|": 1, "&": 2, "!": 3}
+
+
+def label_text(node, extra):
+    """HOA syntax for a label AST, parenthesized only where the binding
+    strengths need it, and also wherever ``extra`` draws True."""
+    op = node[0]
+    if op in ("t", "f"):
+        text = op
+    elif op == "ap":
+        text = str(node[1])
+    else:
+        parts = [label_text(c, extra) if _BINDS.get(c[0], 4) >= _BINDS[op]
+                 else f"({label_text(c, extra)})" for c in node[1:]]
+        text = f"!{parts[0]}" if op == "!" else f" {op} ".join(parts)
+    return f"({text})" if extra.draw(st.booleans()) else text
+
+
+def label_holds(node, letter):
+    """Reference truth of a label AST on a letter bitmask."""
+    op = node[0]
+    if op in ("t", "f"):
+        return op == "t"
+    if op == "ap":
+        return bool(letter >> node[1] & 1)
+    if op == "!":
+        return not label_holds(node[1], letter)
+    if op == "&":
+        return label_holds(node[1], letter) and label_holds(node[2], letter)
+    return label_holds(node[1], letter) or label_holds(node[2], letter)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_labels_read_as_the_reference_evaluator_reads_them(data):
+    # state 0 moves to state 1 exactly on the letters the label holds on
+    n_aps = data.draw(st.integers(0, 4))
+    node = data.draw(_labels(n_aps))
+    text = label_text(node, data)
+    aps = " ".join(f'"p{i}"' for i in range(n_aps))
+    hoa = (f"HOA: v1\nStates: 2\nStart: 0\nAP: {n_aps} {aps}\n"
+           "acc-name: Buchi\nAcceptance: 1 Inf(0)\n--BODY--\n"
+           f"State: 0\n[{text}] 1\n[!({text})] 0\n"
+           "State: 1 {0}\n[t] 1\n--END--\n")
+    d = dp.hoa_to_dpa(dp.parse_hoa(hoa))
+    for letter in range(1 << n_aps):
+        assert (d.delta[0, letter] != 0) == label_holds(node, letter), \
+            (text, letter)
 
 
 def test_transition_based_to_state_based_preserves_language():
@@ -346,22 +436,23 @@ def test_race_translate_winner(tmp_path):
     hoa_file.write_text(TRANS_PARITY)
     good = _script(tmp_path, "good.sh", f'cat "{hoa_file}"\n')
     bad = _script(tmp_path, "bad.sh", "exit 3\n")
-    res = dp.race_translate(
+    d, tool = dp.race_translate(
         fm.parse_formula("G F p"),
         [f"{bad} '{{formula}}'", f"{good} '{{formula}}'"],
         timeout=10,
     )
-    assert "good.sh" in res.tool
-    assert res.hoa.n_states == 2
+    assert "good.sh" in tool
+    # the transition-based marks split state 1 by incoming priority
+    assert d.n_states == 3
 
 
 def test_race_translate_outfile_template(tmp_path):
     hoa_file = tmp_path / "src.hoa"
     hoa_file.write_text(TRANS_PARITY)
     tool = _script(tmp_path, "copy.sh", f'cp "{hoa_file}" "$1"\n')
-    res = dp.race_translate(
+    d, _ = dp.race_translate(
         fm.parse_formula("G F p"), [f"{tool} {{outfile}}"], timeout=10)
-    assert res.hoa.n_states == 2
+    assert d.n_states == 3
 
 
 def test_race_translate_all_fail(tmp_path):
@@ -373,3 +464,40 @@ def test_race_translate_all_fail(tmp_path):
             [f"{bad} '{{formula}}'", f"{worse} '{{formula}}'"],
             timeout=10,
         )
+
+
+RABIN = """\
+HOA: v1
+States: 1
+Start: 0
+AP: 1 "p"
+acc-name: Rabin 1
+Acceptance: 2 Fin(0) & Inf(1)
+--BODY--
+State: 0
+[t] 0 {1}
+--END--
+"""
+
+# outputs that parse as HOA text but give no Dpa the checker can use
+UNUSABLE = {
+    "rabin": RABIN,
+    "nondeterministic": BUCHI.replace("  [!0] 1", "  [t] 1", 1),
+    **{case: _buchi_with(label) for case, (label, _) in BAD_LABELS.items()},
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNUSABLE))
+def test_a_tool_whose_automaton_does_not_convert_loses(case, tmp_path):
+    # the fast tool prints first, but only the slow one's automaton
+    # converts, so the slow one wins with the language G F p
+    (tmp_path / "fast.hoa").write_text(UNUSABLE[case])
+    (tmp_path / "slow.hoa").write_text(BUCHI)
+    fast = f"cat {tmp_path / 'fast.hoa'}"
+    slow = f"sleep 0.5; cat {tmp_path / 'slow.hoa'}"
+    d, tool = dp.obtain_dpa(fm.parse_formula("G F p"), [fast, slow],
+                            timeout=10)
+    assert tool == slow
+    for pre, loop in lassos(2, 2, 2):
+        assert d.accepts_lasso(pre, loop) == gfp_truth(pre, loop), (pre, loop)
+

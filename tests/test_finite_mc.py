@@ -195,7 +195,7 @@ def test_entry_relation_matches_explicit_steps():
     g = cgs.parse_model(BASIC)
     psi = fm.parse_formula("G p")
     sg, sd, dfa = encode(g, psi)
-    entry = fmc.entry_relation(sg, sd)
+    entry = sd.entry
     store = sg.store
     for q in range(len(g.states)):
         want = dfa.step(dfa.initial, g.labels[q])
