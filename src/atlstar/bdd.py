@@ -630,20 +630,17 @@ class BddStore:
         c, i = go(root)
         return c * (1 << i)
 
-    def cube(self, block, value):
-        """Conjunction encoding ``value`` in the bits of ``block`` (bit 0 = LSB)."""
-        return self.from_points([block], [(value,)])
+    def from_points(self, blocks, columns):
+        """Disjunction of the cubes of a point set over ``blocks``.
 
-    def from_points(self, blocks, points):
-        """Disjunction of the cubes ``points`` over ``blocks``.
-
-        Each point is a tuple with one value per block (bit 0 = LSB).
-        Variables outside ``blocks`` stay free.  The BDD is built in
-        bulk, bottom-up, after Bryant's ``Reduce``:
+        ``columns`` holds one sequence of values per block, all of one
+        length: the i-th point takes the i-th value of each (bit 0 =
+        LSB).  Variables outside ``blocks`` stay free.  The BDD is built
+        in bulk, bottom-up, after Bryant's ``Reduce``:
 
         - each point is packed into one integer key whose bits follow
           the global variable order, topmost variable most significant,
-          through one value-to-bits table per block;
+          through one value-to-bits table per column;
         - the keys are grouped by all but their lowest ``_CHUNK`` bits,
           and each group's suffixes become one ``2**_CHUNK``-bit truth
           table, whose sub-BDD is built once per distinct table;
@@ -654,24 +651,27 @@ class BddStore:
 
         Every node created is a node of the result, so the store holds
         no intermediate garbage.  Raises ``BddError`` when blocks share
-        variables or a point is malformed, and ``BudgetExceeded`` when
-        the store is full.
+        variables, the columns do not match the blocks or a value does
+        not fit its block, and ``BudgetExceeded`` when the store is full.
         """
         order = sorted(v for blk in blocks for v in blk.vars)
         if len(set(order)) != len(order):
             raise BddError("from_points: blocks share variables")
-        points = list(points)
-        if not points:
+        if len(columns) != len(blocks) or len(set(map(len, columns))) > 1:
+            raise BddError(
+                f"from_points: {len(blocks)} blocks need as many columns "
+                f"of one length, got lengths {[len(c) for c in columns]}")
+        if not columns or not columns[0]:
             return self.false
-        if set(map(len, points)) != {len(blocks)}:
-            _reject_point(blocks, points)
         # bit position of each block bit in the packed key
         shift = {v: len(order) - 1 - i for i, v in enumerate(order)}
-        keys = [0] * len(points)
-        for blk, column in zip(blocks, zip(*points)):
+        keys = repeat(0)
+        for blk, column in zip(blocks, columns):
             values = set(column)
-            if min(values) < 0 or max(values) >> len(blk.vars):
-                _reject_point(blocks, points)
+            least, most = min(values), max(values)
+            if least < 0 or most >> len(blk.vars):
+                raise BddError(f"value {least if least < 0 else most} does "
+                               f"not fit in block {blk.name}")
             bits = _spread(values, blk.vars, shift)
             keys = list(map(or_, keys, map(bits.__getitem__, column)))
         chunk = min(_CHUNK, len(order))
@@ -829,18 +829,6 @@ def _spread(values, vars_, shift):
         packed = map(or_, packed, map(table.__getitem__, map(
             and_, map(rshift, values, repeat(low)), repeat(255))))
     return dict(zip(values, packed))
-
-
-def _reject_point(blocks, points):
-    """Raise the error of the first malformed point, in point order."""
-    for point in points:
-        if len(point) != len(blocks):
-            raise BddError(
-                f"point {point!r} needs one value per block ({len(blocks)})")
-        for blk, value in zip(blocks, point):
-            if not 0 <= value < (1 << len(blk.vars)):
-                raise BddError(
-                    f"value {value} does not fit in block {blk.name}")
 
 
 def new_store(blocks, byte_budget=256 * 1024 * 1024):

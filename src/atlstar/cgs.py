@@ -4,6 +4,7 @@ CGSL text format, BDD encoding."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .bdd import BddStore, new_store
@@ -20,8 +21,10 @@ class Cgs:
     """Explicit concurrent game structure with final states.
 
     States and actions are kept by name; indices follow declaration order.
-    ``transitions`` maps (state index, tuple of per-agent action indices)
-    to a successor index and is total by construction.
+    The transition function is total, so its rows, taken state by state
+    and within a state in :meth:`joint_actions` order, are told by their
+    targets alone: ``successors[s * n_joint() + j]`` is the successor of
+    state ``s`` under the ``j``-th joint action.
     """
 
     agents: list
@@ -30,30 +33,32 @@ class Cgs:
     initial: int
     final: frozenset
     actions: dict            # agent name -> list of action names
-    transitions: dict        # (state, joint action) -> state
+    successors: list         # state * n_joint() + joint action -> state
     labels: list             # state -> frozenset of atoms
+
+    def n_joint(self):
+        """The number of joint actions."""
+        return math.prod(len(self.actions[a]) for a in self.agents)
 
     def joint_actions(self):
         ranges = [range(len(self.actions[a])) for a in self.agents]
         return itertools.product(*ranges)
 
     def joint_moves(self):
-        """Each joint action with its action names, one per agent."""
-        return [(j, tuple(self.actions[a][i] for a, i in zip(self.agents, j)))
-                for j in self.joint_actions()]
+        """The action names of each joint action, one per agent, in
+        :meth:`joint_actions` order."""
+        return list(itertools.product(*(self.actions[a] for a in self.agents)))
 
     def reachable_states(self):
-        joint = list(self.joint_actions())
-        step = self.transitions
+        n_joint = self.n_joint()
+        succ = self.successors
         seen = {self.initial}
         frontier = [self.initial]
         while frontier:
             s = frontier.pop()
-            for j in joint:
-                t = step[(s, j)]
-                if t not in seen:
-                    seen.add(t)
-                    frontier.append(t)
+            new = set(succ[s * n_joint:(s + 1) * n_joint]) - seen
+            seen |= new
+            frontier += new
         return seen
 
     def to_text(self):
@@ -71,28 +76,32 @@ class Cgs:
         for name, row in zip(self.states, self.labels):
             if row:
                 lines.append(f"label {name}: " + " ".join(sorted(row)))
-        joint = [(j, ",".join(moves)) for j, moves in self.joint_moves()]
-        for s, name in enumerate(self.states):
-            for j, acts in joint:
-                t = self.transitions[(s, j)]
-                lines.append(f"trans {name} ({acts}) -> {self.states[t]}")
+        joint = map(",".join, self.joint_moves())
+        rows = itertools.product(self.states, joint)
+        for (name, acts), t in zip(rows, self.successors):
+            lines.append(f"trans {name} ({acts}) -> {self.states[t]}")
         return "\n".join(lines) + "\n"
 
 
 def validate(g):
     """Check that ``g`` is a well-formed CGS with a total transition
-    function; returns ``g``."""
+    function into its states; returns ``g``."""
     _validate_header(g)
-    joint = g.joint_moves()
-    for s in range(len(g.states)):
-        for j, moves in joint:
-            if (s, j) not in g.transitions:
-                raise CgsError(
-                    "transition function not total: no row for "
-                    f"state {g.states[s]} and joint action "
-                    f"({','.join(moves)})")
-    if len(g.transitions) != len(g.states) * _n_joint(g):
-        raise CgsError("spurious transition rows present")
+    n, n_joint = len(g.states), g.n_joint()
+    succ = g.successors
+    if len(succ) != n * n_joint:
+        raise CgsError(f"{len(succ)} successors for {n} states and "
+                       f"{n_joint} joint actions")
+    if None in succ or min(succ) < 0 or max(succ) >= n:
+        i, t = next((i, t) for i, t in enumerate(succ)
+                    if t is None or not 0 <= t < n)
+        state = g.states[i // n_joint]
+        acts = ",".join(g.joint_moves()[i % n_joint])
+        if t is None:
+            raise CgsError("transition function not total: no row for "
+                           f"state {state} and joint action ({acts})")
+        raise CgsError(
+            f"successor {t} of state {state} under ({acts}) is not a state")
     return g
 
 
@@ -119,13 +128,6 @@ def _validate_header(g):
             if p.startswith("__"):
                 raise CgsError(f"atom {p!r} uses the reserved '__' prefix")
             raise CgsError(f"atom name {p!r} cannot be written in a formula")
-
-
-def _n_joint(g):
-    njoint = 1
-    for a in g.agents:
-        njoint *= len(g.actions[a])
-    return njoint
 
 
 def _shared_rows(rows):
@@ -172,21 +174,20 @@ def expand(agents, atoms, actions, keys, name, label, final, initial, step):
         initial=index[initial],
         final=frozenset(i for i, k in enumerate(keys) if final(k)),
         actions={a: list(actions.get(a, ())) for a in agents},
-        transitions={},
+        successors=[],
         labels=labels,
     )
     _validate_header(g)
     joint = g.joint_moves()
-    transitions = g.transitions
     for s, k in enumerate(keys):
-        for j, moves in joint:
+        for moves in joint:
             nk = step(k, moves)
             t = index.get(nk)
             if t is None:
                 raise CgsError(
                     f"successor {nk!r} of state {states[s]} under "
                     f"({','.join(moves)}) is not a state")
-            transitions[(s, j)] = t
+            g.successors.append(t)
     return g
 
 
@@ -317,8 +318,11 @@ def parse_model(text):
                 err(lineno, f"undefined atom {p!r} in label")
         labels[sidx[state]] = props
 
-    joint = {}          # action text -> joint action
-    transitions = {}
+    # the row of a state and joint action is its slot in the successor
+    # column; a slot still None after the scan is a missing row
+    n_joint = math.prod(map(len, act_lists.values()))
+    joint = {}          # action text -> joint action index
+    successors = [None] * (len(states) * n_joint)
     for src, acts, dst, lineno in trans_lines:
         s = sidx.get(src)
         if s is None:
@@ -332,17 +336,17 @@ def parse_model(text):
             if len(names) != len(agents):
                 err(lineno,
                     f"expected {len(agents)} actions, got {len(names)}")
-            j = []
+            j = 0
             for name, a in zip(names, agents):
                 if name not in aidx[a]:
                     err(lineno, f"undefined action {name!r} for agent {a}")
-                j.append(aidx[a][name])
-            j = joint[acts] = tuple(j)
-        key = (s, j)
-        if key in transitions:
+                j = j * len(act_lists[a]) + aidx[a][name]
+            joint[acts] = j
+        row = s * n_joint + j
+        if successors[row] is not None:
             names = ",".join(a.strip() for a in acts.split(","))
             err(lineno, f"duplicate transition row for {src} ({names})")
-        transitions[key] = t
+        successors[row] = t
 
     g = Cgs(
         agents=list(agents),
@@ -351,14 +355,14 @@ def parse_model(text):
         initial=init,
         final=frozenset(finals),
         actions=act_lists,
-        transitions=transitions,
+        successors=successors,
         labels=_shared_rows(labels),
     )
     _validate_header(g)
-    # every row read names a real state and joint action, and no row
-    # repeats, so the rows are total exactly when none is missing; a
+    # every row read names a real state and joint action and fills its
+    # own slot, so the rows are total exactly when no slot is empty; a
     # model handed to the driver is validated in full there
-    if len(transitions) != len(states) * _n_joint(g):
+    if None in successors:
         validate(g)
     return g
 
@@ -435,21 +439,24 @@ def encode_symbolic(g, store, reachable=None):
     action_blocks = {a: store.block(action_block_name(i))
                      for i, a in enumerate(g.agents)}
 
+    # the rows' source and action columns, in successor column order:
+    # each value repeats for every choice of the columns to its right
+    columns = []
+    outer, inner = 1, len(g.successors)
+    for k in [len(g.states)] + [len(g.actions[a]) for a in g.agents]:
+        inner //= k
+        columns.append([x for x in range(k) for _ in range(inner)] * outer)
+        outer *= k
     blocks = [q] + [action_blocks[a] for a in g.agents] + [qn]
-    delta = store.from_points(
-        blocks, [(s,) + j + (t,) for (s, j), t in g.transitions.items()])
+    delta = store.from_points(blocks, columns + [g.successors])
 
-    def states(ids):
-        return store.from_points([q], [(s,) for s in ids])
-
-    valid = states(range(len(g.states)))
-    final = states(g.final)
+    valid = store.from_points([q], [range(len(g.states))])
+    final = store.from_points([q], [list(g.final)])
     if reachable is None:
         reachable = g.reachable_states()
-    reach = states(reachable)
+    reach = store.from_points([q], [list(reachable)])
     action_valid = {
-        a: store.from_points([action_blocks[a]],
-                             [(i,) for i in range(len(g.actions[a]))])
+        a: store.from_points([action_blocks[a]], [range(len(g.actions[a]))])
         for a in g.agents
     }
 

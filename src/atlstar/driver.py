@@ -199,11 +199,11 @@ def check(request=None, **kwargs):
         prod = finite_mc.build_product(sg, sd, coalition)
         t3 = time.perf_counter()
         res = finite_mc.solve_safety(prod)
+        win = finite_mc.project_states(sg, res.winning & prod.entry)
         t4 = time.perf_counter()
         timings["encode"] += (t2 - t1) * 1000
         timings["build"] += (t3 - t2) * 1000
         timings["solve"] += (t4 - t3) * 1000
-        win = finite_mc.project_states(sg, res.winning & prod.entry)
         return win, {"rounds": res.iterations,
                      "automaton_states": dfa.n_states,
                      "nodes": sg.store.node_count()}

@@ -125,14 +125,14 @@ def explicit_product(g, aut, coalition, reachable):
     node ``v``.  Both oracles solve their games on this product.
     """
     coalition = set(coalition)
-    # the joint actions grouped by the coalition's part of them
+    # the joint action indices grouped by the coalition's part of them
     groups = {}
-    for ja in g.joint_actions():
+    for j, ja in enumerate(g.joint_actions()):
         mine = tuple(m for a, m in zip(g.agents, ja) if a in coalition)
-        groups.setdefault(mine, []).append(ja)
+        groups.setdefault(mine, []).append(j)
     groups = list(groups.values())
     letters = [aut.letter(row) for row in g.labels]
-    delta, trans = aut.delta, g.transitions
+    delta, succ, n_joint = aut.delta, g.successors, g.n_joint()
 
     ids = {}
     nodes = []
@@ -146,7 +146,7 @@ def explicit_product(g, aut, coalition, reachable):
     entry = {q: node(q, delta[aut.initial, letters[q]])
              for q in sorted(reachable)}
     moves = [[{node(t, delta[s, letters[t]])
-               for t in {trans[q, ja] for ja in grp}}
+               for t in {succ[q * n_joint + j] for j in grp}}
               for grp in groups]
              for q, s in nodes]  # nodes grows while it is walked
     return nodes, entry, moves

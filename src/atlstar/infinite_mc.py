@@ -180,6 +180,8 @@ def parse_pgsolver(text):
                 f"malformed pgsolver line: {raw!r}") from None
         if o not in (0, 1):
             raise InfiniteMcError(f"vertex {v}: owner must be 0 or 1")
+        if p < 0:
+            raise InfiniteMcError(f"vertex {v}: priority {p} is negative")
         if v in owner:
             raise InfiniteMcError(f"vertex {v} is declared twice")
         owner[v] = o
@@ -292,8 +294,9 @@ def build_game(sg, sdpa, coalition):
     layer0p = ~st.var(lp.vars[0])
     layer1p = st.var(lp.vars[0])
 
-    azero = st.from_points(ablocks, [(0,) * len(ablocks)])
-    azero_p = st.from_points(apblocks, [(0,) * len(apblocks)])
+    # with no coalition member there is no action to fix
+    azero, azero_p = (st.from_points(bs, [[0]] * len(bs)) if bs else st.true
+                      for bs in (ablocks, apblocks))
     avail_p = st.rename(avail, ablocks, apblocks)
 
     base = sg.valid & sdpa.valid
@@ -333,16 +336,15 @@ def encode_explicit_game(game, byte_budget=64 * 1024 * 1024):
     st = new_store([("v", nb), ("v'", nb)], byte_budget=byte_budget)
     v = st.block("v")
     vp = st.block("v'")
-    v0 = st.from_points([v], [(x,) for x in range(game.n())
-                              if game.owner[x] == 0])
-    v1 = st.from_points([v], [(x,) for x in range(game.n())
-                              if game.owner[x] == 1])
-    e = st.from_points([v, vp], [(x, w) for x in range(game.n())
-                                 for w in game.succ[x]])
+    ids = range(game.n())
+    v0, v1 = (st.from_points([v], [[x for x in ids if game.owner[x] == o]])
+              for o in (0, 1))
+    e = st.from_points([v, vp], [[x for x in ids for _ in game.succ[x]],
+                                 [w for ws in game.succ for w in ws]])
     classes = {}
-    for x in range(game.n()):
-        classes.setdefault(game.priority[x], []).append((x,))
-    priorities = {p: st.from_points([v], xs)
+    for x in ids:
+        classes.setdefault(game.priority[x], []).append(x)
+    priorities = {p: st.from_points([v], [xs])
                   for p, xs in sorted(classes.items())}
     return SymbolicParityGame(
         store=st, blocks=[(v, vp)], v0=v0, v1=v1, e=e, priorities=priorities,

@@ -348,11 +348,12 @@ def encode_automaton(aut, sg, model=None):
     s = store.block("s")
     sn = store.block("s'")
     carriers = _letter_carriers(aut, model or sg.g)
-    guards = {a: store.from_points([sg.q_next], [(q,) for q in qs])
+    guards = {a: store.from_points([sg.q_next], [qs])
               for a, qs in carriers.items()}
     entry = store.from_points(
-        [sg.q, s], [(q, aut.delta[aut.initial, a])
-                    for a, qs in carriers.items() for q in qs])
+        [sg.q, s], [[q for qs in carriers.values() for q in qs],
+                    [aut.delta[aut.initial, a]
+                     for a, qs in carriers.items() for _ in qs]])
 
     # state pairs that share a letter set share one guard
     letters = {}
@@ -363,13 +364,13 @@ def encode_automaton(aut, sg, model=None):
     for pair, group in letters.items():
         pairs.setdefault(tuple(sorted(group)), []).append(pair)
     delta = store.big_or([
-        store.from_points([s, sn], group)
+        store.from_points([s, sn], list(zip(*group)))
         & store.big_or([guards[a] for a in key])
         for key, group in sorted(pairs.items())
     ])
 
     def states(ids):
-        return store.from_points([s], [(i,) for i in ids])
+        return store.from_points([s], [list(ids)])
 
     return s, sn, delta, entry, states
 

@@ -1,7 +1,6 @@
-"""Helpers that only the tests call: a random model builder, a one-call
-finite-trace check, an encoding audit and a PGSolver writer."""
-
-import itertools
+"""Helpers that only the tests call: a random model builder, a model's
+rows by state, BDDs of cubes and point lists, a one-call finite-trace
+check, an encoding audit and a PGSolver writer."""
 
 from atlstar import cgs
 from atlstar import finite_mc
@@ -20,16 +19,31 @@ def random_cgs(rng, n_states, n_actions=2, agents=("a", "b"), finals=True):
     atoms = ["p", "q"]
     labels = [frozenset(x for x in atoms if rng.random() < 0.4)
               for _ in states]
-    trans = {}
-    for q in range(n_states):
-        for ja in itertools.product(range(n_actions), repeat=len(agents)):
-            trans[(q, ja)] = rng.randrange(n_states)
+    successors = [rng.randrange(n_states)
+                  for _ in range(n_states * n_actions ** len(agents))]
     final = frozenset()
     if finals:
         final = frozenset(q for q in range(n_states) if rng.random() < 0.3)
     return cgs.Cgs(agents=list(agents), atoms=atoms, states=states,
                    initial=0, final=final, actions=actions,
-                   transitions=trans, labels=labels)
+                   successors=successors, labels=labels)
+
+
+def moves_from(g, q):
+    """The (joint action, successor) pairs of state ``q``, in row order."""
+    n_joint = g.n_joint()
+    return zip(g.joint_actions(), g.successors[q * n_joint:(q + 1) * n_joint])
+
+
+def cube(store, block, value):
+    """The BDD of ``value`` in the bits of ``block`` (bit 0 = LSB)."""
+    return store.from_points([block], [[value]])
+
+
+def points_bdd(store, blocks, points):
+    """The BDD of ``points``, tuples with one value per block."""
+    return store.from_points(
+        blocks, [[p[i] for p in points] for i in range(len(blocks))])
 
 
 def game_solving(sg, psi, coalition, dfa=None):
@@ -60,9 +74,9 @@ def audit_determinism(sg):
     g = sg.g
     for s in range(len(g.states)):
         for j in g.joint_actions():
-            parts = [st.cube(sg.q, s)]
+            parts = [cube(st, sg.q, s)]
             for i, a in enumerate(g.agents):
-                parts.append(st.cube(sg.action_blocks[a], j[i]))
+                parts.append(cube(st, sg.action_blocks[a], j[i]))
             row = st.big_and(parts) & sg.delta
             succ = st.exists(list(sg.q.vars) + avs, row)
             if len(st.minterms(succ, sg.q_next)) != 1:

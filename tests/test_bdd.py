@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from atlstar.bdd import (FALSE, TRUE, Bdd, BddError, BudgetExceeded,
                          VarBlock, new_store)
 
+from helpers import cube, points_bdd
+
 
 def fresh(nvars=6):
     return new_store([("x", nvars)])
@@ -155,7 +157,7 @@ def test_rename_is_a_swap():
 def test_evaluate_and_minterms():
     store = fresh(4)
     block = store.block("x")
-    f = store.cube(block, 5) | store.cube(block, 9)
+    f = cube(store, block, 5) | cube(store, block, 9)
     assert store.minterms(f, block) == [5, 9]
     assert store.sat_count(f, block) == 2
 
@@ -288,9 +290,12 @@ def test_computed_table_matches_a_fresh_store():
     cleared = 0
 
     def rebuild(ref, f):
-        return ref.from_points([allvars], [
-            (x,) for x in range(1 << store.nvars)
-            if store.evaluate(f, {v: bool(x >> v & 1) for v in allvars.vars})])
+        def holds(x):
+            return store.evaluate(
+                f, {v: bool(x >> v & 1) for v in allvars.vars})
+
+        return ref.from_points(
+            [allvars], [[x for x in range(1 << store.nvars) if holds(x)]])
 
     for _ in range(3000):
         kind = rng.choice(["exists", "forall", "and_exists", "rename"])
@@ -331,14 +336,14 @@ def test_release_bounds():
     with pytest.raises(BddError, match="mark"):
         store.release(store.node_count() + 1)
     # fewer nodes go than stay, then more
-    f = store.cube(block, 5) | store.cube(block, 9)
+    f = cube(store, block, 5) | cube(store, block, 9)
     for extra in (1, 40):
         mark = store.node_count()
         for i in range(extra):
-            store.cube(block, i)
+            cube(store, block, i)
         store.release(mark)
         assert store.node_count() == mark
-        assert store.cube(block, 5) | store.cube(block, 9) == f
+        assert cube(store, block, 5) | cube(store, block, 9) == f
     store.release(store.node_count())
     assert store.audit_reduced()
 
@@ -349,7 +354,7 @@ def test_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         acc = store.false
         for i in range(1 << 12):
-            acc = acc | store.cube(block, i * 7919 % (1 << 24))
+            acc = acc | cube(store, block, i * 7919 % (1 << 24))
 
 
 def test_cross_store_mixing_rejected():
@@ -400,11 +405,11 @@ def test_from_points_is_the_disjunction_of_cubes(case):
     store = new_store(layout)
     blocks = [store.block(n) for n in names]
     before = store.node_count()
-    f = store.from_points(blocks, points)
+    f = points_bdd(store, blocks, points)
     # every node the constructor made is a node of the result
     assert store.node_count() - before == nodes_below(store, f)
     assert f == store.big_or([
-        store.big_and([store.cube(b, x) for b, x in zip(blocks, p)])
+        store.big_and([cube(store, b, x) for b, x in zip(blocks, p)])
         for p in points
     ])
     # the same function, read off variable by variable
@@ -449,12 +454,12 @@ def test_from_points_on_wide_point_sets(case):
     store = new_store(layout)
     blocks = [store.block(n) for n in names]
     before = store.node_count()
-    f = store.from_points(blocks, points)
+    f = points_bdd(store, blocks, points)
     assert store.node_count() - before == nodes_below(store, f)
-    assert store.from_points(blocks, reversed(points)) == f
+    assert points_bdd(store, blocks, points[::-1]) == f
     assert store.node_count() - before == nodes_below(store, f)
     assert f == store.big_or([
-        store.big_and([store.cube(b, x) for b, x in zip(blocks, p)])
+        store.big_and([cube(store, b, x) for b, x in zip(blocks, p)])
         for p in points
     ])
     # every point holds whatever the free variables are, and sampled
@@ -477,9 +482,9 @@ def test_from_points_hits_the_budget():
     # makes more nodes than the smallest budget allows
     store = new_store([("x", 20)], byte_budget=1)
     rng = random.Random(7)
-    points = [(rng.randrange(1 << 20),) for _ in range(3000)]
+    values = [rng.randrange(1 << 20) for _ in range(3000)]
     with pytest.raises(BudgetExceeded, match="budget exceeded"):
-        store.from_points([store.block("x")], points)
+        store.from_points([store.block("x")], [values])
     assert store.node_count() == store.max_nodes
     assert store.audit_reduced()
 
@@ -488,15 +493,16 @@ def test_from_points_empty_and_out_of_range():
     store = new_store([("a", 2), ("b", 3)])
     a, b = store.block("a"), store.block("b")
     before = store.node_count()
-    assert store.from_points([a, b], []) == store.false
+    assert store.from_points([a, b], [[], []]) == store.false
     assert store.node_count() == before
     for bad in [(4, 0), (0, 8), (-1, 0)]:
         with pytest.raises(BddError, match="does not fit"):
-            store.from_points([a, b], [(0, 0), bad])
-    with pytest.raises(BddError, match="one value per block"):
-        store.from_points([a, b], [(1,)])
+            points_bdd(store, [a, b], [(0, 0), bad])
+    for columns in ([[1]], [[1], [0], [0]], [[1, 2], [0]]):
+        with pytest.raises(BddError, match="as many columns of one length"):
+            store.from_points([a, b], columns)
     with pytest.raises(BddError, match="share variables"):
-        store.from_points([a, a], [(1, 1)])
+        store.from_points([a, a], [[1], [1]])
 
 
 # a, a' and b, b' are interleaved partner pairs; c, c' are not (d sits

@@ -11,6 +11,8 @@ from atlstar import cgs
 from atlstar import driver
 from atlstar import formula as fm
 
+import helpers
+
 
 def quiet_check(**kw):
     with warnings.catch_warnings():
@@ -118,8 +120,7 @@ def test_scheduler_grant_is_one_tick():
     for q in range(len(g.states)):
         if "gr_1" not in g.labels[q]:
             continue
-        for ja in g.joint_actions():
-            t = g.transitions[(q, ja)]
+        for ja, t in helpers.moves_from(g, q):
             # process 1 re-enters via a fresh grant only after requesting
             if "gr_1" in g.labels[t]:
                 # a new one-tick grant needs a request in between, which

@@ -5,6 +5,7 @@ import pytest
 
 from atlstar import bench
 from atlstar import cgs
+from atlstar import driver
 from atlstar import formula as fm
 from atlstar import ltlf2dfa
 
@@ -50,7 +51,7 @@ def test_emit_roundtrip():
     g = cgs.parse_model(BASIC)
     g2 = cgs.parse_model(g.to_text())
     assert g2.to_text() == g.to_text()
-    assert g2.transitions == g.transitions
+    assert g2.successors == g.successors
 
 
 def test_parse_error_messages():
@@ -122,8 +123,8 @@ def test_trans_parenthesis_only_after_the_arrow_is_malformed():
 def test_trans_whitespace_and_comments():
     text = BASIC.replace("trans s0 (go,go) -> s2",
                          "trans   s0(  go ,go )->s2   # a comment")
-    assert cgs.parse_model(text).transitions == \
-        cgs.parse_model(BASIC).transitions
+    assert cgs.parse_model(text).successors == \
+        cgs.parse_model(BASIC).successors
 
 
 def test_reserved_atom_prefix():
@@ -188,6 +189,31 @@ def test_expand_applies_the_parser_checks(message):
         expand_basic(**EXPAND_ERRORS[message])
 
 
+def two_states(successors):
+    """A model built through the API: two states, one agent with two
+    actions, and ``successors`` as its successor column."""
+    return cgs.Cgs(agents=["a"], atoms=["p"], states=["s0", "s1"],
+                   initial=0, final=frozenset({1}),
+                   actions={"a": ["go", "stay"]}, successors=successors,
+                   labels=[frozenset(), frozenset({"p"})])
+
+
+@pytest.mark.parametrize("engine", ["symbolic", "explicit"])
+@pytest.mark.parametrize("successors, message", [
+    ([1, 0, 7, 1], "successor 7 of state s1 under (go) is not a state"),
+    ([1, -1, 1, 1], "successor -1 of state s0 under (stay) is not a state"),
+    ([1, 0, 1], "3 successors for 2 states and 2 joint actions"),
+], ids=["past-the-states", "negative", "short-column"])
+def test_successors_outside_the_states_are_bad_input(engine, successors,
+                                                     message):
+    # the driver validates a model it did not parse; a successor that is
+    # no state used to escape from the reachability search as a KeyError
+    with pytest.raises(cgs.CgsError) as err:
+        driver.check(model=two_states(successors), formula="<<a>> F p",
+                     engine=engine)
+    assert str(err.value) == message
+
+
 def test_delta_implies_action_validity():
     # delta only holds rows of real joint actions, so the pipeline may
     # quantify opponents out of it without an availability filter
@@ -210,11 +236,12 @@ def test_symbolic_encoding_soundness():
         helpers.audit_determinism(sg)
         # every explicit transition is in delta, and nothing else
         for q in range(len(g.states)):
-            for ja in g.joint_actions():
-                t = g.transitions[(q, ja)]
-                parts = [store.cube(sg.q, q), store.cube(sg.q_next, t)]
+            for ja, t in helpers.moves_from(g, q):
+                parts = [helpers.cube(store, sg.q, q),
+                         helpers.cube(store, sg.q_next, t)]
                 for i, a in enumerate(g.agents):
-                    parts.append(store.cube(sg.action_blocks[a], ja[i]))
+                    parts.append(helpers.cube(store, sg.action_blocks[a],
+                                              ja[i]))
                 row = store.big_and(parts)
                 assert not (row & sg.delta).is_false()
 
@@ -228,7 +255,8 @@ def labelled_states(sg, atom):
     assert hit != dfa.delta[(dfa.initial, 0)]
     st = sg.store
     s, sn, delta, _, _ = ltlf2dfa.encode_automaton(dfa, sg)
-    edge = delta & st.cube(s, dfa.initial) & st.cube(sn, hit)
+    edge = delta & helpers.cube(st, s, dfa.initial) & \
+        helpers.cube(st, sn, hit)
     return set(sg.decode(st.exists(s.vars + sn.vars, edge), sg.q_next))
 
 
@@ -246,7 +274,7 @@ def symbolic_reachable(sg):
     state."""
     st = sg.store
     quantified = list(sg.q.vars) + helpers.all_action_vars(sg)
-    r = frontier = st.cube(sg.q, sg.g.initial)
+    r = frontier = helpers.cube(st, sg.q, sg.g.initial)
     while not frontier.is_false():
         img = st.and_exists(frontier, sg.delta, quantified)
         img = st.rename(img, sg.q_next, sg.q)

@@ -378,6 +378,10 @@ CONTRACT = {
     "pgsolver-field": (
         2, "error: malformed pgsolver line: '0 x 0 0;'",
         {"g.gm": "parity 0;\n0 x 0 0;\n"}, ["solve-game", "TMP/g.gm"], None),
+    "pgsolver-negative-priority": (
+        2, "error: vertex 0: priority -1 is negative",
+        {"g.gm": "parity 1;\n0 -1 0 1;\n1 0 1 0;\n"},
+        ["solve-game", "TMP/g.gm"], None),
     "config-line": (
         2, "error: TMP/c.cfg:1: expected key=value",
         {"m.cgs": MODEL, "c.cfg": "not a pair\n"},

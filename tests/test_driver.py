@@ -1,4 +1,5 @@
 import json
+import time
 import warnings
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from atlstar import bench
 from atlstar import cgs
 from atlstar import driver
+from atlstar import finite_mc
 from atlstar import ltlf2dfa
 
 
@@ -296,9 +298,24 @@ def test_non_total_model_reads_the_same_from_parser_and_api():
     with pytest.raises(cgs.CgsError) as parsed:
         cgs.parse_model(MODEL.replace(gap, ""))
     g = model()
-    del g.transitions[(1, (1, 0))]
+    g.successors[1 * g.n_joint() + 2] = None    # s1 (stay,go)
     with pytest.raises(cgs.CgsError) as checked:
         driver.check(model=g, formula="<<a,b>> F goal")
     assert str(parsed.value) == str(checked.value) == (
         "transition function not total: no row for state s1 and joint "
         "action (stay,go)")
+
+
+def test_finite_projection_is_timed_as_solving(monkeypatch):
+    # projecting the winning product states onto model states is part of
+    # the solve, as it is on the infinite path
+    real = finite_mc.project_states
+
+    def slow(*args):
+        time.sleep(0.05)
+        return real(*args)
+
+    monkeypatch.setattr(finite_mc, "project_states", slow)
+    res = driver.check(model=model(), formula="<<a,b>> F goal",
+                       semantics="finite")
+    assert res.timings_ms["solve"] >= 50

@@ -93,8 +93,7 @@ def full_coalition_oracle(g, psi):
     def succs(node):
         q, s = node
         out = set()
-        for ja in g.joint_actions():
-            t = g.transitions[(q, ja)]
+        for _, t in helpers.moves_from(g, q):
             out.add((t, dfa.step(s, g.labels[t])))
         return out
 
@@ -145,8 +144,7 @@ def empty_coalition_oracle(g, psi):
             if qq in g.final and s not in dfa.finals:
                 ok = False
                 break
-            for ja in g.joint_actions():
-                t = g.transitions[(qq, ja)]
+            for _, t in helpers.moves_from(g, qq):
                 stack.append((t, dfa.step(s, g.labels[t])))
         if ok:
             result.add(q)

@@ -181,8 +181,8 @@ def test_symbolic_attractor_matches_the_explicit_one():
         player = rng.randint(0, 1)
         want = imc.attractor(game, player, target, region)
         got, steps = imc._attractor(
-            sym, player, st.from_points([v], [(x,) for x in target]).node,
-            st.from_points([v], [(x,) for x in region]).node)
+            sym, player, st.from_points([v], [sorted(target)]).node,
+            st.from_points([v], [sorted(region)]).node)
         assert _bdd_region(sym, imc.Bdd(st, got)) == want
         # one step per frontier, and a last one that adds nothing
         assert 1 <= steps <= len(want - target) + 1 or not target
@@ -247,8 +247,8 @@ def test_attractor_is_the_textbook_fixpoint_on_random_games():
         for player in (0, 1):
             got, _ = imc._attractor(
                 sym, player,
-                st.from_points([v], [(x,) for x in target]).node,
-                st.from_points([v], [(x,) for x in region]).node)
+                st.from_points([v], [sorted(target)]).node,
+                st.from_points([v], [sorted(region)]).node)
             assert _bdd_region(sym, imc.Bdd(st, got)) == \
                 imc.attractor(game, player, target, region)
 
@@ -318,7 +318,7 @@ def test_pre_exists_lies_within_the_vertices():
         targets = [st.true, game.v0, game.v1, game.vertices,
                    ~game.vertices, *game.priorities.values()]
         # random code sets, most with codes that are no vertex
-        targets += [st.from_points(blocks, [
+        targets += [helpers.points_bdd(st, blocks, [
             tuple(rng.randrange(1 << len(b)) for b in blocks)
             for _ in range(rng.randint(0, 12))]) for _ in range(20)]
         for x in targets:
