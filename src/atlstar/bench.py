@@ -463,10 +463,15 @@ def minimal_defense_budget(params, lo=0, hi=None, search="binary",
     """Smallest budget at which the defenders win, or None.
 
     The defense objective is monotone in the budget, so binary and
-    linear search agree; both are kept for cross-checking.
+    linear search agree; both are kept for cross-checking.  An empty
+    range ``lo > hi`` holds no budget.
     """
     if hi is None:
         hi = params.budget
+    if search not in ("linear", "binary"):
+        raise BenchError(f"unknown search mode {search!r}")
+    if lo > hi:
+        return None
 
     def wins(b):
         from dataclasses import replace
@@ -482,8 +487,6 @@ def minimal_defense_budget(params, lo=0, hi=None, search="binary",
             if wins(b):
                 return b
         return None
-    if search != "binary":
-        raise BenchError(f"unknown search mode {search!r}")
     if not wins(hi):
         return None
     lo_b, hi_b = lo, hi

@@ -385,19 +385,16 @@ def action_block_name(i):
 def store_blocks(g, automaton_bits):
     """Block layout for a store hosting this model plus an automaton.
 
-    Every block has a primed partner, which the store interleaves with
-    it: the vertex-layer bit of parity arenas, the model state, the
-    automaton state and each agent's action.  The layer bit comes first,
-    the automaton block follows the model state block and action blocks
-    come last.  A layout serves both semantics: variables a product does
-    not use make no nodes.
+    The vertex-layer bit of parity arenas comes first, then the model
+    state and the automaton state, each interleaved with its primed
+    partner, and each agent's action last.  A layout serves both
+    semantics: variables a product does not use make no nodes.
     """
     nq = bits_for(len(g.states))
-    blocks = [("l", 1), ("l'", 1), ("q", nq), ("q'", nq),
+    blocks = [("l", 1), ("q", nq), ("q'", nq),
               ("s", automaton_bits), ("s'", automaton_bits)]
     for i, a in enumerate(g.agents):
-        name, na = action_block_name(i), bits_for(len(g.actions[a]))
-        blocks += [(name, na), (name + "'", na)]
+        blocks.append((action_block_name(i), bits_for(len(g.actions[a]))))
     return blocks
 
 

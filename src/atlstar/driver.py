@@ -157,8 +157,8 @@ def check(request=None, **kwargs):
         ``n_states`` states, with every node of earlier subformulas
         released.  The store is rebuilt, at exactly the width needed,
         only when an automaton outgrows the block; it is not padded
-        ahead, since the game's edge relation equates every bit of s
-        and s', so unused high bits would add nodes to it."""
+        ahead, since the automaton's relations fix every bit of s and
+        s', so unused high bits would add nodes to them."""
         bits = cgsmod.bits_for(n_states)
         sg = encoding.get("sg")
         if sg is not None and len(sg.store.block("s")) >= bits:

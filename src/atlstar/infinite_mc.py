@@ -17,6 +17,7 @@ on every symbolic arena: those the checker builds and those that
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import cgs as cgsmod
@@ -45,6 +46,8 @@ class ExplicitGame:
         return len(self.owner)
 
     def validate(self):
+        if not self.owner:
+            raise InfiniteMcError("empty parity game")
         for v, ss in enumerate(self.succ):
             if not ss:
                 raise InfiniteMcError(f"vertex {v} has no successors")
@@ -84,27 +87,36 @@ def attractor(game, player, target, region):
     return attr
 
 
+def depth_check(n_priorities):
+    """Zielonka recurses once per distinct priority: refuse a game that
+    would come near the interpreter's recursion limit."""
+    cap = sys.getrecursionlimit() // 2
+    if n_priorities > cap:
+        raise ResourceError(f"parity game has {n_priorities} distinct "
+                            f"priorities; Zielonka takes at most {cap}")
+
+
 def solve_zielonka(game):
-    """Full winning-region partition (W0, W1) by attractor decomposition."""
+    """Full winning-region partition (W0, W1) by attractor decomposition,
+    recursing and looping as ``solve_symbolic_zielonka`` does."""
     game.validate()
+    depth_check(len(set(game.priority)))
 
     def solve(region):
-        if not region:
-            return set(), set()
-        p = min(game.priority[v] for v in region)
-        player = p % 2
-        target = {v for v in region if game.priority[v] == p}
-        a = attractor(game, player, target, region)
-        w0, w1 = solve(region - a)
-        win_opp = w1 if player == 0 else w0
-        if not win_opp:
-            full = set(region)
-            return (full, set()) if player == 0 else (set(), full)
-        b = attractor(game, 1 - player, win_opp, region)
-        w0b, w1b = solve(region - b)
-        if player == 0:
-            return w0b, w1b | b
-        return w0b | b, w1b
+        won = (set(), set())
+        while region:
+            p = min(game.priority[v] for v in region)
+            player = p % 2
+            target = {v for v in region if game.priority[v] == p}
+            a = attractor(game, player, target, region)
+            lost = solve(region - a)[1 - player]
+            if not lost:
+                won[player].update(region)
+                break
+            b = attractor(game, 1 - player, lost, region)
+            won[1 - player].update(b)
+            region = region - b
+        return won
 
     return solve(set(range(game.n())))
 
@@ -208,14 +220,18 @@ def parse_pgsolver(text):
 
 @dataclass
 class SymbolicParityGame:
-    """Arena over (layer, q, s, coalition actions) with primed copies."""
+    """Arena over (l, position, coalition actions), ``l`` the store's top
+    variable.  Player 0 moves from a position (l=0, actions 0) to a
+    choice (l=1) of the same position by picking the actions; player 1
+    responds with a position that ``delta`` relates to the choice."""
 
     store: object
-    blocks: list         # (unprimed VarBlock, primed VarBlock) pairs in use
-    v0: object           # coalition position vertices (layer 0)
-    v1: object           # opponent choice vertices (layer 1)
-    e: object            # edge relation over both copies
-    priorities: dict     # p -> Bdd over unprimed vertex vars
+    blocks: list         # (block, primed block) pairs of a position
+    actions: list        # the coalition's action blocks
+    v0: object           # position vertices (layer 0), player 0's
+    v1: object           # choice vertices (layer 1), player 1's
+    delta: object        # Bdd over (position, actions, primed position)
+    priorities: dict     # p -> Bdd over vertex vars
     rounds: int = None   # attractor steps of the last solve, summed over
                          # all its attractors
 
@@ -224,130 +240,109 @@ class SymbolicParityGame:
         return self.v0 | self.v1
 
     def vertex_vars(self):
-        out = []
-        for b, _ in self.blocks:
-            out.extend(b.vars)
-        return out
-
-    def primed_vars(self):
-        out = []
-        for _, bp in self.blocks:
-            out.extend(bp.vars)
-        return out
+        blocks = [self.store.block("l"), *(b for b, _ in self.blocks),
+                  *self.actions]
+        return [v for b in blocks for v in b.vars]
 
     def __post_init__(self):
-        # the priming swap and the primed variable set, built once per
-        # arena for the pre-images
-        self._swap = self.store.renaming([b for b, _ in self.blocks],
-                                         [bp for _, bp in self.blocks])
-        self._primed = frozenset(self.primed_vars())
-        self._last = max(self._primed)
+        # what the pre-images need, built once per arena
+        self._pos = self._halves(self.v0.node)[0]
+        self._choice = self._halves(self.v1.node)[1]
+        self._swap = self.store.renaming(*zip(*self.blocks))
+        self._acts = frozenset(v for b in self.actions for v in b.vars)
+        self._primed = frozenset(v for _, bp in self.blocks for v in bp.vars)
+        self._last_a = max(self._acts, default=-1)
+
+    def _halves(self, n):
+        """Node ``n``'s cofactors at l=0 and l=1."""
+        st = self.store
+        return (st._lo[n], st._hi[n]) if st._var[n] == 0 else (n, n)
 
     def pre_exists(self, target, within=None):
         """Vertices with some edge into ``target``, among ``within`` when
-        given; both arena builders give every edge a source in
-        ``vertices``."""
+        given; both halves of the pre-image lie within ``vertices``."""
         return Bdd(self.store, self._pre(
             target.node, None if within is None else within.node))
 
     def _pre(self, t, within=None):
         """``pre_exists`` on node ids."""
         st = self.store
-        e = self.e.node if within is None else st._and(self.e.node, within)
-        vs = self._primed
-        return st._and_exists(e, st._rename(t, self._swap), vs, self._last,
-                              st._quant_memo(vs))
-
-
-def _block_eq(store, b1, b2):
-    parts = []
-    for v1, v2 in zip(b1.vars, b2.vars):
-        parts.append(store.apply("iff", store.var(v1), store.var(v2)))
-    return store.big_and(parts)
+        t0, t1 = self._halves(t)
+        pos, rel = self._pos, self.delta.node
+        if within is not None:
+            w0, w1 = self._halves(within)
+            pos, rel = st._and(pos, w0), st._and(rel, w1)
+        acts, last, primed = self._acts, self._last_a, self._primed
+        memo = st._quant_memo(acts)
+        # positions: some action's choice is in t; choices: some
+        # response is a position in t
+        lo = st._and(pos, st._and_exists(t1, self._choice, acts, last, memo))
+        nxt = st._rename(st._exists(t0, acts, last, memo), self._swap)
+        return st._mk(0, lo, st._and_exists(rel, nxt, primed, max(primed),
+                                            st._quant_memo(primed)))
 
 
 def build_game(sg, sdpa, coalition):
     """Parity-game arena for a coalition against a min-even DPA.
 
-    Vertices pair every CGS state with every automaton state, the space
-    of ``finite_mc.build_product`` too, on two layers told apart by the
-    store's layer bit.  A coalition vertex
-    (layer 0) moves to the opponent vertex (layer 1) that holds its
-    chosen action, and the opponents' response leads back to layer 0;
-    every store has the layer bit and the primed action blocks these
-    edges need.  Coalition positions carry action value 0 as a normal
-    form; priorities come from the automaton state on both layers.
+    Positions pair every CGS state with every automaton state, and the
+    one relation is that of ``finite_mc.build_product``: the coalition's
+    moves with the automaton reading the successor's label.  Positions
+    carry action value 0 as a normal form; priorities come from the
+    automaton state on both layers.
     """
     st = sg.store
     coalition = tuple(coalition)
-    l = st.block("l")
-    lp = st.block("l'")
-
-    members = [(i, a) for i, a in enumerate(sg.g.agents) if a in coalition]
-    ablocks = [sg.action_blocks[a] for _, a in members]
-    apblocks = [st.block(cgsmod.action_block_name(i) + "'")
-                for i, _ in members]
+    layer = st.var(st.block("l").vars[0])
+    ablocks = [sg.action_blocks[a] for a in sg.g.agents if a in coalition]
     _, avail, moves = cgsmod.coalition_moves(sg, coalition)
 
-    layer0 = ~st.var(l.vars[0])
-    layer1 = st.var(l.vars[0])
-    layer0p = ~st.var(lp.vars[0])
-    layer1p = st.var(lp.vars[0])
-
     # with no coalition member there is no action to fix
-    azero, azero_p = (st.from_points(bs, [[0]] * len(bs)) if bs else st.true
-                      for bs in (ablocks, apblocks))
-    avail_p = st.rename(avail, ablocks, apblocks)
-
+    azero = (st.from_points(ablocks, [[0]] * len(ablocks)) if ablocks
+             else st.true)
     base = sg.valid & sdpa.valid
-    v0 = layer0 & base & azero
-    v1 = layer1 & base & avail
+    v0 = ~layer & base & azero
+    v1 = layer & base & avail
 
-    eq_q = _block_eq(st, sg.q, st.block("q'"))
-    eq_s = _block_eq(st, sdpa.s, st.block("s'"))
-
-    # coalition picks an available joint action; position data unchanged
-    e0 = v0 & layer1p & eq_q & eq_s & avail_p
-    # opponents respond; the automaton reads the successor's label
-    e1 = v1 & layer0p & azero_p & moves & sdpa.delta
-    e = e0 | e1
-
-    blocks = [(l, lp), (sg.q, st.block("q'")), (sdpa.s, st.block("s'"))]
-    blocks += list(zip(ablocks, apblocks))
-
-    priorities = {}
-    for p, pset in sdpa.priority_sets.items():
-        cls = (v0 | v1) & pset
-        if not cls.is_false():
-            priorities[p] = cls
-
+    priorities = {p: cls for p, pset in sdpa.priority_sets.items()
+                  if not (cls := (v0 | v1) & pset).is_false()}
     return SymbolicParityGame(
-        store=st, blocks=blocks, v0=v0, v1=v1, e=e, priorities=priorities,
+        store=st, blocks=[(sg.q, sg.q_next), (sdpa.s, sdpa.s_next)],
+        actions=ablocks, v0=v0, v1=v1, delta=moves & sdpa.delta,
+        priorities=priorities,
     )
 
 
 def encode_explicit_game(game, byte_budget=64 * 1024 * 1024):
-    """Symbolic arena for an explicit game (for solver cross-checks)."""
+    """Symbolic arena of an explicit game in ``build_game``'s layered
+    form, for solver cross-checks.  Vertex x is the position (l=0, x,
+    a=0).  If player 0 owns x, its choice (l=1, x, k) responds with its
+    k-th successor; else its one choice (l=1, x, 0) responds with any.
+    Both layers carry x's priority."""
     from .bdd import new_store
     from .cgs import bits_for
 
     game.validate()
-    nb = bits_for(game.n())
-    st = new_store([("v", nb), ("v'", nb)], byte_budget=byte_budget)
-    v = st.block("v")
-    vp = st.block("v'")
-    ids = range(game.n())
-    v0, v1 = (st.from_points([v], [[x for x in ids if game.owner[x] == o]])
-              for o in (0, 1))
-    e = st.from_points([v, vp], [[x for x in ids for _ in game.succ[x]],
-                                 [w for ws in game.succ for w in ws]])
+    n = game.n()
+    # every (choice, response) pair
+    xs, ks, ws = zip(*[(x, k * (1 - game.owner[x]), w)
+                       for x, ss in enumerate(game.succ)
+                       for k, w in enumerate(ss)])
+    nb = bits_for(n)
+    st = new_store([("l", 1), ("v", nb), ("v'", nb), ("a", bits_for(
+        max(ks) + 1))], byte_budget=byte_budget)
+    l, v, vp, a = (st.block(name) for name in ("l", "v", "v'", "a"))
+    v0 = st.from_points([l, v, a], [[0] * n, range(n), [0] * n])
+    v1 = st.from_points([l, v, a], [[1] * len(xs), xs, ks])
     classes = {}
-    for x in ids:
+    for x in range(n):
         classes.setdefault(game.priority[x], []).append(x)
-    priorities = {p: st.from_points([v], [xs])
-                  for p, xs in sorted(classes.items())}
+    priorities = {p: st.from_points([v], [ys]) & (v0 | v1)
+                  for p, ys in sorted(classes.items())}
     return SymbolicParityGame(
-        store=st, blocks=[(v, vp)], v0=v0, v1=v1, e=e, priorities=priorities,
+        store=st, blocks=[(v, vp)], actions=[a], v0=v0, v1=v1,
+        delta=st.from_points([v, a, vp], [xs, ks, ws]),
+        priorities=priorities,
     )
 
 
@@ -402,9 +397,10 @@ def solve_symbolic_zielonka(game):
     the opponent's attractor to what it won is the opponent's, and the
     loop goes on with the region without it.  The first recursive call
     loses the least priority, so the recursion is no deeper than the
-    number of priorities.  Leaves the total attractor iterations in
-    ``game.rounds``.
+    number of priorities, which ``depth_check`` bounds.  Leaves the total
+    attractor iterations in ``game.rounds``.
     """
+    depth_check(len(game.priorities))
     st = game.store
     and_, or_, diff = st._and, st._or, st._diff
     prios = sorted((p, s.node) for p, s in game.priorities.items())

@@ -1,6 +1,7 @@
 """Helpers that only the tests call: a random model builder, a model's
 rows by state, BDDs of cubes and point lists, a one-call finite-trace
-check, an encoding audit and a PGSolver writer."""
+check, an encoding audit, a PGSolver writer and the explicit vertices
+of a symbolic arena made from an explicit game."""
 
 from atlstar import cgs
 from atlstar import finite_mc
@@ -97,3 +98,34 @@ def write_pgsolver(game):
             name = f' "{game.names[v]}"'
         lines.append(f"{v} {game.priority[v]} {game.owner[v]} {ss}{name};")
     return "\n".join(lines) + "\n"
+
+
+def vertex_blocks(game):
+    """The blocks a symbolic arena's vertices range over: the layer bit,
+    the position blocks and the coalition's action blocks."""
+    return ([game.store.block("l")] + [b for b, _ in game.blocks]
+            + list(game.actions))
+
+
+def game_positions(game, w):
+    """The explicit vertices whose layer-0 position lies in ``w``, for
+    an arena of ``infinite_mc.encode_explicit_game``."""
+    st, (v, _) = game.store, game.blocks[0]
+    others = [x for x in game.vertex_vars() if x not in v.vars]
+    return set(st.minterms(st.exists(others, w & game.v0), v))
+
+
+def lift_region(game, sym, region):
+    """An explicit region of ``game`` as vertices of its arena ``sym``:
+    its positions, the one choice of each player-1 vertex and the
+    player-0 choices whose successor lies in the region, so that no
+    edge leaving the region makes a vertex of it."""
+    points = []
+    for x in region:
+        points.append((0, x, 0))
+        if game.owner[x]:
+            points.append((1, x, 0))
+        else:
+            points += [(1, x, k) for k, w in enumerate(game.succ[x])
+                       if w in region]
+    return points_bdd(sym.store, vertex_blocks(sym), points)

@@ -149,9 +149,7 @@ def test_dfa_translation_matches_trace_oracle():
 # 3. the parity solvers agree
 
 def _sym_regions(game, w0, w1):
-    v = game.blocks[0][0]
-    st = game.store
-    return set(st.minterms(w0, v)), set(st.minterms(w1, v))
+    return helpers.game_positions(game, w0), helpers.game_positions(game, w1)
 
 
 def test_parity_solvers_agree():

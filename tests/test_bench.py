@@ -244,6 +244,12 @@ def test_cyber_minimal_budget_binary_equals_linear():
         assert b_bin == b_lin, h
 
 
+@pytest.mark.parametrize("search", ["binary", "linear"])
+def test_cyber_minimal_budget_of_an_empty_range_is_none(search):
+    p = bench.CyberParams(horizon=3, budget=3)
+    assert bench.minimal_defense_budget(p, lo=5, hi=3, search=search) is None
+
+
 def test_cyber_scenarios_generate():
     for sc in bench.SCENARIOS:
         g = bench.gen_cyber(bench.CyberParams(scenario=sc, horizon=2,

@@ -361,6 +361,16 @@ def _big_counter():
     return bench.build_model("counter", {"cap": "45", "steps": "45"}).to_text()
 
 
+def _chain_game():
+    # vertex i has priority i and moves to i or i+1, and the last loops:
+    # Zielonka recurses once per priority, 1,200 deep
+    n = 1200
+    lines = [f"parity {n - 1};"]
+    lines += [f"{i} {i} 0 {i},{i + 1};" for i in range(n - 1)]
+    lines.append(f"{n - 1} {n - 1} 0 {n - 1};")
+    return "\n".join(lines) + "\n"
+
+
 # id: (exit code, first words of the one stderr line, files to write, argv,
 # an exception that driver.check raises instead of checking); TMP in argv
 # stands for the directory the files are written to
@@ -382,6 +392,9 @@ CONTRACT = {
         2, "error: vertex 0: priority -1 is negative",
         {"g.gm": "parity 1;\n0 -1 0 1;\n1 0 1 0;\n"},
         ["solve-game", "TMP/g.gm"], None),
+    "pgsolver-deep-chain": (
+        3, "resource limit: parity game has 1200 distinct priorities",
+        {"g.gm": _chain_game}, ["solve-game", "TMP/g.gm"], None),
     "config-line": (
         2, "error: TMP/c.cfg:1: expected key=value",
         {"m.cgs": MODEL, "c.cfg": "not a pair\n"},

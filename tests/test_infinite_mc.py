@@ -120,6 +120,30 @@ def test_attractor_basics():
             imc.attractor(g, 0, big, region)
 
 
+def chain_game(n):
+    """Vertex i has priority i and moves to i or i+1; the last loops."""
+    return imc.ExplicitGame(owner=[0] * n, priority=list(range(n)),
+                            succ=[[i, i + 1] for i in range(n - 1)]
+                            + [[n - 1]])
+
+
+def test_zielonka_recursion_is_bounded_by_the_priorities():
+    # a chain recurses once per priority; below the cap both solvers
+    # give the answer, above it both refuse the game
+    game = chain_game(100)
+    w0, w1 = imc.solve_zielonka(game)
+    assert (w0, w1) == (set(range(99)), {99})
+    sym = imc.encode_explicit_game(game)
+    s0, s1 = imc.solve_symbolic_zielonka(sym)
+    assert helpers.game_positions(sym, s0) == w0
+    assert helpers.game_positions(sym, s1) == w1
+    deep = chain_game(1200)
+    with pytest.raises(ResourceError, match="1200 distinct priorities"):
+        imc.solve_zielonka(deep)
+    with pytest.raises(ResourceError, match="1200 distinct priorities"):
+        imc.solve_symbolic_zielonka(imc.encode_explicit_game(deep))
+
+
 def test_validate_rejects_dead_ends():
     game = imc.ExplicitGame(owner=[0], priority=[0], succ=[[]])
     with pytest.raises(imc.InfiniteMcError, match="no successors"):
@@ -146,15 +170,6 @@ def test_pgsolver_parse_errors():
         imc.parse_pgsolver("parity 0;\n")
 
 
-def _bdd_region(game, sets):
-    st = game.store
-    v = game.blocks[0][0]
-    out = set()
-    for value in st.minterms(sets, v):
-        out.add(value)
-    return out
-
-
 def test_symbolic_zielonka_matches_explicit_on_random_games():
     rng = random.Random(29)
     for _ in range(60):
@@ -162,8 +177,8 @@ def test_symbolic_zielonka_matches_explicit_on_random_games():
         w0, w1 = imc.solve_zielonka(game)
         sym = imc.encode_explicit_game(game)
         s0, s1 = imc.solve_symbolic_zielonka(sym)
-        assert _bdd_region(sym, s0) == w0
-        assert _bdd_region(sym, s1) == w1
+        assert helpers.game_positions(sym, s0) == w0
+        assert helpers.game_positions(sym, s1) == w1
         assert isinstance(sym.rounds, int) and sym.rounds >= 1
 
 
@@ -175,17 +190,20 @@ def test_symbolic_attractor_matches_the_explicit_one():
         n = rng.randint(1, 24)
         game = random_game(rng, n)
         sym = imc.encode_explicit_game(game)
-        st, v = sym.store, sym.blocks[0][0]
+        st = sym.store
         region = {x for x in range(n) if rng.random() < 0.8}
         target = {x for x in region if rng.random() < 0.25}
         player = rng.randint(0, 1)
         want = imc.attractor(game, player, target, region)
+        lifted = helpers.lift_region(game, sym, target) & sym.v0
         got, steps = imc._attractor(
-            sym, player, st.from_points([v], [sorted(target)]).node,
-            st.from_points([v], [sorted(region)]).node)
-        assert _bdd_region(sym, imc.Bdd(st, got)) == want
+            sym, player, lifted.node,
+            helpers.lift_region(game, sym, region).node)
+        got = imc.Bdd(st, got)
+        assert helpers.game_positions(sym, got) == want
         # one step per frontier, and a last one that adds nothing
-        assert 1 <= steps <= len(want - target) + 1 or not target
+        added = st.sat_count(got & ~lifted, sym.vertex_vars())
+        assert 1 <= steps <= added + 1 or not target
 
 
 def textbook_attractor(game, player, target, region):
@@ -241,15 +259,14 @@ def test_attractor_is_the_textbook_fixpoint_on_random_games():
         sym = imc.encode_explicit_game(game)
         assert_attractors_are_textbook(rng, sym, 4)
         # and the explicit attractor agrees on the same regions
-        st, v = sym.store, sym.blocks[0][0]
-        region = _bdd_region(sym, trap_region(rng, sym))
+        region = helpers.game_positions(sym, trap_region(rng, sym))
         target = {x for x in region if rng.random() < 0.3}
         for player in (0, 1):
             got, _ = imc._attractor(
                 sym, player,
-                st.from_points([v], [sorted(target)]).node,
-                st.from_points([v], [sorted(region)]).node)
-            assert _bdd_region(sym, imc.Bdd(st, got)) == \
+                (helpers.lift_region(game, sym, target) & sym.v0).node,
+                helpers.lift_region(game, sym, region).node)
+            assert helpers.game_positions(sym, imc.Bdd(sym.store, got)) == \
                 imc.attractor(game, player, target, region)
 
 
@@ -270,7 +287,10 @@ def test_counter_response_attractor_steps_are_pinned():
     g = bench.gen_counter(bench.CounterParams(cap=100, mode="infinite"))
     res = driver.check(model=g, formula="<<a1>> G (p1 -> F counter_max)",
                        semantics="infinite")
-    assert res.details["subformulas"][0]["rounds"] == 202
+    stats = res.details["subformulas"][0]
+    assert stats["rounds"] == 202
+    # the arena holds one relation, the product's, and no coalition edges
+    assert stats["nodes"] <= 4600
 
 
 def test_region_cap_check():
@@ -299,8 +319,8 @@ def test_symbolic_pipeline_matches_explicit_on_random_models():
 
 
 def test_pre_exists_lies_within_the_vertices():
-    # both arena builders give every edge a source vertex, so the
-    # pre-image needs no conjunction with the vertex set
+    # the move half of the pre-image is clipped to the vertices, and in
+    # both arena builders every response starts at a choice vertex
     rng = random.Random(47)
     arenas = [imc.encode_explicit_game(random_game(rng, rng.randint(1, 20)))
               for _ in range(8)]
@@ -314,7 +334,7 @@ def test_pre_exists_lies_within_the_vertices():
             arenas.append(imc.build_game(sg, sdpa, coal))
     for game in arenas:
         st = game.store
-        blocks = [b for b, _ in game.blocks]
+        blocks = helpers.vertex_blocks(game)
         targets = [st.true, game.v0, game.v1, game.vertices,
                    ~game.vertices, *game.priorities.values()]
         # random code sets, most with codes that are no vertex
