@@ -368,28 +368,8 @@ def hoa_to_dpa(hoa):
 # ---------------------------------------------------------------------------
 # Symbolic encoding
 
-@dataclass
-class SymbolicDpa:
-    s: object
-    s_next: object
-    delta: object      # Bdd over (s, q', s')
-    entry: object      # Bdd over (q, s): automaton state entered at q
-    valid: object
-    priority_sets: dict  # priority -> Bdd over s
-
-
-def encode_dpa(dpa, sg, model=None):
-    """Symbolic DPA transition relation and priority map against a CGS;
-    ``model`` is as for :func:`ltlf2dfa.encode_automaton`."""
-    s, sn, delta, entry, states = ltlf2dfa.encode_automaton(dpa, sg, model)
-    members = {}
-    for q in range(dpa.n_states):
-        members.setdefault(dpa.priority[q], []).append(q)
-    return SymbolicDpa(
-        s=s, s_next=sn, delta=delta, entry=entry,
-        valid=states(range(dpa.n_states)),
-        priority_sets={p: states(qs) for p, qs in sorted(members.items())},
-    )
+# one code path encodes DFAs and DPAs
+encode_dpa = ltlf2dfa.encode_automaton
 
 
 # ---------------------------------------------------------------------------

@@ -199,7 +199,7 @@ def check(request=None, **kwargs):
         prod = finite_mc.build_product(sg, sd, coalition)
         t3 = time.perf_counter()
         res = finite_mc.solve_safety(prod)
-        win = finite_mc.project_states(sg, res.winning & prod.entry)
+        win = finite_mc.project_states(sg, res.winning & sd.entry)
         t4 = time.perf_counter()
         timings["encode"] += (t2 - t1) * 1000
         timings["build"] += (t3 - t2) * 1000
@@ -225,7 +225,7 @@ def check(request=None, **kwargs):
         t2 = time.perf_counter()
         game = infinite_mc.build_game(sg, sd, coalition)
         t3 = time.perf_counter()
-        win = infinite_mc.winning_states(sg, sd, coalition, game=game)
+        win = infinite_mc.winning_states(sg, sd, game)
         t4 = time.perf_counter()
         timings["encode"] += (t2 - t1) * 1000
         timings["build"] += (t3 - t2) * 1000

@@ -3,16 +3,16 @@
 For a strategic subformula <<A>> psi the path formula psi is translated
 to a DFA, the complement automaton is run in lockstep with the game
 structure, and the coalition wins from exactly the states where it can
-keep the product inside the safe region forever.  The product space is
-every CGS state paired with every automaton state, as for the parity
-arenas of ``infinite_mc``; the product's reachable part is never
-computed.  Each model state enters the product with the automaton state
-its own label leads to; that entry relation comes with the automaton's
-encoding (``ltlf2dfa.encode_automaton``).  Everything here works on the
-symbolic encodings from ``cgs`` and ``ltlf2dfa``, except the explicit
-baseline: ``explicit_product``, the one explicit product of a model
-with a deterministic automaton that both explicit oracles solve, and
-this module's safety solver on it.
+keep the product inside the safe region forever.  The product
+(``build_product``, which the parity arenas of ``infinite_mc`` extend)
+pairs every CGS state with every automaton state; its reachable part is
+never computed.  Each model state enters the product with the automaton
+state its own label leads to; that entry relation comes with the
+automaton's encoding (``ltlf2dfa.encode_automaton``).  Everything here
+works on the symbolic encodings from ``cgs`` and ``ltlf2dfa``, except
+the explicit baseline: ``explicit_product``, the one explicit product
+of a model with a deterministic automaton that both explicit oracles
+solve, and this module's safety solver on it.
 """
 
 from __future__ import annotations
@@ -29,36 +29,31 @@ class FiniteMcError(ResourceError):
 
 @dataclass
 class ProductSpace:
-    """Safety-game arena of a CGS and a symbolic DFA."""
+    """Product of a CGS with an encoded automaton, for a coalition."""
 
     sg: object
-    sd: object
+    sd: object             # ltlf2dfa.SymbolicAutomaton, of a DFA or a DPA
     action_vars: list      # coalition action variables
     avail: object          # coalition action availability Bdd
     delta: object          # Bdd over (q, s, aA, q', s'): coalition moves only
-    entry: object          # Bdd over (q, s): automaton state entered at q
     reachable: object      # Bdd over (q, s): the whole arena, every
                            # CGS state with every automaton state
-    unsafe: object         # Bdd over (q, s): final CGS state, non-final DFA
 
 
 def build_product(sg, sd, coalition):
-    """Assemble the safety-game arena for a coalition against a DFA.
+    """The product of a CGS with an encoded automaton for a coalition,
+    the arena of both the safety game here and the parity game of
+    ``infinite_mc.build_game``.
 
-    The arena pairs every CGS state with every automaton state, as the
-    parity arena of ``infinite_mc`` does.  Whether a state is winning
-    depends only on the states reachable from it, so on the entry points
-    of reachable states the safety fixpoint over this arena agrees with
-    the fixpoint over the part reachable from them.
+    The arena pairs every CGS state with every automaton state.  Whether
+    a state is winning depends only on the states reachable from it, so
+    on the entry points of reachable states a fixpoint over this arena
+    agrees with the fixpoint over the part reachable from them.
     """
     avars, avail, moves = cgsmod.coalition_moves(sg, coalition)
-    # unsafe: the trace may stop here (final CGS state) with the
-    # complement automaton accepting, i.e. the DFA for psi rejecting
-    unsafe = sg.final & sd.valid & ~sd.finals
     return ProductSpace(
         sg=sg, sd=sd, action_vars=avars, avail=avail,
-        delta=moves & sd.delta, entry=sd.entry,
-        reachable=sg.valid & sd.valid, unsafe=unsafe,
+        delta=moves & sd.delta, reachable=sg.valid & sd.valid,
     )
 
 
@@ -77,7 +72,10 @@ def solve_safety(prod):
     sg, sd = prod.sg, prod.sd
     store = sg.store
     qsn = sg.q_next.vars + sd.s_next.vars
-    safe0 = prod.reachable & ~prod.unsafe
+    # unsafe: the trace may stop here (final CGS state) with the
+    # complement automaton accepting, i.e. the DFA for psi rejecting
+    unsafe = sg.final & sd.valid & ~sd.states(sd.aut.finals)
+    safe0 = prod.reachable & ~unsafe
 
     def pre(y):
         yn = store.rename(y, [sg.q, sd.s], [sg.q_next, sd.s_next])

@@ -20,7 +20,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-from . import cgs as cgsmod
 from . import finite_mc
 from .bdd import Bdd
 from .errors import InputError, ResourceError
@@ -285,30 +284,33 @@ class SymbolicParityGame:
 def build_game(sg, sdpa, coalition):
     """Parity-game arena for a coalition against a min-even DPA.
 
-    Positions pair every CGS state with every automaton state, and the
-    one relation is that of ``finite_mc.build_product``: the coalition's
-    moves with the automaton reading the successor's label.  Positions
-    carry action value 0 as a normal form; priorities come from the
-    automaton state on both layers.
+    The arena is ``finite_mc.build_product``'s product with a layer bit:
+    positions pair every CGS state with every automaton state, and the
+    one relation is the product's, the coalition's moves with the
+    automaton reading the successor's label.  Positions carry action
+    value 0 as a normal form; priorities come from the automaton state
+    on both layers.
     """
+    prod = finite_mc.build_product(sg, sdpa, coalition)
     st = sg.store
-    coalition = tuple(coalition)
     layer = st.var(st.block("l").vars[0])
     ablocks = [sg.action_blocks[a] for a in sg.g.agents if a in coalition]
-    _, avail, moves = cgsmod.coalition_moves(sg, coalition)
 
     # with no coalition member there is no action to fix
     azero = (st.from_points(ablocks, [[0]] * len(ablocks)) if ablocks
              else st.true)
-    base = sg.valid & sdpa.valid
-    v0 = ~layer & base & azero
-    v1 = layer & base & avail
+    v0 = ~layer & prod.reachable & azero
+    v1 = layer & prod.reachable & prod.avail
 
-    priorities = {p: cls for p, pset in sdpa.priority_sets.items()
-                  if not (cls := (v0 | v1) & pset).is_false()}
+    dpa = sdpa.aut
+    classes = {}
+    for s in range(dpa.n_states):
+        classes.setdefault(dpa.priority[s], []).append(s)
+    priorities = {p: cls for p, ss in sorted(classes.items())
+                  if not (cls := (v0 | v1) & sdpa.states(ss)).is_false()}
     return SymbolicParityGame(
         store=st, blocks=[(sg.q, sg.q_next), (sdpa.s, sdpa.s_next)],
-        actions=ablocks, v0=v0, v1=v1, delta=moves & sdpa.delta,
+        actions=ablocks, v0=v0, v1=v1, delta=prod.delta,
         priorities=priorities,
     )
 
@@ -432,11 +434,10 @@ def solve_symbolic_zielonka(game):
     return Bdd(st, w0), Bdd(st, w1)
 
 
-def winning_states(sg, sdpa, coalition, game=None):
+def winning_states(sg, sdpa, game):
     """CGS state ids from which the coalition wins, by symbolic
-    Zielonka on ``game`` (built here when not given)."""
-    if game is None:
-        game = build_game(sg, sdpa, coalition)
+    Zielonka on ``game``, the arena ``build_game`` made of ``sg`` and
+    ``sdpa``."""
     w0, _ = solve_symbolic_zielonka(game)
     # a state's position vertex holds the automaton state entered on
     # its own label

@@ -1,4 +1,5 @@
-"""LTLf path formulas to minimal DFAs, plus the symbolic DFA encoding.
+"""LTLf path formulas to minimal DFAs, plus the symbolic encoding of any
+deterministic automaton, DFA or DPA.
 
 The construction progresses the formula letter by letter: a translation
 state is the obligation on the unread suffix, canonicalized as a BDD over
@@ -302,15 +303,21 @@ def _minimize(atoms, letters, rows, finals):
 # Symbolic encoding against a CGS
 
 @dataclass
-class SymbolicDfa:
-    """DFA transition relation with labels replaced by state predicates."""
+class SymbolicAutomaton:
+    """A deterministic automaton (a ``Dfa`` or a ``Dpa``) encoded against
+    a CGS, its letters replaced by the model states that carry them.
+    Each reader builds the state sets it needs from ``aut``."""
 
+    aut: object     # the automaton encoded
     s: object
     s_next: object
     delta: object   # Bdd over (s, q', s')
     entry: object   # Bdd over (q, s): automaton state entered at q
-    finals: object  # Bdd over s
-    valid: object   # Bdd over s
+    valid: object   # Bdd over s: the automaton's states
+
+    def states(self, ids):
+        """The automaton state ids ``ids`` as a Bdd over ``s``."""
+        return self.delta.store.from_points([self.s], [list(ids)])
 
 
 def _letter_carriers(aut, g):
@@ -331,18 +338,17 @@ def _letter_carriers(aut, g):
 def encode_automaton(aut, sg, model=None):
     """Encode a deterministic automaton's transitions against a CGS.
 
-    Shared by :func:`encode_dfa` and :func:`dpa.encode_dpa`.  The guard
-    of a letter is the set of next states that carry it (see
+    DFAs and DPAs alike go through here, under the names
+    :func:`encode_dfa` and :func:`dpa.encode_dpa`.  The guard of a
+    letter is the set of next states that carry it (see
     ``_letter_carriers``), so the automaton synchronizes on the
     successor's label.  ``model`` is the encoded model with the labels
     the automaton reads, fresh atoms included; it defaults to ``sg.g``.
-    Returns the ``s``/``s'`` blocks, the relation over (s, q', s'), the
-    entry relation over (q, s) and a function mapping automaton state
-    ids to a Bdd over ``s``.
 
     The automaton starts in its initial state and immediately reads the
     label of the current model state, so the entry relation pairs each
-    state q with delta(initial, lambda(q)).
+    state q with delta(initial, lambda(q)): the relation's step out of
+    the initial state, with q' and s' renamed to q and s.
     """
     store = sg.store
     s = store.block("s")
@@ -350,10 +356,6 @@ def encode_automaton(aut, sg, model=None):
     carriers = _letter_carriers(aut, model or sg.g)
     guards = {a: store.from_points([sg.q_next], [qs])
               for a, qs in carriers.items()}
-    entry = store.from_points(
-        [sg.q, s], [[q for qs in carriers.values() for q in qs],
-                    [aut.delta[aut.initial, a]
-                     for a, qs in carriers.items() for _ in qs]])
 
     # state pairs that share a letter set share one guard
     letters = {}
@@ -368,18 +370,13 @@ def encode_automaton(aut, sg, model=None):
         & store.big_or([guards[a] for a in key])
         for key, group in sorted(pairs.items())
     ])
+    entry = store.rename(
+        store.and_exists(delta, store.from_points([s], [[aut.initial]]),
+                         s.vars),
+        [sg.q_next, sn], [sg.q, s])
+    valid = store.from_points([s], [list(range(aut.n_states))])
+    return SymbolicAutomaton(aut=aut, s=s, s_next=sn, delta=delta,
+                             entry=entry, valid=valid)
 
-    def states(ids):
-        return store.from_points([s], [list(ids)])
 
-    return s, sn, delta, entry, states
-
-
-def encode_dfa(dfa, sg, model=None):
-    """Build the symbolic transition relation over (s, q', s'); ``model``
-    is as for :func:`encode_automaton`."""
-    s, sn, delta, entry, states = encode_automaton(dfa, sg, model)
-    return SymbolicDfa(
-        s=s, s_next=sn, delta=delta, entry=entry,
-        finals=states(dfa.finals), valid=states(range(dfa.n_states)),
-    )
+encode_dfa = encode_automaton

@@ -58,7 +58,7 @@ def game_solving(sg, psi, coalition, dfa=None):
     sd = ltlf2dfa.encode_dfa(dfa, sg)
     prod = finite_mc.build_product(sg, sd, coalition)
     res = finite_mc.solve_safety(prod)
-    return finite_mc.project_states(sg, res.winning & prod.entry)
+    return finite_mc.project_states(sg, res.winning & sd.entry)
 
 
 def all_action_vars(sg):

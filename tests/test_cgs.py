@@ -254,10 +254,11 @@ def labelled_states(sg, atom):
     hit = dfa.delta[(dfa.initial, 1)]
     assert hit != dfa.delta[(dfa.initial, 0)]
     st = sg.store
-    s, sn, delta, _, _ = ltlf2dfa.encode_automaton(dfa, sg)
-    edge = delta & helpers.cube(st, s, dfa.initial) & \
-        helpers.cube(st, sn, hit)
-    return set(sg.decode(st.exists(s.vars + sn.vars, edge), sg.q_next))
+    sd = ltlf2dfa.encode_automaton(dfa, sg)
+    edge = sd.delta & helpers.cube(st, sd.s, dfa.initial) & \
+        helpers.cube(st, sd.s_next, hit)
+    return set(sg.decode(st.exists(sd.s.vars + sd.s_next.vars, edge),
+                         sg.q_next))
 
 
 def test_labels_inverted():

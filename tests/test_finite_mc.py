@@ -4,6 +4,7 @@ import pytest
 
 from atlstar import bench
 from atlstar import cgs
+from atlstar import dpa
 from atlstar.bdd import BddStore
 from atlstar import finite_mc as fmc
 from atlstar import formula as fm
@@ -190,20 +191,31 @@ def test_empty_coalition_against_reachability_oracle():
 
 
 def test_entry_relation_matches_explicit_steps():
-    g = cgs.parse_model(BASIC)
-    psi = fm.parse_formula("G p")
-    sg, sd, dfa = encode(g, psi)
-    entry = sd.entry
-    store = sg.store
-    for q in range(len(g.states)):
-        want = dfa.step(dfa.initial, g.labels[q])
-        for s in range(dfa.n_states):
-            assign = {}
-            for i, v in enumerate(sg.q.vars):
-                assign[v] = bool((q >> i) & 1)
-            for i, v in enumerate(sd.s.vars):
-                assign[v] = bool((s >> i) & 1)
-            assert store.evaluate(entry, assign) == (s == want)
+    # entry(q, s) holds exactly when s is the state the automaton enters
+    # on q's own letter, for DFAs and the fallback DPAs alike
+    cases = [(cgs.parse_model(BASIC),
+              ltlf2dfa.translate(fm.parse_formula("G p")))]
+    rng = random.Random(31)
+    for _ in range(12):
+        g = helpers.random_cgs(rng, rng.randint(2, 8))
+        labels = [g.labels[q] for q in g.reachable_states()]
+        cases += [(g, ltlf2dfa.translate(fm.parse_formula(text),
+                                         labels=labels))
+                  for text in ("G p", "p U q", "F (p & X q)")]
+        cases += [(g, dpa.fallback_translate(fm.parse_formula(text)))
+                  for text in ("G F p", "G (p -> F q)")]
+    for g, aut in cases:
+        store = cgs.make_store(g, cgs.bits_for(aut.n_states))
+        sg = cgs.encode_symbolic(g, store)
+        sd = ltlf2dfa.encode_automaton(aut, sg)
+        for q in g.reachable_states():
+            want = aut.delta[aut.initial, aut.letter(g.labels[q])]
+            for s in range(aut.n_states):
+                assign = {v: bool((q >> i) & 1)
+                          for i, v in enumerate(sg.q.vars)}
+                assign.update({v: bool((s >> i) & 1)
+                               for i, v in enumerate(sd.s.vars)})
+                assert store.evaluate(sd.entry, assign) == (s == want)
 
 
 def test_solve_safety_winning_within_safe_region():
@@ -214,7 +226,9 @@ def test_solve_safety_winning_within_safe_region():
     res = fmc.solve_safety(prod)
     store = sg.store
     assert res.iterations >= 1
-    assert (res.winning & prod.unsafe) == store.false
+    # unsafe: a final CGS state with the DFA rejecting
+    unsafe = sg.final & ~sd.states(sd.aut.finals)
+    assert (res.winning & unsafe) == store.false
     assert (res.winning & ~prod.reachable) == store.false
 
 
@@ -249,7 +263,7 @@ def test_finite_engine_trims_the_computed_table_between_iterations(
         monkeypatch.setattr(store, "trim_cache", recording)
         prod = fmc.build_product(sg, sd, ("a1",))
         res = fmc.solve_safety(prod)
-        win = fmc.project_states(sg, res.winning & prod.entry)
+        win = fmc.project_states(sg, res.winning & sd.entry)
         return win, res.iterations, sizes
 
     def clear(store):

@@ -314,7 +314,8 @@ def test_symbolic_pipeline_matches_explicit_on_random_models():
             sdpa = dp.encode_dpa(dpa, sg)
             for coal in ((), ("a",), ("a", "b")):
                 exp = imc.winning_states_explicit(g, dpa, coal)
-                sym = imc.winning_states(sg, sdpa, coal)
+                sym = imc.winning_states(
+                    sg, sdpa, imc.build_game(sg, sdpa, coal))
                 assert sym == exp, (g.to_text(), text, coal)
 
 
