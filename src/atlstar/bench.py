@@ -30,14 +30,19 @@ class BenchError(InputError):
 
 
 MAX_GENERATED_STATES = 200_000
+# cgs.expand makes one successor per row, a state and a joint action:
+# scheduler n=7 (10,077,696 rows) generates, n=8 (75,582,720) does not
+MAX_GENERATED_ROWS = 20_000_000
 
 
-def _guard_states(n, what, hint):
-    if n > MAX_GENERATED_STATES:
-        raise BenchError(
-            f"{what} would have {n} states "
-            f"(cap {MAX_GENERATED_STATES}); {hint}"
-        )
+def _guard_size(states, joint, what, hint):
+    """Refuse a model of ``states`` states and ``joint`` joint actions
+    over either cap, before anything of it is built."""
+    for n, unit, cap in ((states, "states", MAX_GENERATED_STATES),
+                         (states * joint, "rows", MAX_GENERATED_ROWS)):
+        if n > cap:
+            raise BenchError(f"{what} would have {n} {unit} (cap {cap}); "
+                             f"{hint}")
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +82,9 @@ def gen_counter(p):
             for c in range(p.cap + 1)]
     # key: (count, tick); the tick stays 0 in infinite mode
     finite = p.mode == "finite"
-    if finite:
-        _guard_states((p.cap + 1) * (p.steps + 1), "counter model",
-                      "reduce cap or steps")
+    _guard_size((p.cap + 1) * (p.steps + 1 if finite else 1),
+                2 ** p.agents, "counter model",
+                "reduce cap, steps or agents")
     keys = [(c, t) for c in range(p.cap + 1)
             for t in range(p.steps + 1 if finite else 1)]
 
@@ -128,11 +133,13 @@ def gen_scheduler(p):
     atoms = [f"wt_{i}" for i in range(1, n + 1)] + \
             [f"gr_{i}" for i in range(1, n + 1)]
 
-    # state: per-process status in {i, w} plus the grant owner (0 = none)
+    # state: per-process status in {i, w} plus the grant owner (0 = none),
+    # whose own status is i; 3 actions per process, n + 1 for sched
+    _guard_size(2 ** n + n * 2 ** (n - 1), 3 ** n * (n + 1),
+                "scheduler model", "reduce processes")
     combos = list(itertools.product("iw", repeat=n))
     keys = [(owner, combo) for owner in range(n + 1) for combo in combos
             if not owner or combo[owner - 1] == "i"]
-    _guard_states(len(keys), "scheduler model", "reduce processes")
 
     def name(k):
         owner, combo = k
@@ -334,16 +341,15 @@ def gen_cyber(p):
     per_server = 3 * 2 * (2 if has_flag else 1) * 3
     ticks = 1 if p.horizon is None else p.horizon + 1
     estimate = (per_server ** p.servers) * (p.budget + 1) * ticks
-    _guard_states(
-        estimate, "cyber model",
-        "reduce horizon, budget, or servers (the servers knob trades "
-        "scenario fidelity for tractability)")
-
     attack, defend = _cyber_actions(p.scenario)
     servers = list(range(1, p.servers + 1))
     att_actions = ["nop"] + [f"{a}{s}" for a in attack[1:] for s in servers]
     def_actions = ["do_nothing"] + [
         f"{a}{s}" for a in defend[1:] for s in servers]
+    _guard_size(
+        estimate, len(att_actions) * len(def_actions) ** 2, "cyber model",
+        "reduce horizon, budget, or servers (the servers knob trades "
+        "scenario fidelity for tractability)")
     # action name -> (verb, server); the idle actions name no server
     verb_server = {f"{a}{s}": (a, s) for a in attack[1:] + defend[1:]
                    for s in servers}

@@ -476,11 +476,11 @@ def coalition_actions(sg, coalition):
 
 
 def coalition_moves(sg, coalition):
-    """The coalition's action vars, their availability BDD and its move
-    relation over (q, coalition actions, q'): the successors that some
-    response of the other agents yields.  ``delta`` holds valid joint
-    actions only, so the response needs no availability filter."""
-    vars_, avail = coalition_actions(sg, coalition)
+    """The coalition's action availability BDD and its move relation
+    over (q, coalition actions, q'): the successors that some response
+    of the other agents yields.  ``delta`` holds valid joint actions
+    only, so the response needs no availability filter."""
+    _, avail = coalition_actions(sg, coalition)
     others = [v for a in sg.g.agents if a not in coalition
               for v in sg.action_blocks[a].vars]
-    return vars_, avail, sg.store.exists(others, sg.delta)
+    return avail, sg.store.exists(others, sg.delta)

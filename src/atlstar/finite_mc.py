@@ -3,8 +3,9 @@
 For a strategic subformula <<A>> psi the path formula psi is translated
 to a DFA, the complement automaton is run in lockstep with the game
 structure, and the coalition wins from exactly the states where it can
-keep the product inside the safe region forever.  The product
-(``build_product``, which the parity arenas of ``infinite_mc`` extend)
+keep the product inside the safe region forever: outside the opponents'
+attractor to the unsafe states, on the arena and by the attractor of
+the parity games of ``infinite_mc``.  The product (``build_product``)
 pairs every CGS state with every automaton state; its reachable part is
 never computed.  Each model state enters the product with the automaton
 state its own label leads to; that entry relation comes with the
@@ -20,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import cgs as cgsmod
+from . import infinite_mc
+from .bdd import Bdd
 from .errors import ResourceError
 
 
@@ -33,7 +36,7 @@ class ProductSpace:
 
     sg: object
     sd: object             # ltlf2dfa.SymbolicAutomaton, of a DFA or a DPA
-    action_vars: list      # coalition action variables
+    coalition: tuple
     avail: object          # coalition action availability Bdd
     delta: object          # Bdd over (q, s, aA, q', s'): coalition moves only
     reachable: object      # Bdd over (q, s): the whole arena, every
@@ -42,17 +45,17 @@ class ProductSpace:
 
 def build_product(sg, sd, coalition):
     """The product of a CGS with an encoded automaton for a coalition,
-    the arena of both the safety game here and the parity game of
-    ``infinite_mc.build_game``.
+    the base of the layered arena (``infinite_mc.arena``) that both
+    semantics solve.
 
     The arena pairs every CGS state with every automaton state.  Whether
     a state is winning depends only on the states reachable from it, so
     on the entry points of reachable states a fixpoint over this arena
     agrees with the fixpoint over the part reachable from them.
     """
-    avars, avail, moves = cgsmod.coalition_moves(sg, coalition)
+    avail, moves = cgsmod.coalition_moves(sg, coalition)
     return ProductSpace(
-        sg=sg, sd=sd, action_vars=avars, avail=avail,
+        sg=sg, sd=sd, coalition=tuple(coalition), avail=avail,
         delta=moves & sd.delta, reachable=sg.valid & sd.valid,
     )
 
@@ -60,40 +63,26 @@ def build_product(sg, sd, coalition):
 @dataclass
 class SafetyResult:
     winning: object        # Bdd over (q, s)
-    iterations: int
+    iterations: int        # attractor steps
 
 
 def solve_safety(prod):
-    """Greatest fixpoint of Y -> Safe(Y): states the coalition can hold.
+    """The product states from which the coalition can stay safe: the
+    positions of ``infinite_mc.arena(prod)`` outside the opponents'
+    attractor to the unsafe positions.
 
-    Pre(Y) holds where some coalition action forces every successor of
-    the product into Y, regardless of the opponents' response.
+    A position is unsafe where the trace may stop (a final CGS state)
+    with the complement automaton accepting, i.e. the DFA for psi
+    rejecting.
     """
     sg, sd = prod.sg, prod.sd
-    store = sg.store
-    qsn = sg.q_next.vars + sd.s_next.vars
-    # unsafe: the trace may stop here (final CGS state) with the
-    # complement automaton accepting, i.e. the DFA for psi rejecting
-    unsafe = sg.final & sd.valid & ~sd.states(sd.aut.finals)
-    safe0 = prod.reachable & ~unsafe
-
-    def pre(y):
-        yn = store.rename(y, [sg.q, sd.s], [sg.q_next, sd.s_next])
-        # bad: this joint coalition choice admits a successor outside Y
-        bad = store.and_exists(prod.delta, ~yn, qsn)
-        forced = prod.avail & ~bad
-        return store.exists(prod.action_vars, forced)
-
-    y = safe0
-    n = 0
-    while True:
-        # no operation is in flight between iterations
-        store.trim_cache()
-        nxt = y & pre(y)
-        n += 1
-        if nxt == y:
-            return SafetyResult(winning=y, iterations=n)
-        y = nxt
+    st = sg.store
+    game = infinite_mc.arena(prod)
+    unsafe = game.v0 & sg.final & ~sd.states(sd.aut.finals)
+    attr, steps = infinite_mc._attractor(game, 1, unsafe.node,
+                                         game.vertices.node)
+    safe, _ = game._halves(st._diff(game.v0.node, attr))
+    return SafetyResult(winning=Bdd(st, safe), iterations=steps)
 
 
 def project_states(sg, win):

@@ -12,6 +12,8 @@ an explicit arena (the oracle) and on the BDD node ids of a symbolic
 arena, where attractors iterate pre-images.  The symbolic solver runs
 on every symbolic arena: those the checker builds and those that
 ``encode_explicit_game`` makes from explicit games for cross-checks.
+Its attractor also solves the finite-trace safety games of
+``finite_mc`` on the same layered arena.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import sys
 from dataclasses import dataclass
 
 from . import finite_mc
-from .bdd import Bdd
+from .bdd import FALSE, TRUE, Bdd
 from .errors import InputError, ResourceError
 
 
@@ -220,9 +222,12 @@ def parse_pgsolver(text):
 @dataclass
 class SymbolicParityGame:
     """Arena over (l, position, coalition actions), ``l`` the store's top
-    variable.  Player 0 moves from a position (l=0, actions 0) to a
-    choice (l=1) of the same position by picking the actions; player 1
-    responds with a position that ``delta`` relates to the choice."""
+    variable.  Player 0 moves from a position (l=0) to a choice (l=1) of
+    the same position by picking the actions; player 1 responds with a
+    position that ``delta`` relates to the choice.  Positions read no
+    action bits: a position is one vertex per action code, all with the
+    same choices, and a response keeps the choice's code, so a set whose
+    positions do read action bits still has an exact pre-image."""
 
     store: object
     blocks: list         # (block, primed block) pairs of a position
@@ -245,7 +250,6 @@ class SymbolicParityGame:
 
     def __post_init__(self):
         # what the pre-images need, built once per arena
-        self._pos = self._halves(self.v0.node)[0]
         self._choice = self._halves(self.v1.node)[1]
         self._swap = self.store.renaming(*zip(*self.blocks))
         self._acts = frozenset(v for b in self.actions for v in b.vars)
@@ -261,66 +265,60 @@ class SymbolicParityGame:
         """Vertices with some edge into ``target``, among ``within`` when
         given; both halves of the pre-image lie within ``vertices``."""
         return Bdd(self.store, self._pre(
-            target.node, None if within is None else within.node))
+            target.node, TRUE if within is None else within.node))
 
-    def _pre(self, t, within=None):
+    def _pre(self, t, within=TRUE):
         """``pre_exists`` on node ids."""
         st = self.store
-        t0, t1 = self._halves(t)
-        pos, rel = self._pos, self.delta.node
-        if within is not None:
-            w0, w1 = self._halves(within)
-            pos, rel = st._and(pos, w0), st._and(rel, w1)
+        (t0, t1), (w0, w1) = self._halves(t), self._halves(within)
         acts, last, primed = self._acts, self._last_a, self._primed
         memo = st._quant_memo(acts)
-        # positions: some action's choice is in t; choices: some
-        # response is a position in t
-        lo = st._and(pos, st._and_exists(t1, self._choice, acts, last, memo))
-        nxt = st._rename(st._exists(t0, acts, last, memo), self._swap)
-        return st._mk(0, lo, st._and_exists(rel, nxt, primed, max(primed),
-                                            st._quant_memo(primed)))
+        # positions: some action's choice is in t, among the choices of
+        # positions in within; choices: some response is a position in t
+        cut = st._and(t1, st._exists(w0, acts, last, memo))
+        lo = st._and(w0, st._and_exists(cut, self._choice, acts, last, memo))
+        return st._mk(0, lo, st._and_exists(
+            st._and(self.delta.node, w1), st._rename(t0, self._swap),
+            primed, max(primed), st._quant_memo(primed)))
+
+
+def arena(prod):
+    """The layered arena, with no priorities, of a product from
+    ``finite_mc.build_product``: the arena of both semantics.  Its one
+    relation is the product's, the coalition's moves with the automaton
+    reading the successor's label."""
+    sg, sd = prod.sg, prod.sd
+    layer = sg.store.var(0)
+    return SymbolicParityGame(
+        store=sg.store, blocks=[(sg.q, sg.q_next), (sd.s, sd.s_next)],
+        actions=[sg.action_blocks[a] for a in sg.g.agents
+                 if a in prod.coalition],
+        v0=~layer & prod.reachable, v1=layer & prod.reachable & prod.avail,
+        delta=prod.delta, priorities={},
+    )
 
 
 def build_game(sg, sdpa, coalition):
-    """Parity-game arena for a coalition against a min-even DPA.
-
-    The arena is ``finite_mc.build_product``'s product with a layer bit:
-    positions pair every CGS state with every automaton state, and the
-    one relation is the product's, the coalition's moves with the
-    automaton reading the successor's label.  Positions carry action
-    value 0 as a normal form; priorities come from the automaton state
-    on both layers.
-    """
-    prod = finite_mc.build_product(sg, sdpa, coalition)
-    st = sg.store
-    layer = st.var(st.block("l").vars[0])
-    ablocks = [sg.action_blocks[a] for a in sg.g.agents if a in coalition]
-
-    # with no coalition member there is no action to fix
-    azero = (st.from_points(ablocks, [[0]] * len(ablocks)) if ablocks
-             else st.true)
-    v0 = ~layer & prod.reachable & azero
-    v1 = layer & prod.reachable & prod.avail
-
+    """Parity-game arena for a coalition against a min-even DPA:
+    ``arena`` of ``finite_mc.build_product``'s product, with priorities
+    from the automaton state on both layers."""
+    game = arena(finite_mc.build_product(sg, sdpa, coalition))
     dpa = sdpa.aut
     classes = {}
     for s in range(dpa.n_states):
         classes.setdefault(dpa.priority[s], []).append(s)
-    priorities = {p: cls for p, ss in sorted(classes.items())
-                  if not (cls := (v0 | v1) & sdpa.states(ss)).is_false()}
-    return SymbolicParityGame(
-        store=st, blocks=[(sg.q, sg.q_next), (sdpa.s, sdpa.s_next)],
-        actions=ablocks, v0=v0, v1=v1, delta=prod.delta,
-        priorities=priorities,
-    )
+    game.priorities = {
+        p: cls for p, ss in sorted(classes.items())
+        if not (cls := game.vertices & sdpa.states(ss)).is_false()}
+    return game
 
 
 def encode_explicit_game(game, byte_budget=64 * 1024 * 1024):
     """Symbolic arena of an explicit game in ``build_game``'s layered
-    form, for solver cross-checks.  Vertex x is the position (l=0, x,
-    a=0).  If player 0 owns x, its choice (l=1, x, k) responds with its
-    k-th successor; else its one choice (l=1, x, 0) responds with any.
-    Both layers carry x's priority."""
+    form, for solver cross-checks.  Vertex x is the position (l=0, x).
+    If player 0 owns x, its choice (l=1, x, k) responds with its k-th
+    successor; else its one choice (l=1, x, 0) responds with any.  Both
+    layers carry x's priority."""
     from .bdd import new_store
     from .cgs import bits_for
 
@@ -334,7 +332,7 @@ def encode_explicit_game(game, byte_budget=64 * 1024 * 1024):
     st = new_store([("l", 1), ("v", nb), ("v'", nb), ("a", bits_for(
         max(ks) + 1))], byte_budget=byte_budget)
     l, v, vp, a = (st.block(name) for name in ("l", "v", "v'", "a"))
-    v0 = st.from_points([l, v, a], [[0] * n, range(n), [0] * n])
+    v0 = st.from_points([l, v], [[0] * n, range(n)])
     v1 = st.from_points([l, v, a], [[1] * len(xs), xs, ks])
     classes = {}
     for x in range(n):
@@ -353,8 +351,9 @@ def encode_explicit_game(game, byte_budget=64 * 1024 * 1024):
 
 def _attractor(game, player, target, region):
     """Vertices of ``region`` from which ``player`` forces a visit to
-    ``target`` (a subset of ``region``), on node ids.  Only edges inside
-    ``region`` count.  Returns (attractor, iterations).
+    ``target`` (a subset of ``region``), on node ids.  The region lies
+    within the vertices, and only edges inside it count.  Returns
+    (attractor, iterations).
 
     The attractor grows from its last frontier: a vertex of ``player``
     joins when it has an edge into the frontier, and an opponent vertex
@@ -365,9 +364,7 @@ def _attractor(game, player, target, region):
     out of it, and the attractor is the region without its rest.
     """
     st = game.store
-    and_, or_, diff = st._and, st._or, st._diff
-    own, opp = (game.v1.node, game.v0.node) if player else \
-        (game.v0.node, game.v1.node)
+    and_, or_, diff, mk = st._and, st._or, st._diff, st._mk
     pre = game._pre
 
     frontier = target
@@ -377,10 +374,12 @@ def _attractor(game, player, target, region):
         steps += 1
         # no operation is in flight between steps
         st.trim_cache()
-        reach = and_(pre(frontier), rest)
-        grab = and_(reach, own)
+        lo, hi = game._halves(and_(pre(frontier), rest))
+        # a vertex's layer is its owner
+        grab, cand = mk(0, FALSE, hi), mk(0, lo, FALSE)
+        if not player:
+            grab, cand = cand, grab
         rest = diff(rest, grab)
-        cand = and_(reach, opp)
         if cand:
             forced = diff(cand, pre(rest, cand)) if rest else cand
             rest = diff(rest, forced)

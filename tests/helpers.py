@@ -117,15 +117,17 @@ def game_positions(game, w):
 
 def lift_region(game, sym, region):
     """An explicit region of ``game`` as vertices of its arena ``sym``:
-    its positions, the one choice of each player-1 vertex and the
-    player-0 choices whose successor lies in the region, so that no
-    edge leaving the region makes a vertex of it."""
-    points = []
+    its positions, over every action code, the one choice of each
+    player-1 vertex and the player-0 choices whose successor lies in
+    the region, so that no edge leaving the region makes a vertex of
+    it."""
+    st, (v, _) = sym.store, sym.blocks[0]
+    choices = []
     for x in region:
-        points.append((0, x, 0))
         if game.owner[x]:
-            points.append((1, x, 0))
+            choices.append((1, x, 0))
         else:
-            points += [(1, x, k) for k, w in enumerate(game.succ[x])
-                       if w in region]
-    return points_bdd(sym.store, vertex_blocks(sym), points)
+            choices += [(1, x, k) for k, w in enumerate(game.succ[x])
+                        if w in region]
+    return (points_bdd(st, [st.block("l"), v], [(0, x) for x in region])
+            | points_bdd(st, vertex_blocks(sym), choices))

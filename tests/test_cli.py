@@ -412,6 +412,15 @@ CONTRACT = {
     "gen-param-type": (
         2, "error: parameter 'cap' expects an integer, got 'abc'", {},
         ["gen", "counter", "--param", "cap=abc"], None),
+    # refused before a row is built; without the row cap neither returns
+    "gen-rows-scheduler": (
+        2, "error: scheduler model would have 198087192576 rows (cap "
+           "20000000); reduce processes", {},
+        ["gen", "scheduler", "--param", "processes=12"], None),
+    "gen-rows-counter": (
+        2, "error: counter model would have 17179869184 rows (cap "
+           "20000000); reduce cap, steps or agents", {},
+        ["gen", "counter", "--param", "agents=30"], None),
     "suite-repeats": (
         2, "error: 1 of 1 suite rows ended in an error",
         {"s.suite": SUITE_LINE.replace("\n", " repeats=x\n")},

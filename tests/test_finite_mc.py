@@ -5,6 +5,7 @@ import pytest
 from atlstar import bench
 from atlstar import cgs
 from atlstar import dpa
+from atlstar import driver
 from atlstar.bdd import BddStore
 from atlstar import finite_mc as fmc
 from atlstar import formula as fm
@@ -232,6 +233,16 @@ def test_solve_safety_winning_within_safe_region():
     assert (res.winning & ~prod.reachable) == store.false
 
 
+def test_counter_safety_store_is_bounded():
+    # the safety game grows the opponents' attractor from its frontier;
+    # the bound is 60% of the 314,463 nodes that a greatest fixpoint
+    # recomputing the whole safe set each round leaves on this check
+    g = bench.gen_counter(bench.CounterParams(cap=100, steps=100))
+    res = driver.check(model=g, formula="<<a1,a2>> G !counter_max",
+                       semantics="finite")
+    assert res.details["subformulas"][0]["nodes"] <= 188_000
+
+
 def test_explicit_product_cap():
     rng = random.Random(3)
     g = helpers.random_cgs(rng, 8)
@@ -243,8 +254,8 @@ def test_explicit_product_cap():
 
 def test_finite_engine_trims_the_computed_table_between_iterations(
         monkeypatch):
-    # a 21-round safety fixpoint: the table is trimmed at every iteration
-    # boundary, stays within trim_cache's bound of four entries per node,
+    # a safety game of over 20 attractor steps: the table is trimmed at
+    # every step boundary, stays within trim_cache's bound of four entries per node,
     # and clearing it outright there changes no winning state
     g = bench.gen_counter(bench.CounterParams(cap=6, steps=20, agents=3))
     psi = fm.parse_formula("G !counter_max")
@@ -272,7 +283,7 @@ def test_finite_engine_trims_the_computed_table_between_iterations(
 
     win, iterations, sizes = solve(BddStore.trim_cache)
     assert iterations > 20
-    # one trim per safety round
+    # one trim per attractor step
     assert len(sizes) == iterations
     for ite, memo, nodes in sizes:
         assert ite <= 4 * nodes and memo <= 4 * nodes
