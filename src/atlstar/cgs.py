@@ -464,23 +464,13 @@ def encode_symbolic(g, store, reachable=None):
     )
 
 
-def coalition_actions(sg, coalition):
-    """Joint-action vars for a coalition and its availability BDD."""
-    members = [a for a in sg.g.agents if a in set(coalition)]
-    vars_ = []
-    act = sg.store.true
-    for a in members:
-        vars_.extend(sg.action_blocks[a].vars)
-        act = act & sg.action_valid[a]
-    return vars_, act
-
-
 def coalition_moves(sg, coalition):
     """The coalition's action availability BDD and its move relation
     over (q, coalition actions, q'): the successors that some response
     of the other agents yields.  ``delta`` holds valid joint actions
     only, so the response needs no availability filter."""
-    _, avail = coalition_actions(sg, coalition)
+    avail = sg.store.big_and(sg.action_valid[a] for a in sg.g.agents
+                             if a in coalition)
     others = [v for a in sg.g.agents if a not in coalition
               for v in sg.action_blocks[a].vars]
     return avail, sg.store.exists(others, sg.delta)

@@ -227,7 +227,9 @@ class SymbolicParityGame:
     position that ``delta`` relates to the choice.  Positions read no
     action bits: a position is one vertex per action code, all with the
     same choices, and a response keeps the choice's code, so a set whose
-    positions do read action bits still has an exact pre-image."""
+    positions do read action bits still has an exact pre-image.  A
+    pre-image is cut to its ``within`` set after the product, so that
+    set must read no primed variable."""
 
     store: object
     blocks: list         # (block, primed block) pairs of a position
@@ -250,7 +252,6 @@ class SymbolicParityGame:
 
     def __post_init__(self):
         # what the pre-images need, built once per arena
-        self._choice = self._halves(self.v1.node)[1]
         self._swap = self.store.renaming(*zip(*self.blocks))
         self._acts = frozenset(v for b in self.actions for v in b.vars)
         self._primed = frozenset(v for _, bp in self.blocks for v in bp.vars)
@@ -263,23 +264,30 @@ class SymbolicParityGame:
 
     def pre_exists(self, target, within=None):
         """Vertices with some edge into ``target``, among ``within`` when
-        given; both halves of the pre-image lie within ``vertices``."""
-        return Bdd(self.store, self._pre(
-            target.node, TRUE if within is None else within.node))
+        given; both halves of the pre-image lie within ``vertices``.
+        ``within`` cuts the pre-image after the product, so it must read
+        no primed variable."""
+        st = self.store
+        return Bdd(st, self._pre(
+            st._and(target.node, self.vertices.node),
+            TRUE if within is None else within.node))
 
     def _pre(self, t, within=TRUE):
-        """``pre_exists`` on node ids."""
+        """``pre_exists`` on node ids, for a target within the vertices:
+        each half is the pre-image of the whole target, cut to its half
+        of ``within`` (reading no primed variable) after the product, or
+        FALSE when that half is empty.  The relation is never conjoined
+        with ``within``, so steps with like targets share products."""
         st = self.store
         (t0, t1), (w0, w1) = self._halves(t), self._halves(within)
-        acts, last, primed = self._acts, self._last_a, self._primed
-        memo = st._quant_memo(acts)
-        # positions: some action's choice is in t, among the choices of
-        # positions in within; choices: some response is a position in t
-        cut = st._and(t1, st._exists(w0, acts, last, memo))
-        lo = st._and(w0, st._and_exists(cut, self._choice, acts, last, memo))
-        return st._mk(0, lo, st._and_exists(
-            st._and(self.delta.node, w1), st._rename(t0, self._swap),
-            primed, max(primed), st._quant_memo(primed)))
+        # positions: some action's choice is in t; choices: some
+        # response is a position in t
+        lo = w0 and st._and(w0, st._exists(
+            t1, self._acts, self._last_a, st._quant_memo(self._acts)))
+        hi = w1 and st._and(w1, st._and_exists(
+            self.delta.node, st._rename(t0, self._swap), self._primed,
+            max(self._primed), st._quant_memo(self._primed)))
+        return st._mk(0, lo, hi)
 
 
 def arena(prod):

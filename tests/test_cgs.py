@@ -310,14 +310,16 @@ def test_benchmark_models_encode_to_pinned_node_counts(gen, params, nodes):
 
 
 def test_coalition_actions():
-    g = cgs.parse_model(BASIC)
-    store = cgs.make_store(g, automaton_bits=1)
-    sg = cgs.encode_symbolic(g, store)
-    vars_ab, avail = cgs.coalition_actions(sg, ("a", "b"))
-    assert len(vars_ab) == 2
-    vars_none, avail_none = cgs.coalition_actions(sg, ())
-    assert vars_none == []
-    assert avail_none == store.true
+    # a coalition's moves are available where each member's action is;
+    # with three actions an agent's availability is not TRUE
+    for g in (cgs.parse_model(BASIC),
+              helpers.random_cgs(random.Random(7), 3, n_actions=3)):
+        store = cgs.make_store(g, automaton_bits=1)
+        sg = cgs.encode_symbolic(g, store)
+        avail, _ = cgs.coalition_moves(sg, ("a", "b"))
+        assert avail == sg.action_valid["a"] & sg.action_valid["b"]
+        avail_none, _ = cgs.coalition_moves(sg, ())
+        assert avail_none == store.true
 
 
 def test_store_too_small():

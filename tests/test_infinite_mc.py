@@ -289,8 +289,10 @@ def test_counter_response_attractor_steps_are_pinned():
                        semantics="infinite")
     stats = res.details["subformulas"][0]
     assert stats["rounds"] == 202
-    # the arena holds one relation, the product's, and no coalition edges
-    assert stats["nodes"] <= 4600
+    # the arena holds one relation, the product's, and no coalition
+    # edges, and pre-images are cut to their candidates after the
+    # product, so steps share relational products
+    assert stats["nodes"] <= 3600
 
 
 def test_region_cap_check():
@@ -319,10 +321,9 @@ def test_symbolic_pipeline_matches_explicit_on_random_models():
                 assert sym == exp, (g.to_text(), text, coal)
 
 
-def test_pre_exists_lies_within_the_vertices():
-    # the move half of the pre-image is clipped to the vertices, and in
-    # both arena builders every response starts at a choice vertex
-    rng = random.Random(47)
+def random_arenas(rng):
+    """Eight arenas of random explicit games and the ``build_game``
+    arenas of random models, for every path formula and coalition."""
     arenas = [imc.encode_explicit_game(random_game(rng, rng.randint(1, 20)))
               for _ in range(8)]
     for text in PATH_FORMULAS:
@@ -333,17 +334,47 @@ def test_pre_exists_lies_within_the_vertices():
         sdpa = dp.encode_dpa(dpa, sg)
         for coal in ((), ("a",), ("a", "b")):
             arenas.append(imc.build_game(sg, sdpa, coal))
-    for game in arenas:
+    return arenas
+
+
+def random_codes(rng, game, count):
+    """``count`` sets of random vertex-variable codes, most of which are
+    no vertex."""
+    blocks = helpers.vertex_blocks(game)
+    return [helpers.points_bdd(game.store, blocks, [
+        tuple(rng.randrange(1 << len(b)) for b in blocks)
+        for _ in range(rng.randint(0, 12))]) for _ in range(count)]
+
+
+def test_pre_exists_lies_within_the_vertices():
+    # the move half of the pre-image is clipped to the vertices, and in
+    # both arena builders every response starts at a choice vertex
+    rng = random.Random(47)
+    for game in random_arenas(rng):
         st = game.store
-        blocks = helpers.vertex_blocks(game)
         targets = [st.true, game.v0, game.v1, game.vertices,
                    ~game.vertices, *game.priorities.values()]
-        # random code sets, most with codes that are no vertex
-        targets += [helpers.points_bdd(st, blocks, [
-            tuple(rng.randrange(1 << len(b)) for b in blocks)
-            for _ in range(rng.randint(0, 12))]) for _ in range(20)]
+        targets += random_codes(rng, game, 20)
         for x in targets:
             assert (game.pre_exists(x) & ~game.vertices).is_false()
+
+
+def test_pre_images_are_cut_after_the_product():
+    # cutting a pre-image to ``within`` commutes with the product, and
+    # codes that are no vertex have no predecessor
+    rng = random.Random(61)
+    for game in random_arenas(rng):
+        st = game.store
+        cuts = [st.false, game.v0, game.v1, game.vertices]
+        cuts += [random_subset(rng, game, game.vertices) for _ in range(4)]
+        codes = random_codes(rng, game, 6)
+        targets = cuts + codes + [c | game.v0 for c in codes[:2]]
+        targets += [st.true, ~game.vertices]
+        for t in targets:
+            pre = game.pre_exists(t)
+            for w in cuts:
+                assert game.pre_exists(t, w) == pre & w
+            assert pre == game.pre_exists(t & game.vertices)
 
 
 def test_explicit_game_region_cap(monkeypatch):
