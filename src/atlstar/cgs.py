@@ -162,10 +162,13 @@ def expand(agents, atoms, actions, keys, name, label, final, initial, step):
 
     labels = _shared_rows(label(k) for k in keys)
     declared = frozenset(atoms)
-    for k, row in zip(keys, labels):
+    # each distinct row is checked once, in order of first appearance, so
+    # the first state with an undefined atom is the first such row's
+    # first carrier
+    for row in dict.fromkeys(labels):
         if not row <= declared:
-            raise CgsError(f"undefined atom {min(row - declared)!r} "
-                           f"in label of state {name(k)}")
+            raise CgsError(f"undefined atom {min(row - declared)!r} in label "
+                           f"of state {name(keys[labels.index(row)])}")
 
     g = Cgs(
         agents=list(agents),
@@ -212,8 +215,9 @@ def parse_model(text):
         if "#" in line:
             line = line[:line.index("#")]
         line = line.strip()
-        # nearly every line of a model is a transition row; its action
-        # text is resolved once per distinct text, after the scan
+        # nearly every line of a model is a transition or label row; its
+        # action or atom text is resolved once per distinct text, after
+        # the scan
         if line.startswith("trans "):
             rest = line[len("trans "):]
             src_part, arrow, dst = rest.partition("->")
@@ -222,6 +226,11 @@ def parse_model(text):
                 err(lineno, "malformed trans line")
             trans_lines.append(
                 (src.strip(), acts.rsplit(")", 1)[0], dst.strip(), lineno))
+        elif line.startswith("label "):
+            state, colon, props = line[len("label "):].partition(":")
+            if not colon:
+                err(lineno, "malformed label line")
+            label_lines.append((state.strip(), props, lineno))
         elif not line:
             continue
         elif line.startswith("agents:"):
@@ -257,12 +266,6 @@ def parse_model(text):
             if agent in actions:
                 err(lineno, f"duplicate actions declaration for agent {agent}")
             actions[agent] = (acts.split(), lineno)
-        elif line.startswith("label "):
-            rest = line[len("label "):]
-            if ":" not in rest:
-                err(lineno, "malformed label line")
-            state, props = rest.split(":", 1)
-            label_lines.append((state.strip(), props.split(), lineno))
         else:
             err(lineno, f"unrecognized line: {line!r}")
 
@@ -304,8 +307,13 @@ def parse_model(text):
         if a not in agents:
             raise CgsError(f"actions declared for unknown agent {a}")
 
+    # each distinct label text is split, checked and frozen once, and
+    # states that carry the same atoms share one row object
     atom_set = set(atoms)
-    labels = [()] * len(states)
+    empty = frozenset()
+    distinct = {empty: empty}     # row -> its one object
+    read = {}                     # label text -> its row
+    labels = [empty] * len(states)
     seen_labels = set()
     for state, props, lineno in label_lines:
         if state not in sidx:
@@ -313,10 +321,15 @@ def parse_model(text):
         if state in seen_labels:
             err(lineno, f"duplicate label declaration for state {state}")
         seen_labels.add(state)
-        for p in props:
-            if p not in atom_set:
+        row = read.get(props)
+        if row is None:
+            names = props.split()
+            if not atom_set.issuperset(names):
+                p = next(p for p in names if p not in atom_set)
                 err(lineno, f"undefined atom {p!r} in label")
-        labels[sidx[state]] = props
+            row = frozenset(names)
+            row = read[props] = distinct.setdefault(row, row)
+        labels[sidx[state]] = row
 
     # the row of a state and joint action is its slot in the successor
     # column; a slot still None after the scan is a missing row
@@ -356,7 +369,7 @@ def parse_model(text):
         final=frozenset(finals),
         actions=act_lists,
         successors=successors,
-        labels=_shared_rows(labels),
+        labels=labels,
     )
     _validate_header(g)
     # every row read names a real state and joint action and fills its
@@ -416,13 +429,6 @@ class SymbolicCgs:
     valid: object        # encodings of real states
     reach: object        # states reachable from the initial one
     action_valid: dict   # agent -> Bdd excluding padded action encodings
-
-    def decode(self, f, block=None):
-        """Sorted state ids in a BDD over the state block."""
-        return [
-            s for s in self.store.minterms(f, block or self.q)
-            if s < len(self.g.states)
-        ]
 
 
 def encode_symbolic(g, store, reachable=None):

@@ -179,10 +179,11 @@ def check(request=None, **kwargs):
 
     def solve_finite(body, coalition, labelled):
         t0 = time.perf_counter()
-        # the explicit oracle reads every letter, independently of the model
+        # the explicit oracle reads every letter, independently of the
+        # model; the symbolic engine reads the distinct reachable rows
         labels = None
         if req.engine == "symbolic":
-            labels = [labelled.labels[q] for q in reachable]
+            labels = {labelled.labels[q] for q in reachable}
         dfa = ltlf2dfa.translate(body, labels=labels)
         t1 = time.perf_counter()
         timings["translate"] += (t1 - t0) * 1000

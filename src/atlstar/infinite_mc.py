@@ -262,22 +262,14 @@ class SymbolicParityGame:
         st = self.store
         return (st._lo[n], st._hi[n]) if st._var[n] == 0 else (n, n)
 
-    def pre_exists(self, target, within=None):
-        """Vertices with some edge into ``target``, among ``within`` when
-        given; both halves of the pre-image lie within ``vertices``.
-        ``within`` cuts the pre-image after the product, so it must read
-        no primed variable."""
-        st = self.store
-        return Bdd(st, self._pre(
-            st._and(target.node, self.vertices.node),
-            TRUE if within is None else within.node))
-
     def _pre(self, t, within=TRUE):
-        """``pre_exists`` on node ids, for a target within the vertices:
-        each half is the pre-image of the whole target, cut to its half
-        of ``within`` (reading no primed variable) after the product, or
-        FALSE when that half is empty.  The relation is never conjoined
-        with ``within``, so steps with like targets share products."""
+        """Vertices with some edge into ``t``, a target within the
+        vertices, among ``within``: each half is the pre-image of the
+        whole target, cut to its half of ``within`` (reading no primed
+        variable) after the product, or FALSE when that half is empty.
+        Both halves lie within the vertices.  The relation is never
+        conjoined with ``within``, so steps with like targets share
+        products."""
         st = self.store
         (t0, t1), (w0, w1) = self._halves(t), self._halves(within)
         # positions: some action's choice is in t; choices: some

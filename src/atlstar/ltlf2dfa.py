@@ -215,7 +215,8 @@ def translate(psi, labels=None):
     an iterable of state label sets, it reads only the distinct letters
     those sets give, projected onto psi's atoms, and is minimal over
     that alphabet; a model whose states carry those labels can never
-    show it another letter.
+    show it another letter.  Each set given is projected once, so a
+    caller passes each distinct label row once.
     """
     pr = _Progression(psi)
     if labels is None:
@@ -324,13 +325,18 @@ def _letter_carriers(aut, g):
     """States of the model ``g`` grouped by the letter they show the
     automaton.
 
-    A state's letter is its label projected onto the automaton's atoms.
-    Letters outside the automaton's alphabet are left out: only states
-    that no play reaches carry them.
+    A state's letter is its label row projected onto the automaton's
+    atoms, computed once per distinct row.  Letters outside the
+    automaton's alphabet are left out: only states that no play reaches
+    carry them.
     """
+    masks = {}      # row -> its letter
     carriers = {}
     for q, row in enumerate(g.labels):
-        carriers.setdefault(letter_mask(aut.atoms, row), []).append(q)
+        a = masks.get(row)
+        if a is None:
+            a = masks[row] = letter_mask(aut.atoms, row)
+        carriers.setdefault(a, []).append(q)
     alphabet = {a for _, a in aut.delta}
     return {a: qs for a, qs in carriers.items() if a in alphabet}
 

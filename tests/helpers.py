@@ -1,11 +1,17 @@
 """Helpers that only the tests call: a random model builder, a model's
 rows by state, BDDs of cubes and point lists, a one-call finite-trace
-check, an encoding audit, a PGSolver writer and the explicit vertices
-of a symbolic arena made from an explicit game."""
+check, an encoding audit, a PGSolver writer, the explicit vertices
+of a symbolic arena made from an explicit game, the state ids of an
+encoded state set, the pre-image of a symbolic arena and the model
+parser as it read every label line on its own, which the parser's
+differential test compares against."""
+
+import math
 
 from atlstar import cgs
 from atlstar import finite_mc
 from atlstar import ltlf2dfa
+from atlstar.bdd import TRUE, Bdd
 from atlstar.cgs import CgsError
 
 
@@ -131,3 +137,195 @@ def lift_region(game, sym, region):
                         if w in region]
     return (points_bdd(st, [st.block("l"), v], [(0, x) for x in region])
             | points_bdd(st, vertex_blocks(sym), choices))
+
+
+def decode(sg, f, block=None):
+    """Sorted state ids of the encoded model ``sg`` in a BDD over its
+    state block, or over ``block``."""
+    return [s for s in sg.store.minterms(f, block or sg.q)
+            if s < len(sg.g.states)]
+
+
+def pre_exists(game, target, within=None):
+    """Vertices of the symbolic arena ``game`` with some edge into
+    ``target``, among ``within`` when given; both halves of the
+    pre-image lie within the vertices.  ``within`` cuts the pre-image
+    after the product, so it must read no primed variable."""
+    st = game.store
+    return Bdd(st, game._pre(st._and(target.node, game.vertices.node),
+                             TRUE if within is None else within.node))
+
+
+def reference_parse_model(text):
+    """``cgs.parse_model`` as it was when it split, checked and froze
+    each label line on its own: the reference of the parser's
+    differential test."""
+    agents = None
+    atoms = None
+    states = None
+    initial = None
+    final = []
+    actions = {}
+    label_lines = []
+    trans_lines = []
+
+    def err(lineno, msg):
+        raise CgsError(f"line {lineno}: {msg}")
+
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line[:line.index("#")]
+        line = line.strip()
+        # nearly every line of a model is a transition row; its action
+        # text is resolved once per distinct text, after the scan
+        if line.startswith("trans "):
+            rest = line[len("trans "):]
+            src_part, arrow, dst = rest.partition("->")
+            src, paren, acts = src_part.partition("(")
+            if not arrow or not paren or ")" not in rest:
+                err(lineno, "malformed trans line")
+            trans_lines.append(
+                (src.strip(), acts.rsplit(")", 1)[0], dst.strip(), lineno))
+        elif not line:
+            continue
+        elif line.startswith("agents:"):
+            if agents is not None:
+                err(lineno, "duplicate agents declaration")
+            agents = line[len("agents:"):].split()
+            if len(set(agents)) != len(agents):
+                err(lineno, "duplicate agent names")
+        elif line.startswith("atoms:"):
+            if atoms is not None:
+                err(lineno, "duplicate atoms declaration")
+            atoms = line[len("atoms:"):].split()
+            if len(set(atoms)) != len(atoms):
+                err(lineno, "duplicate atoms")
+        elif line.startswith("states:"):
+            if states is not None:
+                err(lineno, "duplicate states declaration")
+            states = line[len("states:"):].split()
+            if len(set(states)) != len(states):
+                err(lineno, "duplicate state names")
+        elif line.startswith("initial:"):
+            if initial is not None:
+                err(lineno, "duplicate initial declaration")
+            initial = (line[len("initial:"):].strip(), lineno)
+        elif line.startswith("final:"):
+            final.append((line[len("final:"):].split(), lineno))
+        elif line.startswith("actions "):
+            rest = line[len("actions "):]
+            if ":" not in rest:
+                err(lineno, "malformed actions line")
+            agent, acts = rest.split(":", 1)
+            agent = agent.strip()
+            if agent in actions:
+                err(lineno, f"duplicate actions declaration for agent {agent}")
+            actions[agent] = (acts.split(), lineno)
+        elif line.startswith("label "):
+            rest = line[len("label "):]
+            if ":" not in rest:
+                err(lineno, "malformed label line")
+            state, props = rest.split(":", 1)
+            label_lines.append((state.strip(), props.split(), lineno))
+        else:
+            err(lineno, f"unrecognized line: {line!r}")
+
+    if agents is None:
+        raise CgsError("missing agents declaration")
+    if states is None:
+        raise CgsError("missing states declaration")
+    if atoms is None:
+        atoms = []
+    if initial is None:
+        raise CgsError("missing initial declaration")
+
+    sidx = {name: i for i, name in enumerate(states)}
+    init_name, lineno = initial
+    if init_name not in sidx:
+        err(lineno, f"undefined initial state {init_name!r}")
+    init = sidx[init_name]
+
+    finals = set()
+    for names, lineno in final:
+        for n in names:
+            if n not in sidx:
+                err(lineno, f"undefined final state {n!r}")
+            finals.add(sidx[n])
+
+    act_lists = {}
+    aidx = {}
+    for a in agents:
+        if a not in actions:
+            raise CgsError(f"missing actions declaration for agent {a}")
+        acts, lineno = actions[a]
+        if not acts:
+            err(lineno, f"agent {a} must have at least one action")
+        if len(set(acts)) != len(acts):
+            err(lineno, f"duplicate actions for agent {a}")
+        act_lists[a] = acts
+        aidx[a] = {n: i for i, n in enumerate(acts)}
+    for a in actions:
+        if a not in agents:
+            raise CgsError(f"actions declared for unknown agent {a}")
+
+    atom_set = set(atoms)
+    labels = [()] * len(states)
+    seen_labels = set()
+    for state, props, lineno in label_lines:
+        if state not in sidx:
+            err(lineno, f"undefined state {state!r} in label")
+        if state in seen_labels:
+            err(lineno, f"duplicate label declaration for state {state}")
+        seen_labels.add(state)
+        for p in props:
+            if p not in atom_set:
+                err(lineno, f"undefined atom {p!r} in label")
+        labels[sidx[state]] = props
+
+    # the row of a state and joint action is its slot in the successor
+    # column; a slot still None after the scan is a missing row
+    n_joint = math.prod(map(len, act_lists.values()))
+    joint = {}          # action text -> joint action index
+    successors = [None] * (len(states) * n_joint)
+    for src, acts, dst, lineno in trans_lines:
+        s = sidx.get(src)
+        if s is None:
+            err(lineno, f"undefined state {src!r} in trans")
+        t = sidx.get(dst)
+        if t is None:
+            err(lineno, f"undefined state {dst!r} in trans")
+        j = joint.get(acts)
+        if j is None:
+            names = [a.strip() for a in acts.split(",")]
+            if len(names) != len(agents):
+                err(lineno,
+                    f"expected {len(agents)} actions, got {len(names)}")
+            j = 0
+            for name, a in zip(names, agents):
+                if name not in aidx[a]:
+                    err(lineno, f"undefined action {name!r} for agent {a}")
+                j = j * len(act_lists[a]) + aidx[a][name]
+            joint[acts] = j
+        row = s * n_joint + j
+        if successors[row] is not None:
+            names = ",".join(a.strip() for a in acts.split(","))
+            err(lineno, f"duplicate transition row for {src} ({names})")
+        successors[row] = t
+
+    g = cgs.Cgs(
+        agents=list(agents),
+        atoms=list(atoms),
+        states=list(states),
+        initial=init,
+        final=frozenset(finals),
+        actions=act_lists,
+        successors=successors,
+        labels=[frozenset(row) for row in labels],
+    )
+    cgs._validate_header(g)
+    # every row read names a real state and joint action and fills its
+    # own slot, so the rows are total exactly when no slot is empty; a
+    # model handed to the driver is validated in full there
+    if None in successors:
+        cgs.validate(g)
+    return g

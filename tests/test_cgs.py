@@ -164,6 +164,96 @@ def test_equal_label_rows_are_one_object():
     for h in (g, parsed):
         # 16 states carry 4 distinct rows, held as 4 objects
         assert len(set(h.labels)) == len({id(r) for r in h.labels}) == 4
+    # one text on three states, equal atoms in another order, and no
+    # atoms on a labelled and an unlabelled state are one row each
+    text = BASIC.replace("states: s0 s1 s2", "states: s0 s1 s2 s3 s4 s5 s6")
+    text = text.replace("label s2: p goal\n", "label s2: p goal\n"
+                        "label s3: goal  p\nlabel s4: p\nlabel s5:\n"
+                        "label s6: p\n")
+    text += "".join(f"trans s{i} ({a},{b}) -> s0\n" for i in range(3, 7)
+                    for a in ("go", "stay") for b in ("go", "stay"))
+    h = cgs.parse_model(text)
+    assert h.labels == [frozenset(), {"p"}, {"p", "goal"}, {"p", "goal"},
+                        {"p"}, frozenset(), {"p"}]
+    for states in [(1, 4, 6), (2, 3), (0, 5)]:
+        assert len({id(h.labels[i]) for i in states}) == 1
+
+
+def label_mutations(rng, text):
+    """``text`` with one to three label lines changed, repeated, moved
+    or added, some comments, and CRLF line ends half of the time."""
+    lines = text.splitlines()
+    states = next(x for x in lines if x.startswith("states:")).split()[1:]
+    atoms = next(x for x in lines if x.startswith("atoms:")).split()[1:]
+    for _ in range(rng.randint(1, 3)):
+        at = [i for i, x in enumerate(lines) if x.startswith("label ")]
+        i = rng.choice(at)
+        state, _, props = lines[i][len("label "):].partition(":")
+        names = props.split()
+        kind = rng.randrange(9)
+        if kind == 0:       # another state, labelled or not, repeats a text
+            line = f"label {rng.choice(states)}:{props}"
+            if rng.random() < 0.5:
+                lines[i] = line
+            else:
+                lines.insert(rng.randrange(len(lines) + 1), line)
+        elif kind == 1:     # atoms reordered
+            rng.shuffle(names)
+            lines[i] = f"label {state}: " + "  ".join(names)
+        elif kind == 2:     # an atom repeated, or a declared one added
+            names.insert(rng.randrange(len(names) + 1),
+                         rng.choice(names or atoms))
+            lines[i] = f"label {state}: " + " ".join(names)
+        elif kind == 3:     # one or two undefined atoms
+            for bad in rng.sample(["nowhere", "zz"], rng.randint(1, 2)):
+                names.insert(rng.randrange(len(names) + 1), bad)
+            lines[i] = f"label {state}: " + " ".join(names)
+        elif kind == 4:     # a duplicate declaration, same text or not
+            other = rng.choice([props, " " + rng.choice(atoms)])
+            lines.insert(rng.randrange(len(lines) + 1),
+                         f"label {state}:{other}")
+        elif kind == 5:     # the label of an undefined state
+            lines[i] = f"label ghost:{props}"
+        elif kind == 6:     # no ':'
+            lines[i] = f"label {state}{props}"
+        elif kind == 7:     # a comment after the atoms or in their place
+            lines[i] = rng.choice([f"{lines[i]}  # note: {state}",
+                                   f"label {state}: # {props}"])
+        else:               # a comment line and an empty one
+            lines[i:i] = ["# label ghost: nowhere", ""]
+    end = "\r\n" if rng.random() < 0.5 else "\n"
+    return end.join(lines) + end
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except cgs.CgsError as e:
+        return str(e)
+
+
+def test_parser_matches_the_reference_on_mutated_labels():
+    # the parser reads each distinct label text once; the reference reads
+    # every label line on its own, and both give equal fields or the same
+    # error message
+    rng = random.Random(2607)
+    bases = [BASIC, bench.build_model("counter", {"cap": "3", "steps": "3"}),
+             bench.build_model("scheduler", {"processes": "2"}),
+             bench.build_model("counter", {"cap": "4", "mode": "infinite"})]
+    errors = set()
+    for base in bases:
+        text = base if isinstance(base, str) else base.to_text()
+        for _ in range(60):
+            mutated = label_mutations(rng, text)
+            want = parse_outcome(helpers.reference_parse_model, mutated)
+            got = parse_outcome(cgs.parse_model, mutated)
+            assert got == want, mutated
+            if isinstance(got, str):
+                errors.add(re.sub(r"line \d+: | .*", "", got))
+            else:
+                assert len(set(got.labels)) == len(set(map(id, got.labels)))
+    # every label error and some clean texts were met
+    assert errors == {"undefined", "duplicate", "malformed"}
 
 
 EXPAND_ERRORS = {
@@ -175,6 +265,9 @@ EXPAND_ERRORS = {
     "initial key 5 is not a state": dict(initial=5),
     "undefined atom 'q' in label of state s1": dict(
         label=lambda k: ["q"] if k == 1 else []),
+    # s1 and s2 share the row; the first of them is named
+    "undefined atom 'x' in label of state s1": dict(
+        label=lambda k: ["p", "x"] if k else ["p"]),
     "atom '__x' uses the reserved '__' prefix": dict(
         atoms=["__x"], label=lambda k: []),
     "agent b has no actions": dict(actions={"a": ["go", "stay"]}),
@@ -257,8 +350,8 @@ def labelled_states(sg, atom):
     sd = ltlf2dfa.encode_automaton(dfa, sg)
     edge = sd.delta & helpers.cube(st, sd.s, dfa.initial) & \
         helpers.cube(st, sd.s_next, hit)
-    return set(sg.decode(st.exists(sd.s.vars + sd.s_next.vars, edge),
-                         sg.q_next))
+    return set(helpers.decode(
+        sg, st.exists(sd.s.vars + sd.s_next.vars, edge), sg.q_next))
 
 
 def test_labels_inverted():
@@ -291,7 +384,7 @@ def test_reachable_matches_bfs():
         store = cgs.make_store(g, automaton_bits=1)
         sg = cgs.encode_symbolic(g, store)
         assert sg.reach == symbolic_reachable(sg)
-        assert set(sg.decode(sg.reach)) == g.reachable_states()
+        assert set(helpers.decode(sg, sg.reach)) == g.reachable_states()
 
 
 @pytest.mark.parametrize("gen, params, nodes", [
@@ -306,7 +399,7 @@ def test_benchmark_models_encode_to_pinned_node_counts(gen, params, nodes):
     store = cgs.make_store(g, automaton_bits=1)
     sg = cgs.encode_symbolic(g, store)
     assert store.node_count() == nodes
-    assert sg.decode(sg.reach) == sorted(g.reachable_states())
+    assert helpers.decode(sg, sg.reach) == sorted(g.reachable_states())
 
 
 def test_coalition_actions():

@@ -211,8 +211,9 @@ def textbook_attractor(game, player, target, region):
     own, opp = (game.v1, game.v0) if player else (game.v0, game.v1)
     x = target & region
     while True:
-        nxt = region & (target | (own & game.pre_exists(x))
-                        | (opp & ~game.pre_exists(region & ~x)))
+        pre = helpers.pre_exists
+        nxt = region & (target | (own & pre(game, x))
+                        | (opp & ~pre(game, region & ~x)))
         if nxt == x:
             return x
         x = nxt
@@ -356,7 +357,8 @@ def test_pre_exists_lies_within_the_vertices():
                    ~game.vertices, *game.priorities.values()]
         targets += random_codes(rng, game, 20)
         for x in targets:
-            assert (game.pre_exists(x) & ~game.vertices).is_false()
+            pre = helpers.pre_exists(game, x)
+            assert (pre & ~game.vertices).is_false()
 
 
 def test_pre_images_are_cut_after_the_product():
@@ -371,10 +373,10 @@ def test_pre_images_are_cut_after_the_product():
         targets = cuts + codes + [c | game.v0 for c in codes[:2]]
         targets += [st.true, ~game.vertices]
         for t in targets:
-            pre = game.pre_exists(t)
+            pre = helpers.pre_exists(game, t)
             for w in cuts:
-                assert game.pre_exists(t, w) == pre & w
-            assert pre == game.pre_exists(t & game.vertices)
+                assert helpers.pre_exists(game, t, w) == pre & w
+            assert pre == helpers.pre_exists(game, t & game.vertices)
 
 
 def test_explicit_game_region_cap(monkeypatch):

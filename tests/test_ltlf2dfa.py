@@ -4,8 +4,11 @@ import random
 import pytest
 
 from atlstar import bench
+from atlstar import driver
 from atlstar import formula as fm
 from atlstar import ltlf2dfa
+
+import helpers
 
 
 CORPUS = [
@@ -128,6 +131,42 @@ def test_letter_outside_alphabet_raises():
         dfa.accepts([{"p"}, set()])
     # the full alphabet reads every letter
     assert len(ltlf2dfa.translate(psi).letters()) == 4
+
+
+def per_state_carriers(aut, g):
+    """``ltlf2dfa._letter_carriers`` computed one letter per state."""
+    alphabet = set(aut.letters())
+    carriers = {}
+    for q, row in enumerate(g.labels):
+        a = ltlf2dfa.letter_mask(aut.atoms, row)
+        if a in alphabet:
+            carriers.setdefault(a, []).append(q)
+    return carriers
+
+
+def test_letter_carriers_match_a_per_state_reference():
+    # each distinct row's letter is computed once; the states carrying
+    # each letter, in order, are those a per-state scan finds.  Fresh
+    # atoms label states as an inner strategic subformula's would, and
+    # the automaton reads the rows of some of the states only
+    rng = random.Random(2609)
+    for _ in range(60):
+        g = helpers.random_cgs(rng, rng.randint(1, 12))
+        n = len(g.states)
+        extra = {f"{fm.FRESH_PREFIX}{i}":
+                 {q for q in range(n) if rng.random() < 0.5}
+                 for i in range(rng.randint(0, 3))}
+        labelled = driver._with_extra_labels(g, extra)
+        atoms = rng.sample(labelled.atoms, rng.randint(1, len(labelled.atoms)))
+        body = fm.atom(atoms[0])
+        for p in atoms[1:]:
+            body = rng.choice([fm.until, fm.or_])(body, fm.atom(p))
+        shown = rng.sample(range(n), rng.randint(1, n))
+        rows = {labelled.labels[q] for q in shown}
+        for aut in (ltlf2dfa.translate(body, labels=rows),
+                    ltlf2dfa.translate(body)):
+            assert (ltlf2dfa._letter_carriers(aut, labelled)
+                    == per_state_carriers(aut, labelled))
 
 
 def test_translate_deterministic():
