@@ -11,7 +11,9 @@ kernels (``_and``, ``_or``, ``_diff``) that recurse on two operands.
 They share the one computed table with ``_ite``: each result is keyed
 by the ite triple it equals, commutative operands ordered, following
 Brace, Rudell & Bryant, "Efficient implementation of a BDD package"
-(DAC 1990).
+(DAC 1990).  The handle operators ``&``, ``|``, ``^`` and ``~`` call
+these kernels directly; quantification (``exists``, ``and_exists``)
+and renaming (``rename``) are the store's other operations.
 
 Explicit data (model rows, automaton edges, state sets) enters through
 one bulk constructor, ``from_points``, which builds the BDD of a point
@@ -58,8 +60,6 @@ TRUE = 1
 # fold; a wider one splits more and larger truth tables.
 _CHUNK = 6
 
-_OPS = ("and", "or", "xor", "implies", "iff", "not", "ite")
-
 
 @dataclass(frozen=True)
 class VarBlock:
@@ -92,16 +92,22 @@ class Bdd:
         return hash((id(self.store), self.node))
 
     def __and__(self, other):
-        return self.store.apply("and", self, other)
+        st = self.store
+        a, b = st._check(self, other)
+        return Bdd(st, st._and(a, b))
 
     def __or__(self, other):
-        return self.store.apply("or", self, other)
+        st = self.store
+        a, b = st._check(self, other)
+        return Bdd(st, st._or(a, b))
 
     def __xor__(self, other):
-        return self.store.apply("xor", self, other)
+        st = self.store
+        a, b = st._check(self, other)
+        return Bdd(st, st._ite(a, st._not(b), b))
 
     def __invert__(self):
-        return self.store.apply("not", self)
+        return Bdd(self.store, self.store._not(self.node))
 
     def is_false(self):
         return self.node == FALSE
@@ -326,54 +332,26 @@ class BddStore:
 
     # -- boolean operations ----------------------------------------------
 
-    def apply(self, op, f, g=None, h=None):
-        if op not in _OPS:
-            raise BddError(f"unknown operation {op!r}")
-        if op == "not":
-            (a,) = self._check(f)
-            return Bdd(self, self._not(a))
-        if op == "ite":
-            a, b, c = self._check(f, g, h)
-            return Bdd(self, self._ite(a, b, c))
-        a, b = self._check(f, g)
-        if op == "and":
-            r = self._and(a, b)
-        elif op == "or":
-            r = self._or(a, b)
-        elif op == "xor":
-            r = self._ite(a, self._not(b), b)
-        elif op == "implies":
-            r = self._ite(a, b, TRUE)
-        else:  # iff
-            r = self._ite(a, b, self._not(b))
-        return Bdd(self, r)
-
     def big_or(self, fs):
         """Balanced disjunction; much flatter than a left fold for cube lists."""
-        nodes = [self._check(f)[0] for f in fs]
-        if not nodes:
-            return self.false
-        while len(nodes) > 1:
-            nxt = []
-            for i in range(0, len(nodes) - 1, 2):
-                nxt.append(self._or(nodes[i], nodes[i + 1]))
-            if len(nodes) % 2:
-                nxt.append(nodes[-1])
-            nodes = nxt
-        return Bdd(self, nodes[0])
+        return Bdd(self, self._fold(self._or, FALSE, fs))
 
     def big_and(self, fs):
-        nodes = [self._check(f)[0] for f in fs]
+        """Balanced conjunction."""
+        return Bdd(self, self._fold(self._and, TRUE, fs))
+
+    def _fold(self, kernel, unit, fs):
+        """The handles ``fs`` combined by ``kernel`` in a balanced tree:
+        neighbours pair up, an odd last one moves up alone."""
+        nodes = self._check(*fs)
         if not nodes:
-            return self.true
+            return unit
         while len(nodes) > 1:
-            nxt = []
-            for i in range(0, len(nodes) - 1, 2):
-                nxt.append(self._and(nodes[i], nodes[i + 1]))
+            paired = list(map(kernel, nodes[0::2], nodes[1::2]))
             if len(nodes) % 2:
-                nxt.append(nodes[-1])
-            nodes = nxt
-        return Bdd(self, nodes[0])
+                paired.append(nodes[-1])
+            nodes = paired
+        return nodes[0]
 
     # -- quantification ---------------------------------------------------
 
@@ -388,32 +366,20 @@ class BddStore:
                 out.add(v)
         return frozenset(out)
 
-    def quantify(self, kind, vars_, f):
-        if kind not in ("exists", "forall"):
-            raise BddError(f"unknown quantifier {kind!r}")
+    def exists(self, vars_, f):
         (a,) = self._check(f)
         vs = self._vars_of(vars_)
         for v in vs:
             if not 0 <= v < self.nvars:
                 raise BddError(f"variable {v} not in store")
-        last = max(vs, default=-1)
-        memo = self._quant_memo(vs)
-        if kind == "forall":
-            return Bdd(self, self._not(
-                self._exists(self._not(a), vs, last, memo)))
-        return Bdd(self, self._exists(a, vs, last, memo))
+        return Bdd(self, self._exists(a, vs, max(vs, default=-1),
+                                      self._quant_memo(vs)))
 
     def _quant_memo(self, vs):
         """The computed table's memo for quantifying ``vs``: it holds
         quantifications keyed by node ids and relational products keyed
         by node pairs."""
         return self._memos.setdefault(("exists", vs), {})
-
-    def exists(self, vars_, f):
-        return self.quantify("exists", vars_, f)
-
-    def forall(self, vars_, f):
-        return self.quantify("forall", vars_, f)
 
     def _exists(self, n, vs, last, memo):
         """exists vs. n, where ``last`` is the deepest variable of vs."""
@@ -474,20 +440,9 @@ class BddStore:
 
     # -- substitution -----------------------------------------------------
 
-    def compose(self, f, substitution):
-        """Simultaneous functional substitution var -> Bdd."""
-        (a,) = self._check(f)
-        sub = {}
-        for v, g in substitution.items():
-            if not 0 <= v < self.nvars:
-                raise BddError(f"substitution key {v} not in store")
-            (gn,) = self._check(g)
-            sub[v] = gn
-        if not sub:
-            return f
-        return Bdd(self, self._compose(a, sub, {}))
-
     def _compose(self, n, sub, memo):
+        """Node n with each variable v in ``sub`` replaced by the node
+        sub[v], all at once."""
         if n <= 1:
             return n
         r = memo.get(n)
@@ -575,10 +530,6 @@ class BddStore:
 
     # -- evaluation / counting -------------------------------------------
 
-    def support(self, f):
-        (a,) = self._check(f)
-        return self._support(a)
-
     def _support(self, a):
         out = set()
         seen = set()
@@ -601,12 +552,12 @@ class BddStore:
         return n == TRUE
 
     def sat_count(self, f, over):
+        (root,) = self._check(f)
         vs = sorted(self._vars_of(over))
-        extra = self.support(f) - set(vs)
+        extra = self._support(root) - set(vs)
         if extra:
             names = [self.var_names[v] for v in sorted(extra)]
             raise BddError(f"free variables outside counting block: {names}")
-        (root,) = self._check(f)
         idx = {v: i for i, v in enumerate(vs)}
         nvs = len(vs)
         memo = {}
@@ -741,7 +692,7 @@ class BddStore:
     def minterms(self, f, block):
         """Yield the integer values over ``block`` satisfying f (ascending)."""
         (root,) = self._check(f)
-        extra = self.support(f) - set(block.vars)
+        extra = self._support(root) - set(block.vars)
         if extra:
             raise BddError("minterms: function depends on vars outside block")
         out = []
@@ -829,8 +780,3 @@ def _spread(values, vars_, shift):
         packed = map(or_, packed, map(table.__getitem__, map(
             and_, map(rshift, values, repeat(low)), repeat(255))))
     return dict(zip(values, packed))
-
-
-def new_store(blocks, byte_budget=256 * 1024 * 1024):
-    """Create a store with the interleaved default ordering."""
-    return BddStore(blocks, byte_budget=byte_budget)

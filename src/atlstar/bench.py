@@ -200,20 +200,24 @@ def scheduler_fairness_formula(n):
 # Suspicion heuristics
 
 HEURISTICS = ("conservative", "aggressive", "proportional", "diversity")
+# the bucket thresholds of the proportional heuristic (a fraction of the
+# total weight) and of the diversity heuristic (a count of raised flags)
+NORM_THRESHOLDS = (0.25, 0.5)
+DIVERSITY_THRESHOLDS = (2, 4)
 
 
-def suspicion_rule(heuristic, weights, thresholds, critical=(4, 5),
-                   norm_thresholds=(0.25, 0.5), diversity_thresholds=(2, 4)):
+def suspicion_rule(heuristic, weights, thresholds, critical=(4, 5)):
     """The bucket function ``flags -> {0, 1, 2}`` of one heuristic.
 
     ``thresholds`` is the (t1, t2) pair for the weighted score.
     Conservative compares the weighted flag sum against t1/t2;
     aggressive escalates straight to 2 on any critical flag and is
     otherwise capped at the low bucket; proportional compares the score
-    as a fraction of total weight against normalized thresholds; and
-    diversity counts how many distinct flags are raised.  The parameters
-    are checked here, once, so a model generator can call the rule per
-    transition; ``flags`` must hold one entry per weight.
+    as a fraction of total weight against ``NORM_THRESHOLDS``; and
+    diversity compares how many distinct flags are raised against
+    ``DIVERSITY_THRESHOLDS``.  The parameters are checked here, once,
+    so a model generator can call the rule per transition; ``flags``
+    must hold one entry per weight.
     """
     t1, t2 = thresholds
     if t1 >= t2:
@@ -234,19 +238,14 @@ def suspicion_rule(heuristic, weights, thresholds, critical=(4, 5),
                 return 2
             return 1 if score(flags) >= t1 else 0
     elif heuristic == "proportional":
-        n1, n2 = norm_thresholds
-        if not 0 <= n1 < n2 <= 1:
-            raise BenchError("normalized thresholds must be ordered "
-                             "within [0, 1]")
+        n1, n2 = NORM_THRESHOLDS
         total = sum(weights)
 
         def rule(flags):
             ratio = score(flags) / total if total else 0.0
             return 2 if ratio >= n2 else 1 if ratio >= n1 else 0
     elif heuristic == "diversity":
-        d1, d2 = diversity_thresholds
-        if d1 >= d2:
-            raise BenchError("diversity thresholds must satisfy d1 < d2")
+        d1, d2 = DIVERSITY_THRESHOLDS
 
         def rule(flags):
             count = sum(1 for f in flags if f)
@@ -255,17 +254,6 @@ def suspicion_rule(heuristic, weights, thresholds, critical=(4, 5),
         raise BenchError(f"unknown suspicion heuristic {heuristic!r}; "
                          f"pick from {HEURISTICS}")
     return rule
-
-
-def suspicion_update(heuristic, flags, weights, thresholds,
-                     critical=(4, 5), norm_thresholds=(0.25, 0.5),
-                     diversity_thresholds=(2, 4)):
-    """Suspicion bucket in {0, 1, 2} from the latest alert flags, by
-    :func:`suspicion_rule`."""
-    if len(flags) != len(weights):
-        raise BenchError("flag/weight length mismatch")
-    return suspicion_rule(heuristic, weights, thresholds, critical,
-                          norm_thresholds, diversity_thresholds)(flags)
 
 
 # ---------------------------------------------------------------------------
@@ -464,18 +452,14 @@ def cyber_defense_formula(server=1):
     return fm.strategic(("d1", "d2"), body)
 
 
-def minimal_defense_budget(params, lo=0, hi=None, search="binary",
-                           **check_kwargs):
+def minimal_defense_budget(params, lo=0, hi=None):
     """Smallest budget at which the defenders win, or None.
 
-    The defense objective is monotone in the budget, so binary and
-    linear search agree; both are kept for cross-checking.  An empty
-    range ``lo > hi`` holds no budget.
+    The defense objective is monotone in the budget, so a binary search
+    finds it.  An empty range ``lo > hi`` holds no budget.
     """
     if hi is None:
         hi = params.budget
-    if search not in ("linear", "binary"):
-        raise BenchError(f"unknown search mode {search!r}")
     if lo > hi:
         return None
 
@@ -485,14 +469,9 @@ def minimal_defense_budget(params, lo=0, hi=None, search="binary",
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             res = driver.check(model=g, formula=cyber_defense_formula(),
-                               semantics="finite", **check_kwargs)
+                               semantics="finite")
         return res.holds
 
-    if search == "linear":
-        for b in range(lo, hi + 1):
-            if wins(b):
-                return b
-        return None
     if not wins(hi):
         return None
     lo_b, hi_b = lo, hi

@@ -7,7 +7,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .bdd import BddStore, new_store
+from .bdd import BddStore
 from .errors import InputError
 from .formula import is_agent_name, is_atom_name
 
@@ -411,8 +411,8 @@ def store_blocks(g, automaton_bits):
     return blocks
 
 
-def make_store(g, automaton_bits, byte_budget=256 * 1024 * 1024):
-    return new_store(store_blocks(g, automaton_bits), byte_budget=byte_budget)
+def make_store(g, automaton_bits):
+    return BddStore(store_blocks(g, automaton_bits))
 
 
 @dataclass

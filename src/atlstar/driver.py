@@ -2,16 +2,18 @@
 
 Checks an ATL* state formula against a concurrent game structure by
 recursive labelling: strategic subformulas are solved innermost-first,
-their winning state sets become fresh labels, and the boolean skeleton
-is evaluated per state.  Explicit state-id sets are the common currency
-between engines and between subformulas: the symbolic engine encodes
-the model once per check and rolls its store back to that encoding
-before each further subformula, so no BDD outlives its subformula.
+their winning state sets become fresh labels, numbered per check, and
+the boolean skeleton is evaluated per state.  Explicit state-id sets
+are the common currency between engines and between subformulas: the
+symbolic engine encodes the model once per check and rolls its store
+back to that encoding before each further subformula, so no BDD
+outlives its subformula.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import time
 import warnings
@@ -38,7 +40,6 @@ class CheckRequest:
     engine: str = "symbolic"       # "symbolic" | "explicit"
     solver: str = "zielonka"       # the only value; kept for callers
     tools: tuple = ()              # external DPA translator commands
-    byte_budget: int = 256 * 1024 * 1024
     product_cap: int = finite_mc.DEFAULT_PRODUCT_CAP
 
 
@@ -93,8 +94,7 @@ def check(request=None, **kwargs):
 
     g = req.model
     cgsmod.validate(g)
-    unknown = sorted(p for p in fm.atoms_of(psi)
-                     if p not in g.atoms and not p.startswith(fm.FRESH_PREFIX))
+    unknown = sorted(p for p in fm.atoms_of(psi) if p not in g.atoms)
     if unknown:
         raise DriverError(
             f"formula atoms not declared by the model: {', '.join(unknown)}")
@@ -112,7 +112,10 @@ def check(request=None, **kwargs):
     # count right after it
     encoding = {}
 
-    extra = {}    # fresh atom -> set of states where it holds
+    # the model as the automata read it, each inner strategic
+    # subformula's winning states labelled by a fresh atom
+    labelled = g
+    numbers = itertools.count(1)
 
     def label(f):
         k = f.kind
@@ -121,8 +124,6 @@ def check(request=None, **kwargs):
         if k == "false":
             return set()
         if k == "atom":
-            if f.name in extra:
-                return set(extra[f.name])
             return {q for q in reachable if f.name in g.labels[q]}
         if k == "not":
             return set(reachable) - label(f.children[0])
@@ -135,15 +136,16 @@ def check(request=None, **kwargs):
         raise DriverError(f"path operator outside strategic scope: {f}")
 
     def label_strategic(f):
-        body, mapping = fm.extract_state_subformulas(f.children[0])
+        nonlocal labelled
+        body, mapping = fm.extract_state_subformulas(f.children[0], numbers)
         for fresh, sub in mapping.items():
-            extra[fresh] = label(sub)
+            # labelling sub may add its own inner atoms to labelled
+            won = label(sub)
+            labelled = _with_label(labelled, fresh, won)
         coalition = f.coalition
         for a in coalition:
             if a not in g.agents:
                 raise DriverError(f"unknown agent {a!r} in coalition")
-        # the model as the automaton reads it: fresh atoms label states
-        labelled = _with_extra_labels(g, extra)
         if req.semantics == "finite":
             win, stats = solve_finite(body, coalition, labelled)
         else:
@@ -164,8 +166,7 @@ def check(request=None, **kwargs):
         if sg is not None and len(sg.store.block("s")) >= bits:
             sg.store.release(encoding["mark"])
             return sg
-        store = cgsmod.make_store(g, automaton_bits=bits,
-                                  byte_budget=req.byte_budget)
+        store = cgsmod.make_store(g, automaton_bits=bits)
         sg = cgsmod.encode_symbolic(g, store, reachable=reachable)
         encoding.update(sg=sg, mark=store.node_count())
         details["encodes"] += 1
@@ -255,12 +256,16 @@ def check(request=None, **kwargs):
     )
 
 
-def _with_extra_labels(g, extra):
-    """The model with fresh atoms added to its labels: ``extra`` maps each
-    fresh atom to the set of states where it holds."""
-    if not extra:
-        return g
-    return dataclasses.replace(
-        g, atoms=list(g.atoms) + sorted(extra),
-        labels=[row | {p for p, qs in extra.items() if q in qs}
-                for q, row in enumerate(g.labels)])
+def _with_label(g, atom, states):
+    """The model with ``atom`` added to the label rows of ``states``.
+    Each distinct row is extended once, so states that shared a row
+    still share one."""
+    labels = list(g.labels)
+    grown = {}
+    for q in states:
+        row = labels[q]
+        new = grown.get(row)
+        if new is None:
+            new = grown[row] = row | {atom}
+        labels[q] = new
+    return dataclasses.replace(g, atoms=[*g.atoms, atom], labels=labels)

@@ -6,14 +6,12 @@ for the automata pipeline.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field
 
 from .errors import InputError
 
 FRESH_PREFIX = "__sub"
-_fresh_counter = itertools.count(1)
 
 
 class FormulaError(Exception):
@@ -410,22 +408,22 @@ def has_strategic(f):
     return any(has_strategic(c) for c in f.children)
 
 
-def fresh_atom_name():
-    return f"{FRESH_PREFIX}{next(_fresh_counter)}"
-
-
-def extract_state_subformulas(psi):
+def extract_state_subformulas(psi, numbers):
     """Replace strategic subformulas of a path formula with fresh atoms.
 
     Returns ``(core, atom_map)`` where ``core`` is pure LTL/LTLf and
     ``atom_map`` maps each fresh atom back to the subformula it replaced.
-    Plain atoms stay in place.
+    Plain atoms stay in place.  The fresh atoms are ``FRESH_PREFIX``
+    followed by the next of ``numbers``, an iterator that the caller
+    keeps for one check, so that a check names its atoms the same way
+    whatever ran before it.  No model atom starts with '_', so none
+    clashes with them.
     """
     atom_map = {}
 
     def go(f):
         if f.kind == "strategic":
-            name = fresh_atom_name()
+            name = f"{FRESH_PREFIX}{next(numbers)}"
             atom_map[name] = f
             return atom(name)
         if not f.children:
@@ -435,18 +433,6 @@ def extract_state_subformulas(psi):
         )
 
     return go(psi), atom_map
-
-
-def substitute_atoms(f, mapping):
-    """Replace atoms by formulas (inverse of extract_state_subformulas)."""
-    if f.kind == "atom" and f.name in mapping:
-        return mapping[f.name]
-    if not f.children:
-        return f
-    return Formula(
-        f.kind, tuple(substitute_atoms(c, mapping) for c in f.children),
-        f.name, f.coalition,
-    )
 
 
 # ---------------------------------------------------------------------------

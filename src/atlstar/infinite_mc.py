@@ -10,9 +10,8 @@ the minimal priority occurring infinitely often is even.
 Zielonka's recursive attractor decomposition is implemented twice: on
 an explicit arena (the oracle) and on the BDD node ids of a symbolic
 arena, where attractors iterate pre-images.  The symbolic solver runs
-on every symbolic arena: those the checker builds and those that
-``encode_explicit_game`` makes from explicit games for cross-checks.
-Its attractor also solves the finite-trace safety games of
+on every symbolic arena in the layered form of ``build_game``.  Its
+attractor also solves the finite-trace safety games of
 ``finite_mc`` on the same layered arena.
 """
 
@@ -122,10 +121,14 @@ def solve_zielonka(game):
     return solve(set(range(game.n())))
 
 
-def region_cap_check(n, cap=1 << 20):
-    if n > cap:
+# the most vertices an explicit arena may have
+REGION_CAP = 1 << 20
+
+
+def region_cap_check(n):
+    if n > REGION_CAP:
         raise ResourceError(
-            f"explicit arena would have {n} vertices (cap {cap}); "
+            f"explicit arena would have {n} vertices (cap {REGION_CAP}); "
             "use the symbolic solver"
         )
 
@@ -311,39 +314,6 @@ def build_game(sg, sdpa, coalition):
         p: cls for p, ss in sorted(classes.items())
         if not (cls := game.vertices & sdpa.states(ss)).is_false()}
     return game
-
-
-def encode_explicit_game(game, byte_budget=64 * 1024 * 1024):
-    """Symbolic arena of an explicit game in ``build_game``'s layered
-    form, for solver cross-checks.  Vertex x is the position (l=0, x).
-    If player 0 owns x, its choice (l=1, x, k) responds with its k-th
-    successor; else its one choice (l=1, x, 0) responds with any.  Both
-    layers carry x's priority."""
-    from .bdd import new_store
-    from .cgs import bits_for
-
-    game.validate()
-    n = game.n()
-    # every (choice, response) pair
-    xs, ks, ws = zip(*[(x, k * (1 - game.owner[x]), w)
-                       for x, ss in enumerate(game.succ)
-                       for k, w in enumerate(ss)])
-    nb = bits_for(n)
-    st = new_store([("l", 1), ("v", nb), ("v'", nb), ("a", bits_for(
-        max(ks) + 1))], byte_budget=byte_budget)
-    l, v, vp, a = (st.block(name) for name in ("l", "v", "v'", "a"))
-    v0 = st.from_points([l, v], [[0] * n, range(n)])
-    v1 = st.from_points([l, v, a], [[1] * len(xs), xs, ks])
-    classes = {}
-    for x in range(n):
-        classes.setdefault(game.priority[x], []).append(x)
-    priorities = {p: st.from_points([v], [ys]) & (v0 | v1)
-                  for p, ys in sorted(classes.items())}
-    return SymbolicParityGame(
-        store=st, blocks=[(v, vp)], actions=[a], v0=v0, v1=v1,
-        delta=st.from_points([v, a, vp], [xs, ks, ws]),
-        priorities=priorities,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import formula as fm
-from .bdd import FALSE, TRUE, Bdd, new_store
+from .bdd import FALSE, TRUE, Bdd, BddStore
 from .errors import InputError
 
 
@@ -126,7 +126,7 @@ class _Progression:
         self.atoms = tuple(sorted(fm.atoms_of(self.core)))
         keys = {}
         _obligation_vars(self.core, keys)
-        self.store = new_store([("t", max(1, len(keys)))])
+        self.store = BddStore([("t", max(1, len(keys)))])
         blk = self.store.block("t")
         var_index = {key: blk.vars[i] for i, key in enumerate(keys)}
         var_node = {key: self.store.var(v).node

@@ -1,17 +1,20 @@
 """Helpers that only the tests call: a random model builder, a model's
-rows by state, BDDs of cubes and point lists, a one-call finite-trace
-check, an encoding audit, a PGSolver writer, the explicit vertices
-of a symbolic arena made from an explicit game, the state ids of an
-encoded state set, the pre-image of a symbolic arena and the model
-parser as it read every label line on its own, which the parser's
-differential test compares against."""
+rows by state, BDDs of cubes and point lists, functional composition
+(the reference for renaming), a one-call finite-trace check, an
+encoding audit, the symbolic arena of an explicit game and its explicit
+vertices, a PGSolver writer, the state ids of an encoded state set, the
+pre-image of a symbolic arena, a formula with its fresh atoms replaced
+back and the model parser as it read every label line on its own,
+which the parser's differential test compares against."""
 
 import math
 
 from atlstar import cgs
 from atlstar import finite_mc
+from atlstar import formula as fm
+from atlstar import infinite_mc
 from atlstar import ltlf2dfa
-from atlstar.bdd import TRUE, Bdd
+from atlstar.bdd import TRUE, Bdd, BddError, BddStore
 from atlstar.cgs import CgsError
 
 
@@ -51,6 +54,20 @@ def points_bdd(store, blocks, points):
     """The BDD of ``points``, tuples with one value per block."""
     return store.from_points(
         blocks, [[p[i] for p in points] for i in range(len(blocks))])
+
+
+def compose(store, f, substitution):
+    """f with each variable v in ``substitution`` replaced by the BDD
+    substitution[v], all at once."""
+    (a,) = store._check(f)
+    sub = {}
+    for v, g in substitution.items():
+        if not 0 <= v < store.nvars:
+            raise BddError(f"substitution key {v} not in store")
+        (sub[v],) = store._check(g)
+    if not sub:
+        return f
+    return Bdd(store, store._compose(a, sub, {}))
 
 
 def game_solving(sg, psi, coalition, dfa=None):
@@ -93,6 +110,49 @@ def audit_determinism(sg):
     return True
 
 
+def encode_explicit_game(game):
+    """Symbolic arena of an explicit game in ``infinite_mc.build_game``'s
+    layered form, for solver cross-checks.  Vertex x is the position
+    (l=0, x).  If player 0 owns x, its choice (l=1, x, k) responds with
+    its k-th successor; else its one choice (l=1, x, 0) responds with
+    any.  Both layers carry x's priority."""
+    game.validate()
+    n = game.n()
+    # every (choice, response) pair
+    xs, ks, ws = zip(*[(x, k * (1 - game.owner[x]), w)
+                       for x, ss in enumerate(game.succ)
+                       for k, w in enumerate(ss)])
+    nb = cgs.bits_for(n)
+    st = BddStore([("l", 1), ("v", nb), ("v'", nb),
+                   ("a", cgs.bits_for(max(ks) + 1))])
+    l, v, vp, a = (st.block(name) for name in ("l", "v", "v'", "a"))
+    v0 = st.from_points([l, v], [[0] * n, range(n)])
+    v1 = st.from_points([l, v, a], [[1] * len(xs), xs, ks])
+    classes = {}
+    for x in range(n):
+        classes.setdefault(game.priority[x], []).append(x)
+    priorities = {p: st.from_points([v], [ys]) & (v0 | v1)
+                  for p, ys in sorted(classes.items())}
+    return infinite_mc.SymbolicParityGame(
+        store=st, blocks=[(v, vp)], actions=[a], v0=v0, v1=v1,
+        delta=st.from_points([v, a, vp], [xs, ks, ws]),
+        priorities=priorities,
+    )
+
+
+def substitute_atoms(f, mapping):
+    """f with each atom in ``mapping`` replaced by its formula: the
+    inverse of ``formula.extract_state_subformulas``."""
+    if f.kind == "atom" and f.name in mapping:
+        return mapping[f.name]
+    if not f.children:
+        return f
+    return fm.Formula(
+        f.kind, tuple(substitute_atoms(c, mapping) for c in f.children),
+        f.name, f.coalition,
+    )
+
+
 def write_pgsolver(game):
     """An ExplicitGame in the PGSolver format that
     ``infinite_mc.parse_pgsolver`` reads."""
@@ -115,7 +175,7 @@ def vertex_blocks(game):
 
 def game_positions(game, w):
     """The explicit vertices whose layer-0 position lies in ``w``, for
-    an arena of ``infinite_mc.encode_explicit_game``."""
+    an arena of ``encode_explicit_game``."""
     st, (v, _) = game.store, game.blocks[0]
     others = [x for x in game.vertex_vars() if x not in v.vars]
     return set(st.minterms(st.exists(others, w & game.v0), v))

@@ -166,7 +166,7 @@ def test_parity_solvers_agree():
         )
         w0, w1 = imc.solve_zielonka(game)
         assert w0 | w1 == set(range(n)) and not (w0 & w1)
-        sym = imc.encode_explicit_game(game)
+        sym = helpers.encode_explicit_game(game)
         r0, r1 = _sym_regions(sym, *imc.solve_symbolic_zielonka(sym))
         assert r0 == w0 and r1 == w1
         n_games += 1
@@ -181,7 +181,7 @@ def test_parity_solvers_agree():
     derived.append(imc.build_explicit_game(g2, d2, ("p1",))[0])
     for game in derived:
         w0, w1 = imc.solve_zielonka(game)
-        sym = imc.encode_explicit_game(game)
+        sym = helpers.encode_explicit_game(game)
         r0, r1 = _sym_regions(sym, *imc.solve_symbolic_zielonka(sym))
         assert r0 == w0 and r1 == w1
         n_games += 1
@@ -335,13 +335,15 @@ def test_scalability_ordering():
 #
 # Absolute "minimum budget" figures are machine- and model-variant
 # specific and are NOT reproduced here; the invariants checked instead
-# are budget monotonicity and agreement of the two search strategies.
+# are budget monotonicity and agreement of the binary search with the
+# linear one that the monotonicity loop makes.
 
 def test_defense_budget_properties():
     t0 = time.monotonic()
     for heuristic in bench.HEURISTICS:
         for horizon in (1, 2, 3, 4):
             prev = False
+            linear = None     # the first budget that wins at this horizon
             for budget in range(0, 4):
                 p = bench.CyberParams(horizon=horizon, budget=budget,
                                       heuristic=heuristic)
@@ -351,10 +353,11 @@ def test_defense_budget_properties():
                     formula=bench.cyber_defense_formula()).holds
                 assert holds >= prev, (heuristic, horizon, budget)
                 prev = holds
+                if holds and linear is None:
+                    linear = budget
+        # the binary search over the last horizon's budgets
         p = bench.CyberParams(horizon=4, budget=3, heuristic=heuristic)
-        b_bin = bench.minimal_defense_budget(p, search="binary")
-        b_lin = bench.minimal_defense_budget(p, search="linear")
-        assert b_bin == b_lin, heuristic
+        assert bench.minimal_defense_budget(p) == linear, heuristic
     elapsed = time.monotonic() - t0
     report("defense budget monotone, searches agree", True, elapsed)
 
@@ -365,7 +368,7 @@ def test_defense_budget_properties():
 def test_bdd_properties_exhaustive():
     t0 = time.monotonic()
     rng = random.Random(6)
-    st = bdd.new_store([("x", 6)])
+    st = bdd.BddStore([("x", 6)])
     blk = st.block("x")
     xs = [st.var(v) for v in blk.vars]
 
@@ -401,11 +404,9 @@ def test_bdd_properties_exhaustive():
             for a, tf in zip(assignments, table_f) if tf
         ] or [st.false])
         assert rebuilt == f
-        # quantifier duality on every variable
+        # quantification of every variable
         for v in blk.vars:
             lhs = st.exists([v], f)
-            rhs = ~st.forall([v], ~f)
-            assert lhs == rhs
             for a in assignments:
                 a1 = dict(a)
                 a0 = dict(a)
@@ -415,5 +416,5 @@ def test_bdd_properties_exhaustive():
                 assert st.evaluate(lhs, a) == want
     st.audit_reduced()
     elapsed = time.monotonic() - t0
-    report("BDD canonicity, duality, truth tables",
+    report("BDD canonicity, quantification, truth tables",
            elapsed < 60, elapsed)

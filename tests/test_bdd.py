@@ -1,18 +1,22 @@
 import itertools
+import operator
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atlstar.bdd import (FALSE, TRUE, Bdd, BddError, BudgetExceeded,
-                         VarBlock, new_store)
+from atlstar.bdd import (FALSE, TRUE, Bdd, BddError, BddStore,
+                         BudgetExceeded, VarBlock)
 
-from helpers import cube, points_bdd
+from helpers import compose, cube, points_bdd
 
 
 def fresh(nvars=6):
-    return new_store([("x", nvars)])
+    return BddStore([("x", nvars)])
+
+
+OPERATORS = {"and": operator.and_, "or": operator.or_, "xor": operator.xor}
 
 
 def random_bdd(store, block, rng, depth=4):
@@ -28,7 +32,7 @@ def random_bdd(store, block, rng, depth=4):
     if op == "not":
         return ~a
     b = random_bdd(store, block, rng, depth - 1)
-    return store.apply(op, a, b)
+    return OPERATORS[op](a, b)
 
 
 def truth_table(store, f, vars_):
@@ -50,7 +54,7 @@ def test_canonicity_random_pairs():
         assert (f == g) == same
 
 
-def test_apply_matches_truth_tables():
+def test_operators_match_truth_tables():
     store = fresh(6)
     block = store.block("x")
     rng = random.Random(7)
@@ -58,8 +62,6 @@ def test_apply_matches_truth_tables():
         "and": lambda a, b: a and b,
         "or": lambda a, b: a or b,
         "xor": lambda a, b: a != b,
-        "implies": lambda a, b: (not a) or b,
-        "iff": lambda a, b: a == b,
     }
     for _ in range(300):
         f = random_bdd(store, block, rng)
@@ -67,9 +69,11 @@ def test_apply_matches_truth_tables():
         tf = truth_table(store, f, block.vars)
         tg = truth_table(store, g, block.vars)
         for op, fn in ops.items():
-            h = store.apply(op, f, g)
+            h = OPERATORS[op](f, g)
             assert truth_table(store, h, block.vars) == \
                 tuple(fn(a, b) for a, b in zip(tf, tg))
+        assert truth_table(store, ~f, block.vars) == \
+            tuple(not a for a in tf)
 
 
 @settings(max_examples=200, deadline=None)
@@ -110,15 +114,15 @@ def test_binary_kernels_are_their_ite_triples(seed):
 
 def test_ite_terminal_cases():
     store = fresh(4)
-    x = store.var(0)
-    y = store.var(1)
-    assert store.apply("ite", store.true, x, y) == x
-    assert store.apply("ite", store.false, x, y) == y
-    assert store.apply("ite", x, store.true, store.false) == x
-    assert store.apply("ite", x, y, y) == y
+    x = store.var(0).node
+    y = store.var(1).node
+    assert store._ite(TRUE, x, y) == x
+    assert store._ite(FALSE, x, y) == y
+    assert store._ite(x, TRUE, FALSE) == x
+    assert store._ite(x, y, y) == y
 
 
-def test_quantifier_duality():
+def test_exists_matches_truth_tables():
     store = fresh(6)
     block = store.block("x")
     rng = random.Random(13)
@@ -126,11 +130,16 @@ def test_quantifier_duality():
         f = random_bdd(store, block, rng)
         vs = rng.sample(block.vars, rng.randint(1, 3))
         ex = store.exists(vs, f)
-        fa = store.forall(vs, f)
-        assert ex == ~store.forall(vs, ~f)
-        assert fa == ~store.exists(vs, ~f)
-        # forall implies the original only where vars are irrelevant
-        assert (fa & ~ex).is_false()
+        # ex holds at an assignment iff f holds at one that differs
+        # from it only on vs
+        for bits in itertools.product([False, True], repeat=len(block.vars)):
+            at = dict(zip(block.vars, bits))
+            want = any(store.evaluate(f, {**at, **dict(zip(vs, vals))})
+                       for vals in itertools.product([False, True],
+                                                     repeat=len(vs)))
+            assert store.evaluate(ex, at) == want
+    with pytest.raises(BddError, match="not in store"):
+        store.exists([store.nvars], store.true)
 
 
 def test_and_exists_is_relational_product():
@@ -145,7 +154,7 @@ def test_and_exists_is_relational_product():
 
 
 def test_rename_is_a_swap():
-    store = new_store([("a", 3), ("a'", 3)])
+    store = BddStore([("a", 3), ("a'", 3)])
     a = store.block("a")
     ap = store.block("a'")
     rng = random.Random(5)
@@ -163,7 +172,7 @@ def test_evaluate_and_minterms():
 
 
 def test_sat_count_rejects_free_variables():
-    store = new_store([("a", 2), ("b", 2)])
+    store = BddStore([("a", 2), ("b", 2)])
     f = store.var(store.block("b").vars[0])
     with pytest.raises(BddError):
         store.sat_count(f, store.block("a"))
@@ -185,7 +194,7 @@ def memo_entries(store):
 
 def test_trim_cache_bounds_the_computed_table():
     # few variables, many operations: more cached results than nodes
-    store = new_store([("x", 3), ("x'", 3)])
+    store = BddStore([("x", 3), ("x'", 3)])
     block, primed = store.block("x"), store.block("x'")
     rng = random.Random(23)
     fs = [random_bdd(store, block, rng, depth=6) for _ in range(40)]
@@ -227,7 +236,7 @@ def test_trim_cache_bounds_the_computed_table():
        after=st.integers(1, 12), other=st.integers(0, 2**32 - 1))
 def test_release_drops_exactly_the_nodes_after_the_mark(seed, before, after,
                                                         other):
-    store = new_store([("x", 3), ("x'", 3)])
+    store = BddStore([("x", 3), ("x'", 3)])
     x, xp = store.block("x"), store.block("x'")
     block = VarBlock("all", tuple(range(store.nvars)))
     rng = random.Random(seed)
@@ -274,7 +283,7 @@ def test_computed_table_matches_a_fresh_store():
     # results that the computed table keeps across calls and trims must
     # be those of a store that computes each operation from scratch
     layout = [("a", 1), ("a'", 1), ("b", 1), ("b'", 1)]
-    store = new_store(layout)
+    store = BddStore(layout)
     allvars = VarBlock("all", tuple(range(store.nvars)))
     a, ap, b = (store.block(n).vars for n in ("a", "a'", "b"))
     # operands read every variable (renames compose the swap) or one
@@ -302,12 +311,12 @@ def test_computed_table_matches_a_fresh_store():
         f, g = rng.choice(pool), rng.choice(pool)
         vs = rng.choice(var_sets)
         src, dst = rng.choice(renames)
-        ref = new_store(layout)
+        ref = BddStore(layout)
         fr, gr = rebuild(ref, f), rebuild(ref, g)
         if kind == "exists":
             got, want = store.exists(vs, f), ref.exists(vs, fr)
-        elif kind == "forall":
-            got, want = store.forall(vs, f), ref.forall(vs, fr)
+        elif kind == "forall":  # by duality
+            got, want = ~store.exists(vs, ~f), ~ref.exists(vs, ~fr)
         elif kind == "and_exists":
             got, want = store.and_exists(f, g, vs), ref.and_exists(fr, gr, vs)
         else:
@@ -349,7 +358,7 @@ def test_release_bounds():
 
 
 def test_budget_exceeded():
-    store = new_store([("x", 24)], byte_budget=20_000)
+    store = BddStore([("x", 24)], byte_budget=20_000)
     block = store.block("x")
     with pytest.raises(BudgetExceeded):
         acc = store.false
@@ -402,7 +411,7 @@ def point_sets(draw):
 @given(point_sets())
 def test_from_points_is_the_disjunction_of_cubes(case):
     layout, names, points = case
-    store = new_store(layout)
+    store = BddStore(layout)
     blocks = [store.block(n) for n in names]
     before = store.node_count()
     f = points_bdd(store, blocks, points)
@@ -451,7 +460,7 @@ def wide_point_sets(draw):
 @given(wide_point_sets())
 def test_from_points_on_wide_point_sets(case):
     layout, names, points, rng = case
-    store = new_store(layout)
+    store = BddStore(layout)
     blocks = [store.block(n) for n in names]
     before = store.node_count()
     f = points_bdd(store, blocks, points)
@@ -480,7 +489,7 @@ def test_from_points_on_wide_point_sets(case):
 def test_from_points_hits_the_budget():
     # scattered keys share few nodes: the fold above the truth tables
     # makes more nodes than the smallest budget allows
-    store = new_store([("x", 20)], byte_budget=1)
+    store = BddStore([("x", 20)], byte_budget=1)
     rng = random.Random(7)
     values = [rng.randrange(1 << 20) for _ in range(3000)]
     with pytest.raises(BudgetExceeded, match="budget exceeded"):
@@ -490,7 +499,7 @@ def test_from_points_hits_the_budget():
 
 
 def test_from_points_empty_and_out_of_range():
-    store = new_store([("a", 2), ("b", 3)])
+    store = BddStore([("a", 2), ("b", 3)])
     a, b = store.block("a"), store.block("b")
     before = store.node_count()
     assert store.from_points([a, b], [[], []]) == store.false
@@ -521,7 +530,7 @@ RENAME_PAIRS = [("a", "a'"), ("b", "b'"), ("c", "c'")]
 def test_rename_equals_the_composed_swap(seed, reads, pairs, backwards):
     # f reads the blocks in ``reads``: one side of a pair (the direct
     # relabel), both partners (the composed fallback) or neither
-    store = new_store(RENAME_LAYOUT)
+    store = BddStore(RENAME_LAYOUT)
     reads = VarBlock("reads", tuple(v for n in sorted(reads)
                                     for v in store.block(n).vars))
     f = random_bdd(store, reads, random.Random(seed), depth=5)
@@ -535,7 +544,7 @@ def test_rename_equals_the_composed_swap(seed, reads, pairs, backwards):
             sub[x] = store.var(y)
             sub[y] = store.var(x)
     got = store.rename(f, src, dst)
-    assert got == store.compose(f, sub)
+    assert got == compose(store, f, sub)
     assert store.rename(got, dst, src) == f
     if len(src) == 1:
         assert store.rename(f, src[0], dst[0]) == got
@@ -543,7 +552,7 @@ def test_rename_equals_the_composed_swap(seed, reads, pairs, backwards):
 
 
 def test_rename_rejects_mismatched_blocks():
-    store = new_store([("a", 2), ("b", 3)])
+    store = BddStore([("a", 2), ("b", 3)])
     a, b = store.block("a"), store.block("b")
     with pytest.raises(BddError, match="mismatch"):
         store.rename(store.true, a, b)

@@ -134,61 +134,49 @@ def test_scheduler_grant_is_one_tick():
 def test_suspicion_conservative_example():
     w = (1, 1, 1, 1, 1, 1)
     flags = (1, 0, 1, 0, 1, 0)
-    assert bench.suspicion_update("conservative", flags, w, (2, 4)) == 1
-    assert bench.suspicion_update("conservative", flags, w, (1, 3)) == 2
+    assert bench.suspicion_rule("conservative", w, (2, 4))(flags) == 1
+    assert bench.suspicion_rule("conservative", w, (1, 3))(flags) == 2
 
 
 def test_suspicion_all_zero_is_low():
     flags = (0,) * 6
     w = (1, 1, 2, 2, 3, 3)
     for h in bench.HEURISTICS:
-        assert bench.suspicion_update(h, flags, w, (3, 6)) == 0
+        assert bench.suspicion_rule(h, w, (3, 6))(flags) == 0
 
 
 def test_suspicion_aggressive_critical():
     w = (1, 1, 2, 2, 3, 3)
     flags = (0, 0, 0, 0, 0, 1)
-    assert bench.suspicion_update("aggressive", flags, w, (3, 6)) == 2
+    assert bench.suspicion_rule("aggressive", w, (3, 6))(flags) == 2
     # without a critical flag the bucket is capped below 2
     flags2 = (1, 1, 1, 1, 0, 0)
-    assert bench.suspicion_update("aggressive", flags2, w, (3, 6)) == 1
+    assert bench.suspicion_rule("aggressive", w, (3, 6))(flags2) == 1
 
 
 def test_suspicion_proportional():
     w = (1, 1, 2, 2, 3, 3)
     flags = (0, 0, 1, 1, 0, 1)   # score 7 of 12
-    assert bench.suspicion_update("proportional", flags, w, (3, 6)) == 2
+    assert bench.suspicion_rule("proportional", w, (3, 6))(flags) == 2
     flags2 = (1, 1, 1, 0, 0, 0)  # 4/12 = 1/3
-    assert bench.suspicion_update("proportional", flags2, w, (3, 6)) == 1
+    assert bench.suspicion_rule("proportional", w, (3, 6))(flags2) == 1
 
 
 def test_suspicion_diversity():
-    w = (1, 1, 2, 2, 3, 3)
-    assert bench.suspicion_update(
-        "diversity", (1, 1, 1, 1, 0, 0), w, (3, 6)) == 2
-    assert bench.suspicion_update(
-        "diversity", (1, 1, 0, 0, 0, 0), w, (3, 6)) == 1
-    assert bench.suspicion_update(
-        "diversity", (1, 0, 0, 0, 0, 0), w, (3, 6)) == 0
+    rule = bench.suspicion_rule("diversity", (1, 1, 2, 2, 3, 3), (3, 6))
+    assert rule((1, 1, 1, 1, 0, 0)) == 2
+    assert rule((1, 1, 0, 0, 0, 0)) == 1
+    assert rule((1, 0, 0, 0, 0, 0)) == 0
 
 
 def test_suspicion_error_paths():
     w = (1, 1, 2, 2, 3, 3)
     with pytest.raises(bench.BenchError, match="t1 < t2"):
-        bench.suspicion_update("conservative", (0,) * 6, w, (4, 4))
-    with pytest.raises(bench.BenchError, match="mismatch"):
-        bench.suspicion_update("conservative", (0,) * 5, w, (3, 6))
+        bench.suspicion_rule("conservative", w, (4, 4))
     with pytest.raises(bench.BenchError, match="non-negative"):
-        bench.suspicion_update("conservative", (0,) * 6,
-                               (-1, 1, 1, 1, 1, 1), (3, 6))
+        bench.suspicion_rule("conservative", (-1, 1, 1, 1, 1, 1), (3, 6))
     with pytest.raises(bench.BenchError, match="unknown"):
-        bench.suspicion_update("bogus", (0,) * 6, w, (3, 6))
-    with pytest.raises(bench.BenchError, match="ordered"):
-        bench.suspicion_update("proportional", (0,) * 6, w, (3, 6),
-                               norm_thresholds=(0.5, 0.25))
-    with pytest.raises(bench.BenchError, match="d1 < d2"):
-        bench.suspicion_update("diversity", (0,) * 6, w, (3, 6),
-                               diversity_thresholds=(4, 2))
+        bench.suspicion_rule("bogus", w, (3, 6))
 
 
 @pytest.mark.parametrize("bad, match", [
@@ -237,17 +225,18 @@ def test_cyber_budget_monotone():
 
 
 def test_cyber_minimal_budget_binary_equals_linear():
+    # the reference: the first budget that wins, by linear search
     for h in bench.HEURISTICS:
         p = bench.CyberParams(horizon=3, budget=3, heuristic=h)
-        b_bin = bench.minimal_defense_budget(p, search="binary")
-        b_lin = bench.minimal_defense_budget(p, search="linear")
-        assert b_bin == b_lin, h
+        b_lin = next((b for b in range(p.budget + 1) if quiet_check(
+            model=bench.gen_cyber(dataclasses.replace(p, budget=b)),
+            formula=bench.cyber_defense_formula()).holds), None)
+        assert bench.minimal_defense_budget(p) == b_lin, h
 
 
-@pytest.mark.parametrize("search", ["binary", "linear"])
-def test_cyber_minimal_budget_of_an_empty_range_is_none(search):
+def test_cyber_minimal_budget_of_an_empty_range_is_none():
     p = bench.CyberParams(horizon=3, budget=3)
-    assert bench.minimal_defense_budget(p, lo=5, hi=3, search=search) is None
+    assert bench.minimal_defense_budget(p, lo=5, hi=3) is None
 
 
 def test_cyber_scenarios_generate():

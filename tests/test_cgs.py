@@ -419,10 +419,10 @@ def test_store_too_small():
     # the program sizes every store itself, so a store too small for the
     # model is a fault of the program, not bad input
     g = cgs.parse_model(BASIC)
-    from atlstar.bdd import BddError, new_store
-    store = new_store([("q", 1), ("q'", 1), ("s", 1), ("s'", 1),
-                       ("a0", 1), ("a1", 1)])
+    from atlstar.bdd import BddError, BddStore
+    store = BddStore([("q", 1), ("q'", 1), ("s", 1), ("s'", 1),
+                      ("a0", 1), ("a1", 1)])
     with pytest.raises(BddError):
         cgs.encode_symbolic(g, store)
     with pytest.raises(KeyError):
-        cgs.encode_symbolic(g, new_store([("q", 2), ("q'", 2)]))
+        cgs.encode_symbolic(g, BddStore([("q", 2), ("q'", 2)]))

@@ -8,6 +8,7 @@ from atlstar import bench
 from atlstar import cgs
 from atlstar import driver
 from atlstar import finite_mc
+from atlstar import formula as fm
 from atlstar import ltlf2dfa
 
 
@@ -145,6 +146,39 @@ def test_nested_strategic():
     res = run("<<a>> F (goal & <<a,b>> G goal)")
     assert res.holds in (True, False)
     assert len(res.details["subformulas"]) == 2
+
+
+def test_repeated_nested_checks_report_the_same_details():
+    # fresh atoms are numbered per check, so the letter bits, and with
+    # them the node counts, do not depend on the checks run before
+    g = bench.gen_counter(bench.CounterParams(cap=4, steps=6))
+    text = "<<a1>> (F p2 & X (<<a2>> F p3) & X X (<<a1,a2>> G !p4))"
+    runs = [driver.check(model=g, formula=text).details for _ in range(12)]
+    assert all(d == runs[0] for d in runs)
+
+
+def test_a_fresh_atom_name_is_an_undeclared_atom():
+    # only the Python API can name one; the model does not declare it
+    g = bench.gen_counter(bench.CounterParams(cap=3))
+    for name in ("__sub1", "zzz"):
+        with pytest.raises(driver.DriverError, match="not declared"):
+            driver.check(model=g, formula=fm.atom(name))
+
+
+def test_fresh_atoms_keep_label_rows_shared():
+    g = bench.gen_counter(bench.CounterParams(cap=6, steps=6))
+    labelled = g
+    for i, won in enumerate((range(0, 49, 3), range(0, 49, 2)), 1):
+        before = labelled
+        labelled = driver._with_label(labelled, f"__sub{i}", set(won))
+        assert labelled.atoms == [*before.atoms, f"__sub{i}"]
+        assert [q for q, row in enumerate(labelled.labels)
+                if f"__sub{i}" in row] == list(won)
+        assert [row - {f"__sub{i}"} for row in labelled.labels] == \
+            before.labels
+        # one row object per distinct row
+        assert len(set(map(id, labelled.labels))) == len(set(labelled.labels))
+    assert len(set(labelled.labels)) < len(labelled.states)
 
 
 def test_engines_agree_finite():

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from atlstar import formula as fm
 
+import helpers
+
 
 def random_formula(rng, depth, atoms=("p", "q", "r"), state_only=False):
     if depth == 0 or rng.random() < 0.25:
@@ -90,14 +92,14 @@ def test_classify():
 
 def test_extract_state_subformulas():
     f = fm.parse_formula("F (p & <<a>> G q)")
-    core, amap = fm.extract_state_subformulas(f)
+    core, amap = fm.extract_state_subformulas(f, itertools.count(1))
     assert len(amap) == 1
     fresh = next(iter(amap))
     assert fresh.startswith(fm.FRESH_PREFIX)
     assert amap[fresh] == fm.parse_formula("<<a>> G q")
     # plain atoms stay put
     assert "p" in {a for a in fm.atoms_of(core)}
-    assert fm.substitute_atoms(core, amap) == f
+    assert helpers.substitute_atoms(core, amap) == f
 
 
 def test_normalize_rejects_strategic():
@@ -139,9 +141,16 @@ def test_eval_finite_trace_basics():
 
 
 def test_fresh_atom_names_are_reserved():
-    name = fm.fresh_atom_name()
-    assert name.startswith("__")
-    assert name != fm.fresh_atom_name()
+    # no atom a formula or model may name starts with '__'; the
+    # caller's numbers go on from one extraction to the next
+    f = fm.parse_formula("(<<a>> F p) U (<<b>> G q)")
+    numbers = itertools.count(1)
+    _, first = fm.extract_state_subformulas(f, numbers)
+    _, second = fm.extract_state_subformulas(f, numbers)
+    names = [*first, *second]
+    assert names == [f"{fm.FRESH_PREFIX}{i}" for i in range(1, 5)]
+    assert all(n.startswith("__") and not fm.is_atom_name(n)
+               for n in names)
 
 
 def reads_back(text, want):

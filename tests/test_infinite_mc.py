@@ -133,7 +133,7 @@ def test_zielonka_recursion_is_bounded_by_the_priorities():
     game = chain_game(100)
     w0, w1 = imc.solve_zielonka(game)
     assert (w0, w1) == (set(range(99)), {99})
-    sym = imc.encode_explicit_game(game)
+    sym = helpers.encode_explicit_game(game)
     s0, s1 = imc.solve_symbolic_zielonka(sym)
     assert helpers.game_positions(sym, s0) == w0
     assert helpers.game_positions(sym, s1) == w1
@@ -141,7 +141,7 @@ def test_zielonka_recursion_is_bounded_by_the_priorities():
     with pytest.raises(ResourceError, match="1200 distinct priorities"):
         imc.solve_zielonka(deep)
     with pytest.raises(ResourceError, match="1200 distinct priorities"):
-        imc.solve_symbolic_zielonka(imc.encode_explicit_game(deep))
+        imc.solve_symbolic_zielonka(helpers.encode_explicit_game(deep))
 
 
 def test_validate_rejects_dead_ends():
@@ -175,7 +175,7 @@ def test_symbolic_zielonka_matches_explicit_on_random_games():
     for _ in range(60):
         game = random_game(rng, rng.randint(1, 20))
         w0, w1 = imc.solve_zielonka(game)
-        sym = imc.encode_explicit_game(game)
+        sym = helpers.encode_explicit_game(game)
         s0, s1 = imc.solve_symbolic_zielonka(sym)
         assert helpers.game_positions(sym, s0) == w0
         assert helpers.game_positions(sym, s1) == w1
@@ -189,7 +189,7 @@ def test_symbolic_attractor_matches_the_explicit_one():
     for _ in range(80):
         n = rng.randint(1, 24)
         game = random_game(rng, n)
-        sym = imc.encode_explicit_game(game)
+        sym = helpers.encode_explicit_game(game)
         st = sym.store
         region = {x for x in range(n) if rng.random() < 0.8}
         target = {x for x in region if rng.random() < 0.25}
@@ -257,7 +257,7 @@ def test_attractor_is_the_textbook_fixpoint_on_random_games():
     rng = random.Random(53)
     for _ in range(40):
         game = random_game(rng, rng.randint(1, 24))
-        sym = imc.encode_explicit_game(game)
+        sym = helpers.encode_explicit_game(game)
         assert_attractors_are_textbook(rng, sym, 4)
         # and the explicit attractor agrees on the same regions
         region = helpers.game_positions(sym, trap_region(rng, sym))
@@ -298,8 +298,8 @@ def test_counter_response_attractor_steps_are_pinned():
 
 def test_region_cap_check():
     with pytest.raises(ResourceError, match="cap"):
-        imc.region_cap_check(100, cap=10)
-    imc.region_cap_check(10, cap=10)
+        imc.region_cap_check(imc.REGION_CAP + 1)
+    imc.region_cap_check(imc.REGION_CAP)
 
 
 PATH_FORMULAS = ["G p", "F p", "G (p -> F q)", "p U q"]
@@ -325,7 +325,7 @@ def test_symbolic_pipeline_matches_explicit_on_random_models():
 def random_arenas(rng):
     """Eight arenas of random explicit games and the ``build_game``
     arenas of random models, for every path formula and coalition."""
-    arenas = [imc.encode_explicit_game(random_game(rng, rng.randint(1, 20)))
+    arenas = [helpers.encode_explicit_game(random_game(rng, rng.randint(1, 20)))
               for _ in range(8)]
     for text in PATH_FORMULAS:
         g = helpers.random_cgs(rng, rng.randint(2, 6), finals=False)
@@ -384,9 +384,7 @@ def test_explicit_game_region_cap(monkeypatch):
     rng = random.Random(43)
     g = helpers.random_cgs(rng, 6, finals=False)
     dpa, _ = dp.obtain_dpa(fm.parse_formula("G p"))
-    check = imc.region_cap_check
-    monkeypatch.setattr(imc, "region_cap_check",
-                        lambda n: check(n, cap=10))
+    monkeypatch.setattr(imc, "REGION_CAP", 10)
     with pytest.raises(ResourceError,
                        match=r"explicit arena would have \d+ vertices "
                              r"\(cap 10\)"):

@@ -153,10 +153,11 @@ def test_letter_carriers_match_a_per_state_reference():
     for _ in range(60):
         g = helpers.random_cgs(rng, rng.randint(1, 12))
         n = len(g.states)
-        extra = {f"{fm.FRESH_PREFIX}{i}":
-                 {q for q in range(n) if rng.random() < 0.5}
-                 for i in range(rng.randint(0, 3))}
-        labelled = driver._with_extra_labels(g, extra)
+        labelled = g
+        for i in range(rng.randint(0, 3)):
+            labelled = driver._with_label(
+                labelled, f"{fm.FRESH_PREFIX}{i}",
+                {q for q in range(n) if rng.random() < 0.5})
         atoms = rng.sample(labelled.atoms, rng.randint(1, len(labelled.atoms)))
         body = fm.atom(atoms[0])
         for p in atoms[1:]:
