@@ -3,8 +3,12 @@
 Checks an ATL* state formula against a concurrent game structure by
 recursive labelling: strategic subformulas are solved innermost-first,
 their winning state sets become fresh labels, numbered per check, and
-the boolean skeleton is evaluated per state.  Explicit state-id sets
-are the common currency between engines and between subformulas: the
+the boolean skeleton is evaluated per state.  Every strategic
+subformula takes one pipeline under both semantics: its path formula
+is translated (to a DFA for finite traces, a DPA for infinite ones),
+and either the explicit oracle solves it, or the automaton is encoded,
+the layered arena built and solved by the semantics' ``winning_states``.
+Explicit state-id sets are the common currency between engines and between subformulas: the
 symbolic engine encodes the model once per check and rolls its store
 back to that encoding before each further subformula, so no BDD
 outlives its subformula.
@@ -13,6 +17,7 @@ outlives its subformula.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import time
@@ -25,7 +30,7 @@ from . import finite_mc
 from . import formula as fm
 from . import infinite_mc
 from . import ltlf2dfa
-from .errors import InputError
+from .errors import AtlstarError, InputError
 
 
 class DriverError(InputError):
@@ -146,10 +151,7 @@ def check(request=None, **kwargs):
         for a in coalition:
             if a not in g.agents:
                 raise DriverError(f"unknown agent {a!r} in coalition")
-        if req.semantics == "finite":
-            win, stats = solve_finite(body, coalition, labelled)
-        else:
-            win, stats = solve_infinite(body, coalition, labelled)
+        win, stats = solve(body, coalition, labelled, f.children[0])
         details["subformulas"].append(
             {"formula": str(f), "winning": sorted(win), **stats})
         return win & reachable
@@ -172,68 +174,62 @@ def check(request=None, **kwargs):
         details["encodes"] += 1
         return sg
 
-    # each solver returns the winning states and the subformula's stats:
-    # fixpoint rounds, automaton states and the store's final node count
-    # (all None for the explicit engines)
-    explicit_stats = {"rounds": None, "automaton_states": None,
-                      "nodes": None}
+    def solve(body, coalition, labelled, path):
+        """The states from which ``coalition`` enforces ``path``, whose
+        strategic subformulas are the fresh atoms of ``body`` that
+        ``labelled`` carries, and the subformula's stats: attractor
+        steps, automaton states and the store's final node count (all
+        None for the explicit engines)."""
+        # the semantics picks the layers, each looked up on its module
+        # now, so that a function replaced there is the one called
+        if req.semantics == "finite":
+            def translate():
+                # the explicit oracle reads every letter, independently
+                # of the model; the symbolic engine reads the distinct
+                # reachable rows
+                labels = None
+                if req.engine == "symbolic":
+                    labels = {labelled.labels[q] for q in reachable}
+                return ltlf2dfa.translate(body, labels=labels)
+            oracle = functools.partial(finite_mc.explicit_game_solving,
+                                       product_cap=req.product_cap)
+            encode, build = ltlf2dfa.encode_dfa, finite_mc.build_product
+            solver = finite_mc
+        else:
+            def translate():
+                dpa, tool = dpamod.obtain_dpa(body, tools=req.tools)
+                details.setdefault("translators", []).append(tool)
+                return dpa
+            oracle = infinite_mc.winning_states_explicit
+            encode, build = dpamod.encode_dpa, infinite_mc.build_game
+            solver = infinite_mc
 
-    def solve_finite(body, coalition, labelled):
         t0 = time.perf_counter()
-        # the explicit oracle reads every letter, independently of the
-        # model; the symbolic engine reads the distinct reachable rows
-        labels = None
-        if req.engine == "symbolic":
-            labels = {labelled.labels[q] for q in reachable}
-        dfa = ltlf2dfa.translate(body, labels=labels)
+        try:
+            aut = translate()
+        except AtlstarError as e:
+            # name the path formula as written, not its fresh atoms
+            e.args = (str(e).replace(str(body), str(path)),)
+            raise
         t1 = time.perf_counter()
         timings["translate"] += (t1 - t0) * 1000
         if req.engine == "explicit":
-            t2 = time.perf_counter()
-            win = finite_mc.explicit_game_solving(
-                labelled, dfa, coalition, product_cap=req.product_cap,
-                reachable=reachable)
-            timings["solve"] += (time.perf_counter() - t2) * 1000
-            return win, explicit_stats
-        sg = encoded(dfa.n_states)
-        sd = ltlf2dfa.encode_dfa(dfa, sg, labelled)
+            win = oracle(labelled, aut, coalition, reachable=reachable)
+            timings["solve"] += (time.perf_counter() - t1) * 1000
+            return win, {"rounds": None, "automaton_states": None,
+                         "nodes": None}
+        sg = encoded(aut.n_states)
+        sd = encode(aut, sg, labelled)
         t2 = time.perf_counter()
-        prod = finite_mc.build_product(sg, sd, coalition)
+        game = build(sg, sd, coalition)
         t3 = time.perf_counter()
-        res = finite_mc.solve_safety(prod)
-        win = finite_mc.project_states(sg, res.winning & sd.entry)
-        t4 = time.perf_counter()
-        timings["encode"] += (t2 - t1) * 1000
-        timings["build"] += (t3 - t2) * 1000
-        timings["solve"] += (t4 - t3) * 1000
-        return win, {"rounds": res.iterations,
-                     "automaton_states": dfa.n_states,
-                     "nodes": sg.store.node_count()}
-
-    def solve_infinite(body, coalition, labelled):
-        t0 = time.perf_counter()
-        dpa, tool = dpamod.obtain_dpa(body, tools=req.tools)
-        t1 = time.perf_counter()
-        timings["translate"] += (t1 - t0) * 1000
-        details.setdefault("translators", []).append(tool)
-        if req.engine == "explicit":
-            t2 = time.perf_counter()
-            win = infinite_mc.winning_states_explicit(
-                labelled, dpa, coalition, reachable=reachable)
-            timings["solve"] += (time.perf_counter() - t2) * 1000
-            return win, explicit_stats
-        sg = encoded(dpa.n_states)
-        sd = dpamod.encode_dpa(dpa, sg, labelled)
-        t2 = time.perf_counter()
-        game = infinite_mc.build_game(sg, sd, coalition)
-        t3 = time.perf_counter()
-        win = infinite_mc.winning_states(sg, sd, game)
+        win = solver.winning_states(sg, sd, game)
         t4 = time.perf_counter()
         timings["encode"] += (t2 - t1) * 1000
         timings["build"] += (t3 - t2) * 1000
         timings["solve"] += (t4 - t3) * 1000
         return win, {"rounds": game.rounds,
-                     "automaton_states": dpa.n_states,
+                     "automaton_states": aut.n_states,
                      "nodes": sg.store.node_count()}
 
     try:

@@ -4,16 +4,17 @@ For a strategic subformula <<A>> psi the path formula psi is translated
 to a DFA, the complement automaton is run in lockstep with the game
 structure, and the coalition wins from exactly the states where it can
 keep the product inside the safe region forever: outside the opponents'
-attractor to the unsafe states, on the arena and by the attractor of
-the parity games of ``infinite_mc``.  The product (``build_product``)
-pairs every CGS state with every automaton state; its reachable part is
-never computed.  Each model state enters the product with the automaton
-state its own label leads to; that entry relation comes with the
-automaton's encoding (``ltlf2dfa.encode_automaton``).  Everything here
-works on the symbolic encodings from ``cgs`` and ``ltlf2dfa``, except
-the explicit baseline: ``explicit_product``, the one explicit product
-of a model with a deterministic automaton that both explicit oracles
-solve, and this module's safety solver on it.
+attractor to the unsafe states.  The product (``build_product``) is the
+layered arena of ``infinite_mc`` with no priorities, so both semantics
+solve one arena by one attractor.  It pairs every CGS state with every
+automaton state; its reachable part is never computed.  Each model
+state enters the product with the automaton state its own label leads
+to; that entry relation comes with the automaton's encoding
+(``ltlf2dfa.encode_automaton``).  Everything here works on the symbolic
+encodings from ``cgs`` and ``ltlf2dfa``, except the explicit baseline:
+``explicit_product``, the one explicit product of a model with a
+deterministic automaton that both explicit oracles solve, and this
+module's safety solver on it.
 """
 
 from __future__ import annotations
@@ -30,33 +31,28 @@ class FiniteMcError(ResourceError):
     pass
 
 
-@dataclass
-class ProductSpace:
-    """Product of a CGS with an encoded automaton, for a coalition."""
-
-    sg: object
-    sd: object             # ltlf2dfa.SymbolicAutomaton, of a DFA or a DPA
-    coalition: tuple
-    avail: object          # coalition action availability Bdd
-    delta: object          # Bdd over (q, s, aA, q', s'): coalition moves only
-    reachable: object      # Bdd over (q, s): the whole arena, every
-                           # CGS state with every automaton state
-
-
 def build_product(sg, sd, coalition):
-    """The product of a CGS with an encoded automaton for a coalition,
-    the base of the layered arena (``infinite_mc.arena``) that both
-    semantics solve.
+    """The layered arena, with no priorities, of a CGS with an encoded
+    automaton for a coalition: the arena of both semantics, which
+    ``infinite_mc.build_game`` gives priorities.
 
-    The arena pairs every CGS state with every automaton state.  Whether
-    a state is winning depends only on the states reachable from it, so
-    on the entry points of reachable states a fixpoint over this arena
-    agrees with the fixpoint over the part reachable from them.
+    Its positions pair every CGS state with every automaton state.
+    Whether a state is winning depends only on the states reachable
+    from it, so on the entry points of reachable states a fixpoint over
+    this arena agrees with the fixpoint over the part reachable from
+    them.  Its one relation is the coalition's moves with the automaton
+    reading the successor's label.
     """
     avail, moves = cgsmod.coalition_moves(sg, coalition)
-    return ProductSpace(
-        sg=sg, sd=sd, coalition=tuple(coalition), avail=avail,
-        delta=moves & sd.delta, reachable=sg.valid & sd.valid,
+    delta = moves & sd.delta
+    positions = sg.valid & sd.valid
+    layer = sg.store.var(0)
+    return infinite_mc.SymbolicParityGame(
+        store=sg.store, blocks=[(sg.q, sg.q_next), (sd.s, sd.s_next)],
+        actions=[sg.action_blocks[a] for a in sg.g.agents
+                 if a in coalition],
+        v0=~layer & positions, v1=layer & positions & avail,
+        delta=delta, priorities={},
     )
 
 
@@ -66,23 +62,29 @@ class SafetyResult:
     iterations: int        # attractor steps
 
 
-def solve_safety(prod):
+def solve_safety(sg, sd, game):
     """The product states from which the coalition can stay safe: the
-    positions of ``infinite_mc.arena(prod)`` outside the opponents'
-    attractor to the unsafe positions.
+    positions of ``game``, the arena ``build_product`` made of ``sg``
+    and ``sd``, outside the opponents' attractor to the unsafe
+    positions.  Leaves the attractor steps in ``game.rounds``.
 
     A position is unsafe where the trace may stop (a final CGS state)
     with the complement automaton accepting, i.e. the DFA for psi
     rejecting.
     """
-    sg, sd = prod.sg, prod.sd
     st = sg.store
-    game = infinite_mc.arena(prod)
     unsafe = game.v0 & sg.final & ~sd.states(sd.aut.finals)
-    attr, steps = infinite_mc._attractor(game, 1, unsafe.node,
-                                         game.vertices.node)
+    attr, game.rounds = infinite_mc._attractor(game, 1, unsafe.node,
+                                               game.vertices.node)
     safe, _ = game._halves(st._diff(game.v0.node, attr))
-    return SafetyResult(winning=Bdd(st, safe), iterations=steps)
+    return SafetyResult(winning=Bdd(st, safe), iterations=game.rounds)
+
+
+def winning_states(sg, sd, game):
+    """CGS state ids from which the coalition wins the safety game on
+    ``game``, the arena ``build_product`` made of ``sg`` and ``sd``."""
+    res = solve_safety(sg, sd, game)
+    return project_states(sg, res.winning & sd.entry)
 
 
 def project_states(sg, win):

@@ -9,10 +9,11 @@ the minimal priority occurring infinitely often is even.
 
 Zielonka's recursive attractor decomposition is implemented twice: on
 an explicit arena (the oracle) and on the BDD node ids of a symbolic
-arena, where attractors iterate pre-images.  The symbolic solver runs
-on every symbolic arena in the layered form of ``build_game``.  Its
-attractor also solves the finite-trace safety games of
-``finite_mc`` on the same layered arena.
+arena, where attractors iterate pre-images.  The symbolic arena is a
+``SymbolicParityGame`` in layered form.  ``finite_mc.build_product``
+makes it, with no priorities, for both semantics: ``build_game`` adds
+the priority classes here, and the finite-trace safety games of
+``finite_mc`` are solved on it by the same attractor.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ class ExplicitGame:
     owner: list        # vertex -> 0 or 1
     priority: list     # vertex -> non-negative int
     succ: list         # vertex -> list of successor ids
-    names: list = None
 
     def n(self):
         return len(self.owner)
@@ -177,16 +177,14 @@ def winning_states_explicit(g, dpa, coalition, reachable=None):
 # PGSolver interchange format
 
 def parse_pgsolver(text):
-    owner, priority, succ, names = {}, {}, {}, {}
+    """An ExplicitGame from PGSolver text; a vertex's quoted name is
+    read and dropped."""
+    owner, priority, succ = {}, {}, {}
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("parity"):
             continue
-        line = line.rstrip(";")
-        name = None
-        if '"' in line:
-            line, _, rest = line.partition('"')
-            name = rest.rstrip('"')
+        line = line.rstrip(";").partition('"')[0]
         try:
             v, p, o, ws = line.split()
             v, p, o = int(v), int(p), int(o)
@@ -203,7 +201,6 @@ def parse_pgsolver(text):
         owner[v] = o
         priority[v] = p
         succ[v] = ws
-        names[v] = name
     if not owner:
         raise InfiniteMcError("empty parity game")
     n = max(owner) + 1
@@ -213,7 +210,6 @@ def parse_pgsolver(text):
         owner=[owner[v] for v in range(n)],
         priority=[priority[v] for v in range(n)],
         succ=[succ[v] for v in range(n)],
-        names=[names[v] for v in range(n)],
     )
     game.validate()
     return game
@@ -247,6 +243,12 @@ class SymbolicParityGame:
     @property
     def vertices(self):
         return self.v0 | self.v1
+
+    @property
+    def reachable(self):
+        """The positions as a BDD over the position blocks: ``v0``
+        with the layer bit cofactored away."""
+        return Bdd(self.store, self._halves(self.v0.node)[0])
 
     def vertex_vars(self):
         blocks = [self.store.block("l"), *(b for b, _ in self.blocks),
@@ -285,27 +287,11 @@ class SymbolicParityGame:
         return st._mk(0, lo, hi)
 
 
-def arena(prod):
-    """The layered arena, with no priorities, of a product from
-    ``finite_mc.build_product``: the arena of both semantics.  Its one
-    relation is the product's, the coalition's moves with the automaton
-    reading the successor's label."""
-    sg, sd = prod.sg, prod.sd
-    layer = sg.store.var(0)
-    return SymbolicParityGame(
-        store=sg.store, blocks=[(sg.q, sg.q_next), (sd.s, sd.s_next)],
-        actions=[sg.action_blocks[a] for a in sg.g.agents
-                 if a in prod.coalition],
-        v0=~layer & prod.reachable, v1=layer & prod.reachable & prod.avail,
-        delta=prod.delta, priorities={},
-    )
-
-
 def build_game(sg, sdpa, coalition):
-    """Parity-game arena for a coalition against a min-even DPA:
-    ``arena`` of ``finite_mc.build_product``'s product, with priorities
-    from the automaton state on both layers."""
-    game = arena(finite_mc.build_product(sg, sdpa, coalition))
+    """Parity-game arena for a coalition against a min-even DPA: the
+    arena of ``finite_mc.build_product``, with priorities from the
+    automaton state on both layers."""
+    game = finite_mc.build_product(sg, sdpa, coalition)
     dpa = sdpa.aut
     classes = {}
     for s in range(dpa.n_states):

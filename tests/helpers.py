@@ -79,9 +79,8 @@ def game_solving(sg, psi, coalition, dfa=None):
     if dfa is None:
         dfa = ltlf2dfa.translate(psi)
     sd = ltlf2dfa.encode_dfa(dfa, sg)
-    prod = finite_mc.build_product(sg, sd, coalition)
-    res = finite_mc.solve_safety(prod)
-    return finite_mc.project_states(sg, res.winning & sd.entry)
+    game = finite_mc.build_product(sg, sd, coalition)
+    return finite_mc.winning_states(sg, sd, game)
 
 
 def all_action_vars(sg):
@@ -159,10 +158,7 @@ def write_pgsolver(game):
     lines = [f"parity {game.n() - 1};"]
     for v in range(game.n()):
         ss = ",".join(str(w) for w in game.succ[v])
-        name = ""
-        if game.names:
-            name = f' "{game.names[v]}"'
-        lines.append(f"{v} {game.priority[v]} {game.owner[v]} {ss}{name};")
+        lines.append(f"{v} {game.priority[v]} {game.owner[v]} {ss};")
     return "\n".join(lines) + "\n"
 
 

@@ -258,6 +258,16 @@ def test_solve_game(tmp_path, capsys):
     assert "W1:" in out
 
 
+def test_solve_game_reads_and_ignores_vertex_names(tmp_path, capsys):
+    game = tmp_path / "game.gm"
+    # the game of test_solve_game_json, every vertex named
+    game.write_text('parity 2;\n0 0 0 0,1 "start";\n1 1 1 0,2 "fork";\n'
+                    '2 1 0 2 "sink";\n')
+    rc = cli.main(["solve-game", str(game), "--json"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out) == {"W0": [0], "W1": [1, 2]}
+
+
 def test_solve_game_malformed(tmp_path, capsys):
     game = tmp_path / "game.gm"
     game.write_text("parity 0;\n0 0;\n")
@@ -548,6 +558,21 @@ def test_translator_errors_are_usage(case, model_file, tmp_path, capsys,
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("engine", ["symbolic", "explicit"])
+def test_translator_errors_name_the_formula_as_written(engine, model_file,
+                                                       capsys):
+    # the outer body reaches the translator as F G __sub1; the error
+    # shows the strategic subformula in the fresh atom's place
+    rc = cli.main(["check", model_file, "<<a>> F G (<<a>> F goal)",
+                   "--semantics", "infinite", "--engine", engine])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == (
+        "error: no external translator configured and the built-in "
+        "fallback does not cover this formula: F G (<<a>> F goal)\n")
 
 
 # FOREIGN_AP_HOA over the formulas' own atom goal: the Büchi automaton

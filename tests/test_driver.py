@@ -1,6 +1,9 @@
+import importlib.util
 import json
 import time
 import warnings
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -353,3 +356,42 @@ def test_finite_projection_is_timed_as_solving(monkeypatch):
     res = driver.check(model=model(), formula="<<a,b>> F goal",
                        semantics="finite")
     assert res.timings_ms["solve"] >= 50
+
+
+def _layertrace():
+    """The benchmark's per-layer tracer, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("generated, formula, semantics, spans", [
+    (bench.gen_counter(bench.CounterParams()),
+     "<<a1,a2>> F (p2 & <<a1>> F counter_max)", "finite",
+     {"ltlf2dfa.translate": 2, "ltlf2dfa.encode": 2, "finite_mc.build": 2,
+      "finite_mc.solve": 2, "finite_mc.project": 2}),
+    (bench.gen_scheduler(bench.SchedulerParams()),
+     "(<<p1>> G F ! wt_1) & (<<p2>> G ! wt_2)", "infinite",
+     {"dpa.translate": 2, "dpa.encode": 2, "infinite_mc.build": 2,
+      "infinite_mc.solve": 2}),
+], ids=["finite", "infinite"])
+def test_the_driver_calls_every_traced_layer(generated, formula, semantics,
+                                             spans):
+    # the trace wraps layer functions on their modules, so it sees a
+    # layer only while the driver looks each one up there when it runs:
+    # one span per layer and subformula, and two model-encoding spans
+    # (the store and the encoding) for the check's one encoding
+    layertrace = _layertrace()
+    text = generated.to_text()
+    tracer = layertrace.Tracer()
+    with layertrace.traced(tracer), tracer.check(0):
+        res = driver.check(model=cgs.parse_model(text), formula=formula,
+                           semantics=semantics)
+    assert len(res.details["subformulas"]) == 2
+    assert tracer.coverage(2) == []
+    seen = Counter(rec["name"] for rec in tracer.spans)
+    del seen["trace.count"]
+    assert seen == {"check": 1, "cgs.parse": 1, "formula.parse": 1,
+                    "cgs.encode": 2, **spans}

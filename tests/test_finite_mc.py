@@ -223,14 +223,14 @@ def test_solve_safety_winning_within_safe_region():
     g = cgs.parse_model(BASIC)
     psi = fm.parse_formula("G p")
     sg, sd, _ = encode(g, psi)
-    prod = fmc.build_product(sg, sd, ("a",))
-    res = fmc.solve_safety(prod)
+    game = fmc.build_product(sg, sd, ("a",))
+    res = fmc.solve_safety(sg, sd, game)
     store = sg.store
-    assert res.iterations >= 1
+    assert res.iterations >= 1 and game.rounds == res.iterations
     # unsafe: a final CGS state with the DFA rejecting
     unsafe = sg.final & ~sd.states(sd.aut.finals)
     assert (res.winning & unsafe) == store.false
-    assert (res.winning & ~prod.reachable) == store.false
+    assert (res.winning & ~game.reachable) == store.false
 
 
 def test_counter_safety_store_is_bounded():
@@ -272,10 +272,9 @@ def test_finite_engine_trims_the_computed_table_between_iterations(
                           store.node_count()))
 
         monkeypatch.setattr(store, "trim_cache", recording)
-        prod = fmc.build_product(sg, sd, ("a1",))
-        res = fmc.solve_safety(prod)
-        win = fmc.project_states(sg, res.winning & sd.entry)
-        return win, res.iterations, sizes
+        game = fmc.build_product(sg, sd, ("a1",))
+        win = fmc.winning_states(sg, sd, game)
+        return win, game.rounds, sizes
 
     def clear(store):
         store._ite_cache.clear()
