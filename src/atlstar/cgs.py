@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 from .bdd import BddStore
 from .errors import InputError
@@ -128,6 +129,40 @@ def _validate_header(g):
             if p.startswith("__"):
                 raise CgsError(f"atom {p!r} uses the reserved '__' prefix")
             raise CgsError(f"atom name {p!r} cannot be written in a formula")
+    bad = _unwritable(g.states, _STATE_SIGNS)
+    if bad is not None:
+        raise CgsError(f"state name {bad!r} cannot be written in CGSL")
+    for a in g.agents:
+        bad = _unwritable(g.actions[a], _ACTION_SIGNS)
+        if bad is not None:
+            raise CgsError(
+                f"action name {bad!r} of agent {a} cannot be written in CGSL")
+    # a label line names its state up to the first ':'
+    if ":" in " ".join(g.states):
+        bad = next((s for s, row in zip(g.states, g.labels)
+                    if row and ":" in s), None)
+        if bad is not None:
+            raise CgsError(
+                f"labelled state name {bad!r} cannot be written in CGSL")
+
+
+# what a state or action name cannot hold and still read back from CGSL
+# text: a '(' or '->' in a trans row's source, or a ',' or '->' in its
+# action text, splits the row elsewhere, and '#' starts a comment
+_STATE_SIGNS = ("(", "#", "->")
+_ACTION_SIGNS = (",", "#", "->")
+
+
+def _unwritable(names, signs):
+    """The first of ``names`` that CGSL text cannot carry, or None: an
+    empty name, or one with whitespace or any of ``signs``.  A model
+    with no such name pays one join and one split."""
+    joined = " ".join(names)
+    if joined.split() == list(names) and not any(map(joined.__contains__,
+                                                     signs)):
+        return None
+    return next(n for n in names
+                if n.split() != [n] or any(map(n.__contains__, signs)))
 
 
 def _shared_rows(rows):
@@ -198,7 +233,56 @@ def expand(agents, atoms, actions, keys, name, label, final, initial, step):
 # CGSL parser
 
 def parse_model(text):
-    """Parse the CGSL model format into a validated Cgs."""
+    """Parse the CGSL model format into a validated Cgs.
+
+    The trans block that :meth:`Cgs.to_text` writes last is read as
+    three token columns.  A text whose block is not in that form, whose
+    rows do not run in that order or resolve, or that has any other
+    error, is read again line by line and row by row, so both ways give
+    the same Cgs, and an error is always the line reader's first.
+    """
+    head, columns = _trans_block(text)
+    if columns is not None:
+        # a model built from the columns has passed _validate_header, so
+        # no source holds '(' or '->' and no action '->' or ',': each of
+        # its rows reads the same line by line
+        try:
+            g = _parse(head, columns)
+        except CgsError:
+            g = None
+        if g is not None:
+            return g
+    return _parse(text, None)
+
+
+def _trans_block(text):
+    """``text`` split before its trans block and the block's source,
+    action and target token columns, or ``text`` and None.
+
+    The block is every line from the first ``trans`` line after line 1
+    to the end, and each of its lines must read exactly
+    ``trans SRC (ACTS) -> DST``: one split of the block gives its
+    tokens, and rebuilding the block from them proves that form.
+    """
+    cut = text.find("\ntrans ") + 1
+    if not cut:
+        return text, None
+    block = text[cut:]
+    toks = block.split()
+    srcs, acts, dsts = toks[1::5], toks[2::5], toks[4::5]
+    rows = zip(repeat("trans "), srcs, repeat(" "), acts, repeat(" -> "),
+               dsts, repeat("\n"))
+    if "".join(itertools.chain.from_iterable(rows)) != block:
+        return text, None
+    return text[:cut], (srcs, acts, dsts)
+
+
+def _parse(text, columns):
+    """Parse ``text`` line by line.  With the trans block's token
+    ``columns``, which follow ``text``, take the resolved target column
+    as the successor column, or return None unless the block holds
+    every row in :meth:`Cgs.to_text`'s order; without them, resolve and
+    check the rows one by one."""
     agents = None
     atoms = None
     states = None
@@ -215,10 +299,15 @@ def parse_model(text):
         if "#" in line:
             line = line[:line.index("#")]
         line = line.strip()
-        # nearly every line of a model is a transition or label row; its
-        # action or atom text is resolved once per distinct text, after
-        # the scan
-        if line.startswith("trans "):
+        # the trans block aside, nearly every line of a model is a label
+        # or transition row; its atom or action text is resolved once per
+        # distinct text, after the scan
+        if line.startswith("label "):
+            state, colon, props = line[len("label "):].partition(":")
+            if not colon:
+                err(lineno, "malformed label line")
+            label_lines.append((state.strip(), props, lineno))
+        elif line.startswith("trans "):
             rest = line[len("trans "):]
             src_part, arrow, dst = rest.partition("->")
             src, paren, acts = src_part.partition("(")
@@ -226,11 +315,6 @@ def parse_model(text):
                 err(lineno, "malformed trans line")
             trans_lines.append(
                 (src.strip(), acts.rsplit(")", 1)[0], dst.strip(), lineno))
-        elif line.startswith("label "):
-            state, colon, props = line[len("label "):].partition(":")
-            if not colon:
-                err(lineno, "malformed label line")
-            label_lines.append((state.strip(), props, lineno))
         elif not line:
             continue
         elif line.startswith("agents:"):
@@ -331,11 +415,45 @@ def parse_model(text):
             row = read[props] = distinct.setdefault(row, row)
         labels[sidx[state]] = row
 
+    if columns is None:
+        successors = _row_successors(trans_lines, agents, act_lists, aidx,
+                                     sidx)
+    else:
+        successors = _column_successors(trans_lines, columns, states,
+                                        act_lists, sidx)
+        if successors is None:
+            return None
+
+    g = Cgs(
+        agents=list(agents),
+        atoms=list(atoms),
+        states=list(states),
+        initial=init,
+        final=frozenset(finals),
+        actions=act_lists,
+        successors=successors,
+        labels=labels,
+    )
+    _validate_header(g)
+    # every row read names a real state and joint action and fills its
+    # own slot, so the rows are total exactly when no slot is empty; a
+    # model handed to the driver is validated in full there
+    if None in successors:
+        validate(g)
+    return g
+
+
+def _row_successors(trans_lines, agents, act_lists, aidx, sidx):
+    """The successor column of the rows ``trans_lines`` read one by one,
+    each checked in line order; a slot no row fills stays None."""
+    def err(lineno, msg):
+        raise CgsError(f"line {lineno}: {msg}")
+
     # the row of a state and joint action is its slot in the successor
-    # column; a slot still None after the scan is a missing row
+    # column
     n_joint = math.prod(map(len, act_lists.values()))
     joint = {}          # action text -> joint action index
-    successors = [None] * (len(states) * n_joint)
+    successors = [None] * (len(sidx) * n_joint)
     for src, acts, dst, lineno in trans_lines:
         s = sidx.get(src)
         if s is None:
@@ -360,24 +478,25 @@ def parse_model(text):
             names = ",".join(a.strip() for a in acts.split(","))
             err(lineno, f"duplicate transition row for {src} ({names})")
         successors[row] = t
+    return successors
 
-    g = Cgs(
-        agents=list(agents),
-        atoms=list(atoms),
-        states=list(states),
-        initial=init,
-        final=frozenset(finals),
-        actions=act_lists,
-        successors=successors,
-        labels=labels,
-    )
-    _validate_header(g)
-    # every row read names a real state and joint action and fills its
-    # own slot, so the rows are total exactly when no slot is empty; a
-    # model handed to the driver is validated in full there
-    if None in successors:
-        validate(g)
-    return g
+
+def _column_successors(trans_lines, columns, states, act_lists, sidx):
+    """The block's target column, resolved, as the successor column, or
+    None unless no row came before the block and the source and action
+    columns run in :meth:`Cgs.to_text`'s order: each state's rows in
+    joint action order."""
+    srcs, acts, dsts = columns
+    tokens = ["(" + ",".join(m) + ")"
+              for m in itertools.product(*act_lists.values())]
+    if trans_lines or acts != tokens * len(states) or srcs != list(
+            itertools.chain.from_iterable(
+                map(repeat, states, repeat(len(tokens))))):
+        return None
+    try:
+        return list(map(sidx.__getitem__, dsts))
+    except KeyError:
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
+import itertools
 import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atlstar import bench
 from atlstar import cgs
@@ -256,6 +259,160 @@ def test_parser_matches_the_reference_on_mutated_labels():
     assert errors == {"undefined", "duplicate", "malformed"}
 
 
+def trans_mutations(rng, text):
+    """``text`` with one to three of its trans rows moved, shuffled,
+    repeated, dropped, re-spaced or broken, or the lines around them
+    changed; the result keeps or loses the block that Cgs.to_text
+    writes."""
+    lines = text.splitlines()
+    states = next(x for x in lines if x.startswith("states:")).split()[1:]
+    final_newline = True
+    for _ in range(rng.randint(1, 3)):
+        at = [i for i, x in enumerate(lines) if x.startswith("trans ")]
+        i = rng.choice(at)
+        src, _, rest = lines[i][len("trans "):].partition(" (")
+        acts, _, dst = rest.partition(") -> ")
+        kind = rng.randrange(13)
+        if kind == 0:       # moved: anywhere, to line 1, or above states:
+            row = lines.pop(i)
+            top = next(j for j, x in enumerate(lines)
+                       if x.startswith("states:"))
+            lines.insert(rng.choice([0, top, rng.randrange(len(lines))]),
+                         row)
+        elif kind == 1:     # a stretch of rows shuffled
+            lo = rng.randrange(len(at))
+            span = at[lo:lo + rng.randint(2, 40)]
+            rows = [lines[j] for j in span]
+            rng.shuffle(rows)
+            for j, row in zip(span, rows):
+                lines[j] = row
+        elif kind == 2:     # repeated, with its own target or another,
+            # anywhere or on line 1, above the block
+            row = rng.choice([lines[i], f"trans {src} ({acts}) -> "
+                              f"{rng.choice(states)}"])
+            lines.insert(rng.choice([0, rng.randrange(len(lines) + 1)]),
+                         row)
+        elif kind == 3:     # dropped
+            del lines[i]
+        elif kind == 4:     # re-spaced
+            spaced = " , ".join(acts.split(","))
+            lines[i] = f"trans  {src} ( {spaced} )  ->  {dst}"
+        elif kind == 5:     # one separator a tab
+            cut = rng.choice([m.start() for m in re.finditer(" ", lines[i])])
+            lines[i] = lines[i][:cut] + "\t" + lines[i][cut + 1:]
+        elif kind == 6:     # a trailing comment
+            lines[i] += rng.choice(["  # note", "# -> nowhere"])
+        elif kind == 7:     # '(' or '->' inside the source token
+            k = rng.randint(0, len(src))
+            bad = src[:k] + rng.choice(["(", "->"]) + src[k:]
+            lines[i] = f"trans {bad} ({acts}) -> {dst}"
+        elif kind == 8:     # an action dropped, added or undefined
+            names = acts.split(",")
+            k = rng.randrange(len(names))
+            change = rng.randrange(3)
+            if change == 0 and len(names) > 1:
+                del names[k]
+            elif change == 1:
+                names.insert(k, names[k])
+            else:
+                names[k] = "jump"
+            lines[i] = f"trans {src} ({','.join(names)}) -> {dst}"
+        elif kind == 9:     # an undefined source or target, or the
+            # action list in brackets
+            lines[i] = rng.choice([f"trans ghost ({acts}) -> {dst}",
+                                   f"trans {src} ({acts}) -> ghost",
+                                   f"trans {src} [{acts}] -> {dst}"])
+        elif kind == 10:    # an empty first line, or a form feed in the
+            # header, which splits a line and so moves every line number
+            if rng.random() < 0.5:
+                lines.insert(0, "")
+            else:
+                top = [j for j, x in enumerate(lines) if not x.startswith(
+                    ("trans ", "label "))]
+                lines[rng.choice(top)] += "\f"
+        elif kind == 11:    # no final newline, or an undefined initial
+            # state, which the line reader reports after a malformed row
+            if rng.random() < 0.5:
+                final_newline = False
+            else:
+                top = next(j for j, x in enumerate(lines)
+                           if x.startswith("initial:"))
+                lines[top] = "initial: ghost"
+        else:               # a trailing blank line
+            lines.append("")
+    end = "\r\n" if rng.random() < 0.2 else "\n"
+    return end.join(lines) + (end if final_newline else "")
+
+
+def test_parser_matches_the_reference_on_mutated_trans_rows(monkeypatch):
+    # the parser reads the trans block as token columns and falls back to
+    # the line reader; the reference reads every line on its own, and
+    # both give equal models or the same error message
+    readers = []
+    parse = cgs._parse
+
+    def traced(text, columns):
+        readers.append("block" if columns is not None else "lines")
+        return parse(text, columns)
+
+    monkeypatch.setattr(cgs, "_parse", traced)
+    rng = random.Random(2629)
+    bases = [BASIC, bench.build_model("counter", {"cap": "3", "steps": "3"}),
+             bench.build_model("scheduler", {"processes": "2"}),
+             bench.build_model("counter", {"cap": "4", "mode": "infinite"})]
+    errors = set()
+    paths = set()
+    for base in bases:
+        text = base if isinstance(base, str) else base.to_text()
+        for _ in range(80):
+            mutated = trans_mutations(rng, text)
+            readers.clear()
+            got = parse_outcome(cgs.parse_model, mutated)
+            want = parse_outcome(helpers.reference_parse_model, mutated)
+            assert got == want, mutated
+            paths.add(tuple(readers))
+            if isinstance(got, str):
+                errors.add(re.sub(r"line \d+: |(state|action) '.*| \d+ .*|"
+                                  r" row .*", r"\1", got))
+    # the block alone, the block then the lines, and the lines alone
+    assert paths == {("block",), ("block", "lines"), ("lines",)}
+    kinds = {re.sub(r"(state|action) '.*| \d+ .*| row .*", r"\1", msg)
+             for _, msg in TRANS_ERRORS.values()}
+    assert kinds <= errors
+
+
+def _row_reader_refused(*args):
+    raise AssertionError("the per-row reader ran")
+
+
+@pytest.mark.parametrize("family, params", [
+    ("counter", {"cap": "3", "steps": "3"}),
+    ("counter", {"cap": "6", "mode": "infinite"}),
+    ("scheduler", {"processes": "3"}),
+    ("cyber", {"horizon": "2", "budget": "1"}),
+], ids=["counter", "counter-infinite", "scheduler", "cyber"])
+def test_generated_text_takes_the_block_path(family, params, monkeypatch):
+    g = bench.build_model(family, params)
+    text = g.to_text()
+    with monkeypatch.context() as m:
+        m.setattr(cgs, "_row_successors", _row_reader_refused)
+        assert cgs.parse_model(text) == g
+    # with one row re-spaced the text is no block, and the line reader
+    # gives the same model
+    calls = []
+    row_successors = cgs._row_successors
+    monkeypatch.setattr(cgs, "_row_successors",
+                        lambda *a: calls.append(1) or row_successors(*a))
+    first = text.index("\ntrans ") + 1
+    end = text.index("\n", first)
+    src, _, rest = text[first + len("trans "):end].partition(" (")
+    acts, _, dst = rest.partition(") -> ")
+    spaced = (text[:first] + f"trans  {src} ( {' , '.join(acts.split(','))} )"
+              f"  ->  {dst}" + text[end:])
+    assert cgs.parse_model(spaced) == g
+    assert calls == [1]
+
+
 EXPAND_ERRORS = {
     "duplicate agent names": dict(agents=["a", "a"]),
     "duplicate atoms": dict(atoms=["p", "p"]),
@@ -280,6 +437,95 @@ EXPAND_ERRORS = {
 def test_expand_applies_the_parser_checks(message):
     with pytest.raises(cgs.CgsError, match=re.escape(message)):
         expand_basic(**EXPAND_ERRORS[message])
+
+
+# names that CGSL text cannot carry: the states or the actions of agent
+# a that replace BASIC's, the name expand refuses, and the error that
+# reading the written text gives
+UNWRITABLE = {
+    "state-paren": (["s0", "s(1", "s2"], None, "state name 's(1'",
+                    "line 14: undefined state 's' in trans"),
+    "state-arrow": (["s0", "s->1", "s2"], None, "state name 's->1'",
+                    "line 14: malformed trans line"),
+    "state-hash": (["s0", "s1", "s#2"], None, "state name 's#2'",
+                   "line 9: malformed label line"),
+    "state-space": (["a b", "s1", "s2"], None, "state name 'a b'",
+                    "line 4: undefined initial state 'a b'"),
+    "labelled-colon": (["s0", "x:y", "s2"], None,
+                       "labelled state name 'x:y'",
+                       "line 8: undefined state 'x' in label"),
+    "action-comma": (None, ["go,x", "stay"], "action name 'go,x' of agent a",
+                     "line 10: expected 2 actions, got 3"),
+    "action-arrow": (None, ["g->o", "stay"], "action name 'g->o' of agent a",
+                     "line 10: undefined state 'o,go) -> s2' in trans"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE))
+def test_names_cgsl_cannot_write_are_refused(case):
+    states, acts, name, read_back = UNWRITABLE[case]
+    changes = {}
+    if states:
+        changes["name"] = states.__getitem__
+    if acts:
+        moves = dict(zip(acts, ["go", "stay"]))
+        changes["actions"] = {"a": acts, "b": ["go", "stay"]}
+        changes["step"] = lambda k, m: _basic_step(k, (moves[m[0]], m[1]))
+    with pytest.raises(cgs.CgsError) as err:
+        expand_basic(**changes)
+    assert str(err.value) == f"{name} cannot be written in CGSL"
+    # the same model built past the checks: its text never read back
+    g = expand_basic()
+    g.states = states or g.states
+    g.actions["a"] = acts or g.actions["a"]
+    with pytest.raises(cgs.CgsError) as err:
+        cgs.parse_model(g.to_text())
+    assert str(err.value) == read_back
+    with pytest.raises(cgs.CgsError, match=re.escape(name)):
+        cgs.validate(g)
+
+
+def test_an_unlabelled_state_may_hold_a_colon():
+    g = expand_basic(name=["x:y", "s1", "s2"].__getitem__)
+    assert cgs.parse_model(g.to_text()) == g
+
+
+# plain letters around at most one sign, so that many draws are models
+# the text carries
+NAMES = st.builds(
+    "{}{}{}".format, st.text(alphabet="ab0", max_size=2),
+    st.sampled_from([""] * 6 + list(" #(),:->\t") + ["->"]),
+    st.text(alphabet="ab0", max_size=2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_expanded_names_read_back_or_are_refused(data):
+    # whatever the names, expand refuses the model or its text reads
+    # back as the same model, through the block and line by line
+    states = data.draw(st.lists(NAMES, min_size=1, max_size=3, unique=True))
+    actions = {a: data.draw(st.lists(NAMES, min_size=1, max_size=2,
+                                     unique=True))
+               for a in ("a", "b")}
+    labelled = data.draw(st.lists(st.booleans(), min_size=len(states),
+                                  max_size=len(states)))
+    joint = {m: j for j, m in enumerate(
+        itertools.product(actions["a"], actions["b"]))}
+    succ = data.draw(st.lists(st.integers(0, len(states) - 1),
+                              min_size=len(states) * len(joint),
+                              max_size=len(states) * len(joint)))
+    try:
+        g = cgs.expand(
+            agents=["a", "b"], atoms=["p"], actions=actions,
+            keys=range(len(states)), name=states.__getitem__,
+            label=lambda k: ["p"] if labelled[k] else [],
+            final=lambda k: k == 0, initial=0,
+            step=lambda k, m: succ[k * len(joint) + joint[m]])
+    except cgs.CgsError:
+        return
+    text = g.to_text()
+    assert cgs.parse_model(text) == g
+    assert helpers.reference_parse_model(text) == g
 
 
 def two_states(successors):
