@@ -9,6 +9,7 @@ the program.  Every error is reported on one stderr line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -61,7 +62,13 @@ def load_config(path):
     return out
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process.  Parsing changes
+    nothing in it: an ``append`` action copies its default list before
+    appending, and no command changes an argument's value in place (a
+    namespace holds the default list itself when the option is not
+    given)."""
     ap = argparse.ArgumentParser(
         prog="atlstar",
         description="Strategic model checking over finite and infinite "

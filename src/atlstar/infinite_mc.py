@@ -238,7 +238,8 @@ class SymbolicParityGame:
     delta: object        # Bdd over (position, actions, primed position)
     priorities: dict     # p -> Bdd over vertex vars
     rounds: int = None   # attractor steps of the last solve, summed over
-                         # all its attractors
+                         # all its attractors; a step covers one model
+                         # move, its choices and then its positions
 
     @property
     def vertices(self):
@@ -311,37 +312,49 @@ def _attractor(game, player, target, region):
     within the vertices, and only edges inside it count.  Returns
     (attractor, iterations).
 
-    The attractor grows from its last frontier: a vertex of ``player``
-    joins when it has an edge into the frontier, and an opponent vertex
-    whose edge into the frontier makes it a candidate joins when it has
-    no edge left into the rest of the region.  An opponent vertex that
-    stays out is a candidate again once its last escape joins.  The rest
-    of the region is kept up to date by taking each step's new vertices
-    out of it, and the attractor is the region without its rest.
+    One step covers one model move: it first adds the choices with an
+    edge into the positions the last step added, then the positions with
+    an edge into the choices it just added (at the first step, into the
+    target's too).  A vertex of ``player`` with such an edge joins at
+    once; an opponent vertex with one joins when it has no edge left
+    into the rest of the region, and is a candidate again once its last
+    escape joins.  So a step that adds no positions is the last.  The
+    rest of the region is kept as one cofactor per layer, each step's
+    new vertices taken out of it, and the attractor is the region
+    without its rest.
     """
     st = game.store
-    and_, or_, diff, mk = st._and, st._or, st._diff, st._mk
-    pre = game._pre
+    or_, diff, mk = st._or, st._diff, st._mk
+    halves, pre = game._halves, game._pre
 
-    frontier = target
-    rest = diff(region, target)
+    def on(l, n):
+        return mk(0, FALSE, n) if l else mk(0, n, FALSE)
+
+    def join(l, new, rest, escapes):
+        # layer l's vertices of ``rest`` with an edge into ``new``, the
+        # other layer's new vertices; an opponent's must have none into
+        # ``escapes``, the other layer's rest.  A vertex's layer is its
+        # owner.
+        got = halves(pre(on(1 - l, new), on(l, rest)))[l]
+        if got and escapes and l != player:
+            got = diff(got, halves(pre(on(1 - l, escapes), on(l, got)))[l])
+        return got
+
+    new0, new1 = halves(target)
+    rest0, rest1 = halves(diff(region, target))
     steps = 0
-    while frontier:
+    while new0 or new1:
         steps += 1
         # no operation is in flight between steps
         st.trim_cache()
-        lo, hi = game._halves(and_(pre(frontier), rest))
-        # a vertex's layer is its owner
-        grab, cand = mk(0, FALSE, hi), mk(0, lo, FALSE)
-        if not player:
-            grab, cand = cand, grab
-        rest = diff(rest, grab)
-        if cand:
-            forced = diff(cand, pre(rest, cand)) if rest else cand
-            rest = diff(rest, forced)
-            grab = or_(grab, forced)
-        frontier = grab
-    return diff(region, rest), steps
+        if new0:
+            got = join(1, new0, rest1, rest0)
+            rest1 = diff(rest1, got)
+            new1 = or_(new1, got)
+        new0 = join(0, new1, rest0, rest1) if new1 else FALSE
+        rest0 = diff(rest0, new0)
+        new1 = FALSE
+    return diff(region, mk(0, rest0, rest1)), steps
 
 
 def solve_symbolic_zielonka(game):

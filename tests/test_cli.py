@@ -190,6 +190,34 @@ def test_check_has_no_solver_option(capsys):
     assert "solver" not in capsys.readouterr().out
 
 
+def test_the_parser_is_built_once_and_keeps_its_defaults(model_file,
+                                                          capsys):
+    ap = cli.build_parser()
+    assert cli.build_parser() is ap
+    # --tool and --param append to copies of their defaults, so what one
+    # call gives is gone in the next
+    check = ["check", model_file, "<<a,b>> F goal", "--semantics",
+             "infinite"]
+    assert cli.main([*check, "--tool", "false"]) == cli.EXIT_USAGE
+    assert cli.main(check) == cli.EXIT_HOLDS
+    assert cli.main(["gen", "counter", "--param", "cap=1", "--param",
+                     "steps=1"]) == 0
+    assert cli.main(["gen", "counter", "--param", "nope"]) == \
+        cli.EXIT_USAGE
+    assert ap.parse_args(check).tool == []
+    assert ap.parse_args(["gen", "counter"]).param == []
+    # help and usage errors print and exit the same, call after call
+    outputs = []
+    for _ in range(2):
+        capsys.readouterr()
+        assert cli.main(["check", "--help"]) == 0
+        assert cli.main(["check", model_file]) == cli.EXIT_USAGE
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert "usage: atlstar check" in outputs[0].out
+    assert "required: formula" in outputs[0].err
+
+
 def test_gen_round_trip(tmp_path, capsys):
     out = tmp_path / "counter.cgs"
     rc = cli.main(["gen", "counter", "--param", "cap=1", "--param",

@@ -289,11 +289,26 @@ def test_counter_response_attractor_steps_are_pinned():
     res = driver.check(model=g, formula="<<a1>> G (p1 -> F counter_max)",
                        semantics="infinite")
     stats = res.details["subformulas"][0]
-    assert stats["rounds"] == 202
+    assert stats["rounds"] == 101
     # the arena holds one relation, the product's, and no coalition
     # edges, and pre-images are cut to their candidates after the
     # product, so steps share relational products
     assert stats["nodes"] <= 3600
+
+
+@pytest.mark.parametrize("cap", [10, 25])
+def test_one_attractor_step_per_model_move(cap):
+    # the counter climbs one value per model move, and each attractor
+    # step adds a move's choices and then its positions; a last step
+    # adds no position
+    g = bench.gen_counter(bench.CounterParams(cap=cap, mode="infinite"))
+    res = driver.check(model=g, formula="<<a1>> G (p1 -> F counter_max)",
+                       semantics="infinite")
+    assert res.details["subformulas"][0]["rounds"] == cap + 1
+    g = bench.gen_counter(bench.CounterParams(cap=cap, steps=cap))
+    res = driver.check(model=g, formula="<<a2>> G !counter_max",
+                       semantics="finite")
+    assert res.details["subformulas"][0]["rounds"] == cap + 1
 
 
 def test_region_cap_check():
