@@ -550,11 +550,10 @@ class SymbolicCgs:
     action_valid: dict   # agent -> Bdd excluding padded action encodings
 
 
-def encode_symbolic(g, store, reachable=None):
+def encode_symbolic(g, store, reachable):
     """Encode a Cgs into BDDs over the store's q/q'/action blocks.
 
-    ``reachable`` is the set of states reachable from the initial one,
-    if the caller already holds it; otherwise it is computed here.
+    ``reachable`` is the set of states reachable from the initial one.
     """
     q = store.block("q")
     qn = store.block("q'")
@@ -574,8 +573,6 @@ def encode_symbolic(g, store, reachable=None):
 
     valid = store.from_points([q], [range(len(g.states))])
     final = store.from_points([q], [list(g.final)])
-    if reachable is None:
-        reachable = g.reachable_states()
     reach = store.from_points([q], [list(reachable)])
     action_valid = {
         a: store.from_points([action_blocks[a]], [range(len(g.actions[a]))])

@@ -18,7 +18,7 @@ import warnings
 from . import bench
 from . import cgs as cgsmod
 from . import driver
-from . import infinite_mc
+from . import games
 from .errors import InputError, ResourceError
 
 EXIT_HOLDS = 0
@@ -182,8 +182,8 @@ def cmd_suite(args):
 
 
 def cmd_solve_game(args):
-    game = infinite_mc.parse_pgsolver(read_text(args.game))
-    w0, w1 = infinite_mc.solve_zielonka(game)
+    game = games.parse_pgsolver(read_text(args.game))
+    w0, w1 = games.solve_zielonka(game)
     if args.json:
         print(json.dumps({"W0": sorted(w0), "W1": sorted(w1)}))
     else:

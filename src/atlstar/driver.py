@@ -6,12 +6,14 @@ their winning state sets become fresh labels, numbered per check, and
 the boolean skeleton is evaluated per state.  Every strategic
 subformula takes one pipeline under both semantics: its path formula
 is translated (to a DFA for finite traces, a DPA for infinite ones),
-and either the explicit oracle solves it, or the automaton is encoded,
-the layered arena built and solved by the semantics' ``winning_states``.
-Explicit state-id sets are the common currency between engines and between subformulas: the
-symbolic engine encodes the model once per check and rolls its store
-back to that encoding before each further subformula, so no BDD
-outlives its subformula.
+and either the explicit oracle solves it on ``games.explicit_arena``,
+or the automaton is encoded, the layered arena of ``games`` built and
+solved by the semantics' ``winning_states``, which supplies only the
+objective (safety in ``finite_mc``, parity in ``infinite_mc``).
+Explicit state-id sets are the common currency between engines and
+between subformulas: the symbolic engine encodes the model once per
+check and rolls its store back to that encoding before each further
+subformula, so no BDD outlives its subformula.
 """
 
 from __future__ import annotations

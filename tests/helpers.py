@@ -12,7 +12,7 @@ import math
 from atlstar import cgs
 from atlstar import finite_mc
 from atlstar import formula as fm
-from atlstar import infinite_mc
+from atlstar import games
 from atlstar import ltlf2dfa
 from atlstar.bdd import TRUE, Bdd, BddError, BddStore
 from atlstar.cgs import CgsError
@@ -110,11 +110,11 @@ def audit_determinism(sg):
 
 
 def encode_explicit_game(game):
-    """Symbolic arena of an explicit game in ``infinite_mc.build_game``'s
-    layered form, for solver cross-checks.  Vertex x is the position
-    (l=0, x).  If player 0 owns x, its choice (l=1, x, k) responds with
-    its k-th successor; else its one choice (l=1, x, 0) responds with
-    any.  Both layers carry x's priority."""
+    """Symbolic arena of an explicit game in ``games.arena``'s layered
+    form, for solver cross-checks.  Vertex x is the position (l=0, x).
+    If player 0 owns x, its choice (l=1, x, k) responds with its k-th
+    successor; else its one choice (l=1, x, 0) responds with any.  Both
+    layers carry x's priority."""
     game.validate()
     n = game.n()
     # every (choice, response) pair
@@ -132,7 +132,7 @@ def encode_explicit_game(game):
         classes.setdefault(game.priority[x], []).append(x)
     priorities = {p: st.from_points([v], [ys]) & (v0 | v1)
                   for p, ys in sorted(classes.items())}
-    return infinite_mc.SymbolicParityGame(
+    return games.SymbolicParityGame(
         store=st, blocks=[(v, vp)], actions=[a], v0=v0, v1=v1,
         delta=st.from_points([v, a, vp], [xs, ks, ws]),
         priorities=priorities,
@@ -154,7 +154,7 @@ def substitute_atoms(f, mapping):
 
 def write_pgsolver(game):
     """An ExplicitGame in the PGSolver format that
-    ``infinite_mc.parse_pgsolver`` reads."""
+    ``games.parse_pgsolver`` reads."""
     lines = [f"parity {game.n() - 1};"]
     for v in range(game.n()):
         ss = ",".join(str(w) for w in game.succ[v])

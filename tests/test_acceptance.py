@@ -19,7 +19,7 @@ from atlstar import dpa as dp
 from atlstar import driver
 from atlstar import finite_mc as fmc
 from atlstar import formula as fm
-from atlstar import infinite_mc as imc
+from atlstar import games
 from atlstar import ltlf2dfa
 
 import helpers
@@ -58,13 +58,14 @@ def test_finite_engines_agree_on_random_models():
     for k in range(200):
         g = helpers.random_cgs(rng, rng.randint(2, 32), rng.randint(1, 3))
         store = cgs.make_store(g, bits)
-        sg = cgs.encode_symbolic(g, store)
+        reachable = g.reachable_states()
+        sg = cgs.encode_symbolic(g, store, reachable)
         for i, text in enumerate(FINITE_CORPUS):
             psi = fm.parse_formula(text)
             dfa = dfas[text]
             coal = coalitions[(k + i) % len(coalitions)]
             sym = helpers.game_solving(sg, psi, coal, dfa)
-            exp = fmc.explicit_game_solving(g, dfa, coal,
+            exp = fmc.explicit_game_solving(g, dfa, coal, reachable,
                                             product_cap=100000)
             assert sym == exp, (g.to_text(), text, coal)
             checked += 1
@@ -103,6 +104,38 @@ def test_restricted_alphabet_engines_agree_on_random_models():
     report("restricted vs full alphabet driver checks",
            checked == 50 * len(bodies) * 3 and elapsed < 30, elapsed,
            f"{checked} model/formula pairs")
+
+
+def test_safety_oracle_is_zielonka_on_the_same_arena():
+    # the finite oracle's attractor against Zielonka's solver on the
+    # arena both read: each unsafe position a priority-1 sink, every
+    # other vertex at priority 0
+    t0 = time.monotonic()
+    rng = random.Random(1998)
+    dfas = {text: ltlf2dfa.translate(fm.parse_formula(text))
+            for text in FINITE_CORPUS}
+    coalitions = [(), ("a",), ("b",), ("a", "b")]
+    checked = 0
+    for _ in range(30):
+        g = helpers.random_cgs(rng, rng.randint(2, 16), rng.randint(1, 3))
+        reachable = g.reachable_states()
+        for text, dfa in dfas.items():
+            for coal in coalitions:
+                game, nodes, entry = games.explicit_arena(g, dfa, coal,
+                                                          reachable)
+                for v, (q, s) in enumerate(nodes):
+                    if q in g.final and s not in dfa.finals:
+                        game.priority[v] = 1
+                        game.succ[v] = [v]
+                w0, _ = games.solve_zielonka(game)
+                want = {q for q, v in entry.items() if v in w0}
+                got = fmc.explicit_game_solving(g, dfa, coal, reachable)
+                assert got == want, (g.to_text(), text, coal)
+                checked += 1
+    elapsed = time.monotonic() - t0
+    report("explicit safety oracle vs Zielonka on one arena",
+           checked == 30 * len(FINITE_CORPUS) * len(coalitions)
+           and elapsed < 60, elapsed, f"{checked} model/formula pairs")
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +191,16 @@ def test_parity_solvers_agree():
     n_games = 0
     for _ in range(500):
         n = rng.randint(1, 200)
-        game = imc.ExplicitGame(
+        game = games.ExplicitGame(
             owner=[rng.randint(0, 1) for _ in range(n)],
             priority=[rng.randint(0, 6) for _ in range(n)],
             succ=[sorted(rng.sample(range(n), rng.randint(1, min(3, n))))
                   for _ in range(n)],
         )
-        w0, w1 = imc.solve_zielonka(game)
+        w0, w1 = games.solve_zielonka(game)
         assert w0 | w1 == set(range(n)) and not (w0 & w1)
         sym = helpers.encode_explicit_game(game)
-        r0, r1 = _sym_regions(sym, *imc.solve_symbolic_zielonka(sym))
+        r0, r1 = _sym_regions(sym, *games.solve_symbolic_zielonka(sym))
         assert r0 == w0 and r1 == w1
         n_games += 1
 
@@ -175,14 +208,18 @@ def test_parity_solvers_agree():
     derived = []
     g1 = bench.gen_counter(bench.CounterParams(cap=2, mode="infinite"))
     d1, _ = dp.obtain_dpa(fm.parse_formula("F counter_max"))
-    derived.append(imc.build_explicit_game(g1, d1, ("a1", "a2"))[0])
+    derived.append(games.explicit_arena(g1, d1, ("a1", "a2"),
+                                        g1.reachable_states(),
+                                        d1.priority)[0])
     g2 = bench.gen_scheduler(bench.SchedulerParams(processes=2))
     d2, _ = dp.obtain_dpa(fm.parse_formula("G (wt_1 -> F !wt_1)"))
-    derived.append(imc.build_explicit_game(g2, d2, ("p1",))[0])
+    derived.append(games.explicit_arena(g2, d2, ("p1",),
+                                        g2.reachable_states(),
+                                        d2.priority)[0])
     for game in derived:
-        w0, w1 = imc.solve_zielonka(game)
+        w0, w1 = games.solve_zielonka(game)
         sym = helpers.encode_explicit_game(game)
-        r0, r1 = _sym_regions(sym, *imc.solve_symbolic_zielonka(sym))
+        r0, r1 = _sym_regions(sym, *games.solve_symbolic_zielonka(sym))
         assert r0 == w0 and r1 == w1
         n_games += 1
     elapsed = time.monotonic() - t0

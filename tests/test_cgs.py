@@ -561,7 +561,8 @@ def test_delta_implies_action_validity():
         agents = ("a", "b", "c")[:rng.randint(1, 3)]
         g = helpers.random_cgs(rng, rng.randint(1, 9), rng.randint(1, 5),
                                agents=agents)
-        sg = cgs.encode_symbolic(g, cgs.make_store(g, automaton_bits=1))
+        sg = cgs.encode_symbolic(g, cgs.make_store(g, automaton_bits=1),
+                                 g.reachable_states())
         for a in agents:
             assert (sg.delta & ~sg.action_valid[a]).is_false()
 
@@ -571,7 +572,7 @@ def test_symbolic_encoding_soundness():
     for _ in range(20):
         g = helpers.random_cgs(rng, rng.randint(1, 9))
         store = cgs.make_store(g, automaton_bits=2)
-        sg = cgs.encode_symbolic(g, store)
+        sg = cgs.encode_symbolic(g, store, g.reachable_states())
         helpers.audit_determinism(sg)
         # every explicit transition is in delta, and nothing else
         for q in range(len(g.states)):
@@ -603,7 +604,7 @@ def labelled_states(sg, atom):
 def test_labels_inverted():
     g = cgs.parse_model(BASIC)
     store = cgs.make_store(g, automaton_bits=1)
-    sg = cgs.encode_symbolic(g, store)
+    sg = cgs.encode_symbolic(g, store, g.reachable_states())
     p_states = labelled_states(sg, "p")
     assert p_states == {1, 2}
     assert labelled_states(sg, "goal") == {2}
@@ -628,7 +629,7 @@ def test_reachable_matches_bfs():
     for _ in range(20):
         g = helpers.random_cgs(rng, rng.randint(1, 12))
         store = cgs.make_store(g, automaton_bits=1)
-        sg = cgs.encode_symbolic(g, store)
+        sg = cgs.encode_symbolic(g, store, g.reachable_states())
         assert sg.reach == symbolic_reachable(sg)
         assert set(helpers.decode(sg, sg.reach)) == g.reachable_states()
 
@@ -643,7 +644,7 @@ def test_benchmark_models_encode_to_pinned_node_counts(gen, params, nodes):
     # is fixed by the functions encoded, however they are built
     g = gen(params)
     store = cgs.make_store(g, automaton_bits=1)
-    sg = cgs.encode_symbolic(g, store)
+    sg = cgs.encode_symbolic(g, store, g.reachable_states())
     assert store.node_count() == nodes
     assert helpers.decode(sg, sg.reach) == sorted(g.reachable_states())
 
@@ -654,7 +655,7 @@ def test_coalition_actions():
     for g in (cgs.parse_model(BASIC),
               helpers.random_cgs(random.Random(7), 3, n_actions=3)):
         store = cgs.make_store(g, automaton_bits=1)
-        sg = cgs.encode_symbolic(g, store)
+        sg = cgs.encode_symbolic(g, store, g.reachable_states())
         avail, _ = cgs.coalition_moves(sg, ("a", "b"))
         assert avail == sg.action_valid["a"] & sg.action_valid["b"]
         avail_none, _ = cgs.coalition_moves(sg, ())
@@ -669,6 +670,7 @@ def test_store_too_small():
     store = BddStore([("q", 1), ("q'", 1), ("s", 1), ("s'", 1),
                       ("a0", 1), ("a1", 1)])
     with pytest.raises(BddError):
-        cgs.encode_symbolic(g, store)
+        cgs.encode_symbolic(g, store, g.reachable_states())
     with pytest.raises(KeyError):
-        cgs.encode_symbolic(g, BddStore([("q", 2), ("q'", 2)]))
+        cgs.encode_symbolic(g, BddStore([("q", 2), ("q'", 2)]),
+                            g.reachable_states())

@@ -43,7 +43,7 @@ def encode(g, psi):
     dfa = ltlf2dfa.translate(psi)
     bits = cgs.bits_for(dfa.n_states)
     store = cgs.make_store(g, bits)
-    sg = cgs.encode_symbolic(g, store)
+    sg = cgs.encode_symbolic(g, store, g.reachable_states())
     sd = ltlf2dfa.encode_dfa(dfa, sg)
     return sg, sd, dfa
 
@@ -54,7 +54,8 @@ def test_hand_model_reach_goal():
     sg, _, dfa = encode(g, psi)
     # both agents together can reach s2 from anywhere; s2 stays put
     assert helpers.game_solving(sg, psi, ("a", "b"), dfa) == {0, 1, 2}
-    assert fmc.explicit_game_solving(g, dfa, ("a", "b")) == {0, 1, 2}
+    assert fmc.explicit_game_solving(
+        g, dfa, ("a", "b"), g.reachable_states()) == {0, 1, 2}
     # agent a alone can force s1 -> s2 (both rows with go lead to s2)
     # but not s0 -> {s1, s2} progress without b's cooperation; still, any
     # play stopping before s2 never hits a final state, so the trace
@@ -70,14 +71,16 @@ def test_hand_model_globally_p():
     # unlabelled, but the coalition can loop there forever and never
     # stop at a final state, which satisfies the obligation vacuously
     sym = helpers.game_solving(sg, psi, ("a", "b"), dfa)
-    assert sym == fmc.explicit_game_solving(g, dfa, ("a", "b"))
+    assert sym == fmc.explicit_game_solving(g, dfa, ("a", "b"),
+                                            g.reachable_states())
     assert sym == {0, 1, 2}
     # with finals everywhere the vacuous escape disappears: a trace may
     # stop at s0, whose missing p refutes G p immediately
     g2 = cgs.parse_model(BASIC.replace("final: s2", "final: s0 s1 s2"))
     sg2, _, dfa2 = encode(g2, psi)
     sym2 = helpers.game_solving(sg2, psi, ("a", "b"), dfa2)
-    assert sym2 == fmc.explicit_game_solving(g2, dfa2, ("a", "b"))
+    assert sym2 == fmc.explicit_game_solving(g2, dfa2, ("a", "b"),
+                                             g2.reachable_states())
     assert 0 not in sym2 and 1 in sym2 and 2 in sym2
 
 
@@ -160,12 +163,13 @@ def test_symbolic_matches_explicit_random():
     rng = random.Random(7)
     for _ in range(25):
         g = helpers.random_cgs(rng, rng.randint(2, 8))
+        reachable = g.reachable_states()
         for text in ("F p", "G p", "p U q", "X q"):
             psi = fm.parse_formula(text)
             sg, _, dfa = encode(g, psi)
             for coal in ((), ("a",), ("a", "b")):
                 sym = helpers.game_solving(sg, psi, coal, dfa)
-                exp = fmc.explicit_game_solving(g, dfa, coal)
+                exp = fmc.explicit_game_solving(g, dfa, coal, reachable)
                 assert sym == exp, (g.to_text(), text, coal)
 
 
@@ -207,7 +211,7 @@ def test_entry_relation_matches_explicit_steps():
                   for text in ("G F p", "G (p -> F q)")]
     for g, aut in cases:
         store = cgs.make_store(g, cgs.bits_for(aut.n_states))
-        sg = cgs.encode_symbolic(g, store)
+        sg = cgs.encode_symbolic(g, store, g.reachable_states())
         sd = ltlf2dfa.encode_automaton(aut, sg)
         for q in g.reachable_states():
             want = aut.delta[aut.initial, aut.letter(g.labels[q])]
@@ -249,7 +253,7 @@ def test_explicit_product_cap():
     with pytest.raises(fmc.FiniteMcError, match="product"):
         fmc.explicit_game_solving(
             g, ltlf2dfa.translate(fm.parse_formula("F p")), ("a",),
-            product_cap=3)
+            g.reachable_states(), product_cap=3)
 
 
 def test_finite_engine_trims_the_computed_table_between_iterations(
@@ -289,4 +293,4 @@ def test_finite_engine_trims_the_computed_table_between_iterations(
     cleared, cleared_iterations, _ = solve(clear)
     assert (cleared, cleared_iterations) == (win, iterations)
     assert win == fmc.explicit_game_solving(
-        g, ltlf2dfa.translate(psi), ("a1",))
+        g, ltlf2dfa.translate(psi), ("a1",), g.reachable_states())

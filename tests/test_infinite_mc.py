@@ -8,7 +8,9 @@ from atlstar import cgs
 from atlstar import dpa as dp
 from atlstar import driver
 from atlstar import formula as fm
+from atlstar import games
 from atlstar import infinite_mc as imc
+from atlstar.bdd import Bdd
 from atlstar.errors import ResourceError
 
 import helpers
@@ -21,7 +23,7 @@ def random_game(rng, n, max_prio=5):
         sorted(rng.sample(range(n), rng.randint(1, min(3, n))))
         for _ in range(n)
     ]
-    return imc.ExplicitGame(owner=owner, priority=priority, succ=succ)
+    return games.ExplicitGame(owner=owner, priority=priority, succ=succ)
 
 
 def brute_force_w0(game):
@@ -82,7 +84,7 @@ def test_zielonka_against_brute_force():
     rng = random.Random(11)
     for _ in range(60):
         game = random_game(rng, rng.randint(1, 6))
-        w0, w1 = imc.solve_zielonka(game)
+        w0, w1 = games.solve_zielonka(game)
         want = brute_force_w0(game)
         assert w0 == want, (game,)
         assert w1 == set(range(game.n())) - want
@@ -92,22 +94,22 @@ def test_partition_invariant():
     rng = random.Random(13)
     for _ in range(50):
         game = random_game(rng, rng.randint(1, 25))
-        w0, w1 = imc.solve_zielonka(game)
+        w0, w1 = games.solve_zielonka(game)
         assert w0 | w1 == set(range(game.n()))
         assert not (w0 & w1)
 
 
 def test_attractor_basics():
     # 0 -> 1 -> 2 (sink loop); player 0 owns everything
-    game = imc.ExplicitGame(owner=[0, 0, 0], priority=[0, 0, 0],
+    game = games.ExplicitGame(owner=[0, 0, 0], priority=[0, 0, 0],
                             succ=[[1], [2], [2]])
     region = {0, 1, 2}
-    a = imc.attractor(game, 0, {2}, region)
+    a = games.attractor(game, 0, {2}, region)
     assert a == {0, 1, 2}
     # opponent-owned vertex with an escape edge is not attracted
-    game2 = imc.ExplicitGame(owner=[1, 0, 0], priority=[0, 0, 0],
+    game2 = games.ExplicitGame(owner=[1, 0, 0], priority=[0, 0, 0],
                              succ=[[1, 2], [1], [2]])
-    a2 = imc.attractor(game2, 0, {2}, {0, 1, 2})
+    a2 = games.attractor(game2, 0, {2}, {0, 1, 2})
     assert 0 not in a2
     # attractor is monotone in the target
     rng = random.Random(5)
@@ -116,13 +118,13 @@ def test_attractor_basics():
         region = set(range(8))
         small = set(rng.sample(range(8), 2))
         big = small | set(rng.sample(range(8), 3))
-        assert imc.attractor(g, 0, small, region) <= \
-            imc.attractor(g, 0, big, region)
+        assert games.attractor(g, 0, small, region) <= \
+            games.attractor(g, 0, big, region)
 
 
 def chain_game(n):
     """Vertex i has priority i and moves to i or i+1; the last loops."""
-    return imc.ExplicitGame(owner=[0] * n, priority=list(range(n)),
+    return games.ExplicitGame(owner=[0] * n, priority=list(range(n)),
                             succ=[[i, i + 1] for i in range(n - 1)]
                             + [[n - 1]])
 
@@ -131,22 +133,22 @@ def test_zielonka_recursion_is_bounded_by_the_priorities():
     # a chain recurses once per priority; below the cap both solvers
     # give the answer, above it both refuse the game
     game = chain_game(100)
-    w0, w1 = imc.solve_zielonka(game)
+    w0, w1 = games.solve_zielonka(game)
     assert (w0, w1) == (set(range(99)), {99})
     sym = helpers.encode_explicit_game(game)
-    s0, s1 = imc.solve_symbolic_zielonka(sym)
+    s0, s1 = games.solve_symbolic_zielonka(sym)
     assert helpers.game_positions(sym, s0) == w0
     assert helpers.game_positions(sym, s1) == w1
     deep = chain_game(1200)
     with pytest.raises(ResourceError, match="1200 distinct priorities"):
-        imc.solve_zielonka(deep)
+        games.solve_zielonka(deep)
     with pytest.raises(ResourceError, match="1200 distinct priorities"):
-        imc.solve_symbolic_zielonka(helpers.encode_explicit_game(deep))
+        games.solve_symbolic_zielonka(helpers.encode_explicit_game(deep))
 
 
 def test_validate_rejects_dead_ends():
-    game = imc.ExplicitGame(owner=[0], priority=[0], succ=[[]])
-    with pytest.raises(imc.InfiniteMcError, match="no successors"):
+    game = games.ExplicitGame(owner=[0], priority=[0], succ=[[]])
+    with pytest.raises(games.GameError, match="no successors"):
         game.validate()
 
 
@@ -155,28 +157,28 @@ def test_pgsolver_round_trip():
     for _ in range(10):
         game = random_game(rng, rng.randint(1, 12))
         text = helpers.write_pgsolver(game)
-        g2 = imc.parse_pgsolver(text)
+        g2 = games.parse_pgsolver(text)
         assert g2.owner == game.owner
         assert g2.priority == game.priority
         assert [sorted(s) for s in g2.succ] == [sorted(s) for s in game.succ]
 
 
 def test_pgsolver_parse_errors():
-    with pytest.raises(imc.InfiniteMcError):
-        imc.parse_pgsolver("parity 1;\n0 0;\n")
-    with pytest.raises(imc.InfiniteMcError, match="owner"):
-        imc.parse_pgsolver("parity 0;\n0 1 2 0;\n")
-    with pytest.raises(imc.InfiniteMcError, match="empty"):
-        imc.parse_pgsolver("parity 0;\n")
+    with pytest.raises(games.GameError):
+        games.parse_pgsolver("parity 1;\n0 0;\n")
+    with pytest.raises(games.GameError, match="owner"):
+        games.parse_pgsolver("parity 0;\n0 1 2 0;\n")
+    with pytest.raises(games.GameError, match="empty"):
+        games.parse_pgsolver("parity 0;\n")
 
 
 def test_symbolic_zielonka_matches_explicit_on_random_games():
     rng = random.Random(29)
     for _ in range(60):
         game = random_game(rng, rng.randint(1, 20))
-        w0, w1 = imc.solve_zielonka(game)
+        w0, w1 = games.solve_zielonka(game)
         sym = helpers.encode_explicit_game(game)
-        s0, s1 = imc.solve_symbolic_zielonka(sym)
+        s0, s1 = games.solve_symbolic_zielonka(sym)
         assert helpers.game_positions(sym, s0) == w0
         assert helpers.game_positions(sym, s1) == w1
         assert isinstance(sym.rounds, int) and sym.rounds >= 1
@@ -194,12 +196,12 @@ def test_symbolic_attractor_matches_the_explicit_one():
         region = {x for x in range(n) if rng.random() < 0.8}
         target = {x for x in region if rng.random() < 0.25}
         player = rng.randint(0, 1)
-        want = imc.attractor(game, player, target, region)
+        want = games.attractor(game, player, target, region)
         lifted = helpers.lift_region(game, sym, target) & sym.v0
-        got, steps = imc._attractor(
+        got, steps = games.symbolic_attractor(
             sym, player, lifted.node,
             helpers.lift_region(game, sym, region).node)
-        got = imc.Bdd(st, got)
+        got = Bdd(st, got)
         assert helpers.game_positions(sym, got) == want
         # one step per frontier, and a last one that adds nothing
         added = st.sat_count(got & ~lifted, sym.vertex_vars())
@@ -248,8 +250,9 @@ def assert_attractors_are_textbook(rng, game, rounds):
         region = trap_region(rng, game)
         target = random_subset(rng, game, region)
         for player in (0, 1):
-            got, _ = imc._attractor(game, player, target.node, region.node)
-            assert imc.Bdd(st, got) == textbook_attractor(
+            got, _ = games.symbolic_attractor(game, player, target.node,
+                                              region.node)
+            assert Bdd(st, got) == textbook_attractor(
                 game, player, target, region)
 
 
@@ -263,12 +266,12 @@ def test_attractor_is_the_textbook_fixpoint_on_random_games():
         region = helpers.game_positions(sym, trap_region(rng, sym))
         target = {x for x in region if rng.random() < 0.3}
         for player in (0, 1):
-            got, _ = imc._attractor(
+            got, _ = games.symbolic_attractor(
                 sym, player,
                 (helpers.lift_region(game, sym, target) & sym.v0).node,
                 helpers.lift_region(game, sym, region).node)
-            assert helpers.game_positions(sym, imc.Bdd(sym.store, got)) == \
-                imc.attractor(game, player, target, region)
+            assert helpers.game_positions(sym, Bdd(sym.store, got)) == \
+                games.attractor(game, player, target, region)
 
 
 def test_attractor_is_the_textbook_fixpoint_on_product_arenas():
@@ -277,7 +280,7 @@ def test_attractor_is_the_textbook_fixpoint_on_product_arenas():
         g = helpers.random_cgs(rng, rng.randint(2, 6), finals=False)
         dpa, _ = dp.obtain_dpa(fm.parse_formula(text))
         store = cgs.make_store(g, cgs.bits_for(dpa.n_states))
-        sg = cgs.encode_symbolic(g, store)
+        sg = cgs.encode_symbolic(g, store, g.reachable_states())
         sdpa = dp.encode_dpa(dpa, sg)
         for coal in ((), ("a",), ("a", "b")):
             assert_attractors_are_textbook(
@@ -313,8 +316,8 @@ def test_one_attractor_step_per_model_move(cap):
 
 def test_region_cap_check():
     with pytest.raises(ResourceError, match="cap"):
-        imc.region_cap_check(imc.REGION_CAP + 1)
-    imc.region_cap_check(imc.REGION_CAP)
+        games.region_cap_check(games.REGION_CAP + 1)
+    games.region_cap_check(games.REGION_CAP)
 
 
 PATH_FORMULAS = ["G p", "F p", "G (p -> F q)", "p U q"]
@@ -324,14 +327,15 @@ def test_symbolic_pipeline_matches_explicit_on_random_models():
     rng = random.Random(37)
     for _ in range(15):
         g = helpers.random_cgs(rng, rng.randint(2, 6), finals=False)
+        reachable = g.reachable_states()
         for text in PATH_FORMULAS:
             psi = fm.parse_formula(text)
             dpa, _ = dp.obtain_dpa(psi)
             store = cgs.make_store(g, cgs.bits_for(dpa.n_states))
-            sg = cgs.encode_symbolic(g, store)
+            sg = cgs.encode_symbolic(g, store, reachable)
             sdpa = dp.encode_dpa(dpa, sg)
             for coal in ((), ("a",), ("a", "b")):
-                exp = imc.winning_states_explicit(g, dpa, coal)
+                exp = imc.winning_states_explicit(g, dpa, coal, reachable)
                 sym = imc.winning_states(
                     sg, sdpa, imc.build_game(sg, sdpa, coal))
                 assert sym == exp, (g.to_text(), text, coal)
@@ -346,7 +350,7 @@ def random_arenas(rng):
         g = helpers.random_cgs(rng, rng.randint(2, 6), finals=False)
         dpa, _ = dp.obtain_dpa(fm.parse_formula(text))
         store = cgs.make_store(g, cgs.bits_for(dpa.n_states))
-        sg = cgs.encode_symbolic(g, store)
+        sg = cgs.encode_symbolic(g, store, g.reachable_states())
         sdpa = dp.encode_dpa(dpa, sg)
         for coal in ((), ("a",), ("a", "b")):
             arenas.append(imc.build_game(sg, sdpa, coal))
@@ -395,12 +399,13 @@ def test_pre_images_are_cut_after_the_product():
 
 
 def test_explicit_game_region_cap(monkeypatch):
-    # the cap fires inside build_explicit_game, before any vertex is made
+    # the cap fires inside explicit_arena, before any vertex is made
     rng = random.Random(43)
     g = helpers.random_cgs(rng, 6, finals=False)
     dpa, _ = dp.obtain_dpa(fm.parse_formula("G p"))
-    monkeypatch.setattr(imc, "REGION_CAP", 10)
+    monkeypatch.setattr(games, "REGION_CAP", 10)
     with pytest.raises(ResourceError,
                        match=r"explicit arena would have \d+ vertices "
                              r"\(cap 10\)"):
-        imc.build_explicit_game(g, dpa, ("a",))
+        games.explicit_arena(g, dpa, ("a",), g.reachable_states(),
+                             dpa.priority)
