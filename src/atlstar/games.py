@@ -286,7 +286,9 @@ class SymbolicParityGame:
         variable) after the product, or FALSE when that half is empty.
         Both halves lie within the vertices.  The relation is never
         conjoined with ``within``, so steps with like targets share
-        products."""
+        products.  ``symbolic_attractor`` asks for one half at a time,
+        and for the choice half, the one relational product, at most
+        once per step."""
         st = self.store
         (t0, t1), (w0, w1) = self.halves(t), self.halves(within)
         # positions: some action's choice is in t; choices: some
@@ -343,32 +345,46 @@ def symbolic_attractor(game, player, target, region):
     edge into the positions the last step added, then the positions with
     an edge into the choices it just added (at the first step, into the
     target's too).  A vertex of ``player`` with such an edge joins at
-    once; an opponent vertex with one joins when it has no edge left
-    into the rest of the region, and is a candidate again once its last
-    escape joins.  So a step that adds no positions is the last.  The
-    rest of the region is kept as one cofactor per layer, each step's
-    new vertices taken out of it, and the attractor is the region
-    without its rest.
+    once.  An opponent vertex joins when its last edge into the rest of
+    the region is gone: the step takes the pre-image of the other
+    layer's rest, uncut, and the opponent vertices of the rest that
+    were in the last such pre-image but are not in this one join.  The
+    rest only ever loses a step's new vertices, so those are exactly
+    the vertices with an edge into the new ones and none into the rest.
+    The first such pre-image is of the region's other layer, which at
+    the opponent's first join is the rest with the new vertices.  So a
+    step takes at most one pre-image per layer, and so at most one
+    relational product, on the choice layer; and a step that adds no
+    positions is the last.  The rest of the region is kept as one
+    cofactor per layer, each step's new vertices taken out of it, and
+    the attractor is the region without its rest.
     """
     st = game.store
-    or_, diff, mk = st._or, st._diff, st._mk
+    and_, or_, diff, mk = st._and, st._or, st._diff, st._mk
     halves, pre = game.halves, game._pre
 
     def on(l, n):
         return mk(0, FALSE, n) if l else mk(0, n, FALSE)
 
     def join(l, new, rest, escapes):
-        # layer l's vertices of ``rest`` with an edge into ``new``, the
-        # other layer's new vertices; an opponent's must have none into
-        # ``escapes``, the other layer's rest.  A vertex's layer is its
-        # owner.
-        got = halves(pre(on(1 - l, new), on(l, rest)))[l]
-        if got and escapes and l != player:
-            got = diff(got, halves(pre(on(1 - l, escapes), on(l, got)))[l])
+        # layer l's vertices of ``rest`` that join, given ``new`` and
+        # ``escapes``, the other layer's new vertices and its rest.  A
+        # vertex's layer is its owner.
+        nonlocal seen
+        if l == player:
+            return halves(pre(on(1 - l, new), on(l, rest)))[l]
+        now = halves(pre(on(1 - l, escapes), on(l, TRUE)))[l]
+        got = diff(and_(seen, rest), now)
+        seen = now
         return got
 
     new0, new1 = halves(target)
     rest0, rest1 = halves(diff(region, target))
+    # the opponent's vertices with an edge into the region's other
+    # layer, which is the rest and the new vertices at its first join
+    opp = 1 - player
+    seen = halves(pre(on(player, halves(region)[player]),
+                      on(opp, TRUE)))[opp]
     steps = 0
     while new0 or new1:
         steps += 1

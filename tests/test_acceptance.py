@@ -4,13 +4,10 @@ Each test covers one acceptance criterion, enforces its time budget,
 and prints a single pass/fail summary line.
 """
 
-import dataclasses
 import itertools
 import random
 import time
 import warnings
-
-import pytest
 
 from atlstar import bdd
 from atlstar import bench

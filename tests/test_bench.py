@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import itertools
 import json
 import warnings
 

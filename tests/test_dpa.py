@@ -1,5 +1,4 @@
 import itertools
-import os
 import re
 import stat
 

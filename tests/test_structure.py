@@ -1,6 +1,7 @@
 """The package's module structure, read from the source with ``ast``:
 sibling modules import one another without a cycle, and none reaches
-into another's private names."""
+into another's private names; and no test file imports a name it never
+reads."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import atlstar
 
 PACKAGE = Path(atlstar.__file__).parent
+TESTS = Path(__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
 
 
@@ -74,4 +76,26 @@ def test_no_module_reaches_into_a_sibling_private_name():
                   if isinstance(node, ast.Attribute)
                   and isinstance(node.value, ast.Name)
                   and node.value.id in aliases and _private(node.attr)]
+    assert found == []
+
+
+def test_no_test_file_imports_a_name_it_never_reads():
+    # the package is left out: a module may import a name to re-export
+    # it, as ``finite_mc`` does ``build_product``
+    found = []
+    for path in sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}"
+                      for name in bound if name not in read]
     assert found == []
