@@ -24,6 +24,7 @@ Bryant, "Graph-based algorithms for Boolean function manipulation"
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import repeat
 from operator import and_, or_, rshift
@@ -581,20 +582,27 @@ class BddStore:
         c, i = go(root)
         return c * (1 << i)
 
-    def from_points(self, blocks, columns):
+    def from_points(self, blocks, columns, product=()):
         """Disjunction of the cubes of a point set over ``blocks``.
 
-        ``columns`` holds one sequence of values per block, all of one
-        length: the i-th point takes the i-th value of each (bit 0 =
-        LSB).  Variables outside ``blocks`` stay free.  The BDD is built
-        in bulk, bottom-up, after Bryant's ``Reduce``:
+        The points run over the leading blocks as a product and over
+        the rest as columns.  ``product`` holds one sequence of values
+        for each of the first ``len(product)`` blocks, and the points
+        take every combination of them in ``itertools.product`` order,
+        the first block's value varying slowest.  ``columns`` holds one
+        sequence per remaining block, one value per combination: the
+        i-th point takes the i-th value of each.  Without ``product``
+        the columns give the whole points.  Values are bit vectors (bit
+        0 = LSB), and variables outside ``blocks`` stay free.  The BDD
+        is built in bulk, bottom-up, after Bryant's ``Reduce``:
 
         - each point is packed into one integer key whose bits follow
           the global variable order, topmost variable most significant,
-          through one value-to-bits table per column;
+          through one value-to-bits table per block: one comprehension
+          packs the product, then one ``map`` per column adds its bits;
         - the keys are grouped by all but their lowest ``_CHUNK`` bits,
-          and each group's suffixes become one ``2**_CHUNK``-bit truth
-          table, whose sub-BDD is built once per distinct table;
+          each group's suffixes become one ``2**_CHUNK``-bit truth
+          table, and each distinct table is split into its sub-BDD once;
         - above the chunk, one pass per variable walks the sorted
           prefixes, pairs each two that differ only in their last bit,
           and makes their parent node inline: a unique-table lookup and
@@ -602,28 +610,39 @@ class BddStore:
 
         Every node created is a node of the result, so the store holds
         no intermediate garbage.  Raises ``BddError`` when blocks share
-        variables, the columns do not match the blocks or a value does
-        not fit its block, and ``BudgetExceeded`` when the store is full.
+        variables, the product and columns do not match the blocks or a
+        value does not fit its block, and ``BudgetExceeded`` when the
+        store is full.
         """
         order = sorted(v for blk in blocks for v in blk.vars)
         if len(set(order)) != len(order):
             raise BddError("from_points: blocks share variables")
-        if len(columns) != len(blocks) or len(set(map(len, columns))) > 1:
+        lengths = [len(c) for c in columns]
+        if product:
+            points = math.prod(map(len, product))
+        else:
+            points = lengths[0] if lengths else 0
+        if (len(product) + len(columns) != len(blocks)
+                or any(n != points for n in lengths)):
             raise BddError(
                 f"from_points: {len(blocks)} blocks need as many columns "
-                f"of one length, got lengths {[len(c) for c in columns]}")
-        if not columns or not columns[0]:
+                f"of one length, got lengths {lengths}"
+                + (f" after a product of {points}" if product else ""))
+        if not points:
             return self.false
         # bit position of each block bit in the packed key
         shift = {v: len(order) - 1 - i for i, v in enumerate(order)}
-        keys = repeat(0)
-        for blk, column in zip(blocks, columns):
-            values = set(column)
-            least, most = min(values), max(values)
-            if least < 0 or most >> len(blk.vars):
-                raise BddError(f"value {least if least < 0 else most} does "
-                               f"not fit in block {blk.name}")
-            bits = _spread(values, blk.vars, shift)
+        # the product's keys, from its last block up, so that only the
+        # first block's pass runs over every combination
+        keys = [0]
+        for blk, values in reversed(list(zip(blocks, product))):
+            bits = _key_bits(blk, values, shift)
+            keys = [b | k for b in map(bits.__getitem__, values)
+                    for k in keys]
+        if not product:
+            keys = repeat(0)
+        for blk, column in zip(blocks[len(product):], columns):
+            bits = _key_bits(blk, column, shift)
             keys = list(map(or_, keys, map(bits.__getitem__, column)))
         chunk = min(_CHUNK, len(order))
         low = (1 << chunk) - 1
@@ -632,9 +651,12 @@ class BddStore:
             prefix = key >> chunk
             tables[prefix] = tables.get(prefix, 0) | 1 << (key & low)
         prefixes = sorted(tables)
+        column = list(map(tables.__getitem__, prefixes))
+        # each distinct table is split once, in order of first appearance
         made = {}
-        nodes = [self._table_node(tables[p], chunk, order, made)
-                 for p in prefixes]
+        split = {t: self._table_node(t, chunk, order, made)
+                 for t in dict.fromkeys(column)}
+        nodes = list(map(split.__getitem__, column))
         # the fold, one level per variable above the chunk
         var_, lo_, hi_, unique = self._var, self._lo, self._hi, self._unique
         for v in reversed(order[:len(order) - chunk]):
@@ -718,17 +740,7 @@ class BddStore:
         out.sort()
         return out
 
-    # -- diagnostics ------------------------------------------------------
-
-    def audit_reduced(self):
-        """Structural check: no redundant nodes, strictly ascending vars."""
-        for n in range(2, len(self._var)):
-            if self._lo[n] == self._hi[n]:
-                raise BddError(f"node {n} has identical children")
-            for child in (self._lo[n], self._hi[n]):
-                if child > 1 and self._var[child] <= self._var[n]:
-                    raise BddError(f"node {n} violates variable order")
-        return True
+    # -- store management -------------------------------------------------
 
     def node_count(self):
         return len(self._var)
@@ -740,8 +752,10 @@ class BddStore:
         the node, so the nodes below ``mark`` stay a closed, reduced
         table.  The caller must hold no handle to a released node: such
         a handle would silently denote whatever node later takes its id.
-        The unique table is rebuilt from the kept nodes and the computed
-        table, ite results and memos alike, is cleared, since it may name
+        Each released node's unique-table entry is popped, read from its
+        own (var, lo, hi), so a release costs in proportion to the nodes
+        made since the mark, not to the nodes kept.  The computed table,
+        ite results and memos alike, is cleared, since it may name
         released nodes.
         """
         n = len(self._var)
@@ -750,8 +764,10 @@ class BddStore:
         if mark == n:
             return
         var_, lo_, hi_ = self._var, self._lo, self._hi
+        unique = self._unique
+        for key in zip(var_[mark:], lo_[mark:], hi_[mark:]):
+            del unique[key]
         del var_[mark:], lo_[mark:], hi_[mark:]
-        self._unique = {(var_[i], lo_[i], hi_[i]): i for i in range(2, mark)}
         self._ite_cache.clear()
         self._memos.clear()
 
@@ -767,10 +783,18 @@ class BddStore:
             self._memos.clear()
 
 
-def _spread(values, vars_, shift):
-    """The packed key bits of each block value, as a dict: one table of
-    every bit combination per byte of the block, read in bulk."""
+def _key_bits(blk, values, shift):
+    """The packed key bits of each distinct value of ``values`` in block
+    ``blk``, as a dict: one table of every bit combination per byte of
+    the block, read in bulk.  Raises ``BddError``, naming the block,
+    for a value that does not fit it."""
+    values = set(values)
+    least, most = min(values), max(values)
+    if least < 0 or most >> len(blk.vars):
+        raise BddError(f"value {least if least < 0 else most} does "
+                       f"not fit in block {blk.name}")
     values = list(values)
+    vars_ = blk.vars
     packed = repeat(0)
     for low in range(0, len(vars_), 8):
         table = [0]

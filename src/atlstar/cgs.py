@@ -560,16 +560,13 @@ def encode_symbolic(g, store, reachable):
     action_blocks = {a: store.block(action_block_name(i))
                      for i, a in enumerate(g.agents)}
 
-    # the rows' source and action columns, in successor column order:
-    # each value repeats for every choice of the columns to its right
-    columns = []
-    outer, inner = 1, len(g.successors)
-    for k in [len(g.states)] + [len(g.actions[a]) for a in g.agents]:
-        inner //= k
-        columns.append([x for x in range(k) for _ in range(inner)] * outer)
-        outer *= k
+    # the rows run state-major over the joint actions, so their sources
+    # and actions are the product of the state and action ranges
     blocks = [q] + [action_blocks[a] for a in g.agents] + [qn]
-    delta = store.from_points(blocks, columns + [g.successors])
+    delta = store.from_points(
+        blocks, [g.successors],
+        product=[range(len(g.states))] + [range(len(g.actions[a]))
+                                          for a in g.agents])
 
     valid = store.from_points([q], [range(len(g.states))])
     final = store.from_points([q], [list(g.final)])

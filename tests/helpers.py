@@ -1,11 +1,12 @@
 """Helpers that only the tests call: a random model builder, a model's
 rows by state, BDDs of cubes and point lists, functional composition
 (the reference for renaming), a one-call finite-trace check, an
-encoding audit, the symbolic arena of an explicit game and its explicit
-vertices, a PGSolver writer, the state ids of an encoded state set, the
-pre-image of a symbolic arena, a formula with its fresh atoms replaced
-back and the model parser as it read every label line on its own,
-which the parser's differential test compares against."""
+encoding audit, a structural audit of a store's node table, the
+symbolic arena of an explicit game and its explicit vertices, a
+PGSolver writer, the state ids of an encoded state set, the pre-image
+of a symbolic arena, a formula with its fresh atoms replaced back and
+the model parser as it read every label line on its own, which the
+parser's differential test compares against."""
 
 import math
 
@@ -106,6 +107,18 @@ def audit_determinism(sg):
                 raise CgsError(
                     f"nondeterministic encoding at state {s}, action {j}"
                 )
+    return True
+
+
+def audit_reduced(store):
+    """Structural check of ``store``'s node table: no redundant nodes,
+    strictly ascending variables."""
+    for n in range(2, store.node_count()):
+        if store._lo[n] == store._hi[n]:
+            raise BddError(f"node {n} has identical children")
+        for child in (store._lo[n], store._hi[n]):
+            if child > 1 and store._var[child] <= store._var[n]:
+                raise BddError(f"node {n} violates variable order")
     return True
 
 

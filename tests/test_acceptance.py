@@ -448,7 +448,7 @@ def test_bdd_properties_exhaustive():
                 a0[v] = False
                 want = st.evaluate(f, a0) or st.evaluate(f, a1)
                 assert st.evaluate(lhs, a) == want
-    st.audit_reduced()
+    helpers.audit_reduced(st)
     elapsed = time.monotonic() - t0
     report("BDD canonicity, quantification, truth tables",
            elapsed < 60, elapsed)

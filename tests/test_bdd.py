@@ -1,4 +1,5 @@
 import itertools
+import math
 import operator
 import random
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from atlstar.bdd import (FALSE, TRUE, Bdd, BddError, BddStore,
                          BudgetExceeded, VarBlock)
 
-from helpers import compose, cube, points_bdd
+from helpers import audit_reduced, compose, cube, points_bdd
 
 
 def fresh(nvars=6):
@@ -109,7 +110,7 @@ def test_binary_kernels_are_their_ite_triples(seed):
             (entries, nodes)
     if a > 1 and b > 1 and a != b:
         assert store._ite_cache[(b, FALSE, a)] == store._diff(a, b)
-    assert store.audit_reduced()
+    assert audit_reduced(store)
 
 
 def test_ite_terminal_cases():
@@ -184,7 +185,7 @@ def test_audit_reduced():
     rng = random.Random(21)
     for _ in range(50):
         random_bdd(store, block, rng)
-    assert store.audit_reduced()
+    assert audit_reduced(store)
 
 
 def memo_entries(store):
@@ -261,13 +262,13 @@ def test_release_drops_exactly_the_nodes_after_the_mark(seed, before, after,
         # a stale table entry can make a node point at a missing or
         # shallower child, which evaluation would follow forever
         assert max(f.node for f in fs) < store.node_count()
-        assert store.audit_reduced()
+        assert audit_reduced(store)
         return [truth_table(store, f, block.vars) for f in fs]
 
     want = operations()
     store.release(mark)
     assert store.node_count() == mark
-    assert store.audit_reduced()
+    assert audit_reduced(store)
     assert store._unique == {(store._var[n], store._lo[n], store._hi[n]): n
                              for n in range(2, mark)}
     assert [truth_table(store, f, block.vars) for f in kept] == kept_tables
@@ -276,7 +277,45 @@ def test_release_drops_exactly_the_nodes_after_the_mark(seed, before, after,
     for _ in range(after):
         random_bdd(store, block, r, depth=5)
     assert operations() == want
-    assert store.audit_reduced()
+    assert audit_reduced(store)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), before=st.integers(0, 12),
+       after=st.integers(0, 12), again=st.integers(0, 12))
+def test_release_keeps_the_unique_table_of_the_kept_nodes(seed, before,
+                                                          after, again):
+    # fewer or more nodes go than stay, and a second release to the same
+    # mark follows the first, with or without work between them
+    store = BddStore([("x", 3), ("x'", 3)])
+    block = VarBlock("all", tuple(range(store.nvars)))
+    rng = random.Random(seed)
+    kept = [random_bdd(store, block, rng, depth=5) for _ in range(before)]
+    kept_tables = [truth_table(store, f, block.vars) for f in kept]
+    mark = store.node_count()
+
+    def unique_of_kept():
+        return {(store._var[n], store._lo[n], store._hi[n]): n
+                for n in range(2, mark)}
+
+    made = [random_bdd(store, block, rng, depth=5) for _ in range(after)]
+    made_tables = [truth_table(store, f, block.vars) for f in made]
+    for extra in (0, again):
+        for _ in range(extra):
+            random_bdd(store, block, rng, depth=5)
+        store.release(mark)
+        assert store.node_count() == mark
+        assert store._unique == unique_of_kept()
+        assert audit_reduced(store)
+    assert [truth_table(store, f, block.vars) for f in kept] == kept_tables
+    # the released functions are made again, to canonical nodes
+    rng = random.Random(seed)
+    again_made = [random_bdd(store, block, rng, depth=5)
+                  for _ in range(before + after)][before:]
+    assert [truth_table(store, f, block.vars)
+            for f in again_made] == made_tables
+    assert len(store._unique) == store.node_count() - 2
+    assert audit_reduced(store)
 
 
 def test_computed_table_matches_a_fresh_store():
@@ -332,7 +371,7 @@ def test_computed_table_matches_a_fresh_store():
             held = memo_entries(store)
             store.trim_cache()
             cleared += held > 0 and memo_entries(store) == 0
-    assert store.audit_reduced()
+    assert audit_reduced(store)
     # some trims cleared the memos, and some calls ran after them
     assert cleared >= 2
 
@@ -354,7 +393,7 @@ def test_release_bounds():
         assert store.node_count() == mark
         assert cube(store, block, 5) | cube(store, block, 9) == f
     store.release(store.node_count())
-    assert store.audit_reduced()
+    assert audit_reduced(store)
 
 
 def test_budget_exceeded():
@@ -483,7 +522,7 @@ def test_from_points_on_wide_point_sets(case):
         point = tuple(sum(env[v] << i for i, v in enumerate(b.vars))
                       for b in blocks)
         assert store.evaluate(f, env) == (point in wanted)
-    assert store.audit_reduced()
+    assert audit_reduced(store)
 
 
 def test_from_points_hits_the_budget():
@@ -495,7 +534,7 @@ def test_from_points_hits_the_budget():
     with pytest.raises(BudgetExceeded, match="budget exceeded"):
         store.from_points([store.block("x")], [values])
     assert store.node_count() == store.max_nodes
-    assert store.audit_reduced()
+    assert audit_reduced(store)
 
 
 def test_from_points_empty_and_out_of_range():
@@ -507,11 +546,69 @@ def test_from_points_empty_and_out_of_range():
     for bad in [(4, 0), (0, 8), (-1, 0)]:
         with pytest.raises(BddError, match="does not fit"):
             points_bdd(store, [a, b], [(0, 0), bad])
+    assert store.from_points([a, b], [[]], product=[range(0)]) == store.false
+    assert store.node_count() == before
     for columns in ([[1]], [[1], [0], [0]], [[1, 2], [0]]):
         with pytest.raises(BddError, match="as many columns of one length"):
             store.from_points([a, b], columns)
+    # a product of 3 points needs columns of 3 values, for the blocks
+    # the product leaves
+    for columns, product in (([[1, 2]], [range(3)]), ([], [range(3)]),
+                             ([[0, 1, 2], [0, 1, 2]], [range(3)])):
+        with pytest.raises(BddError, match="one length, .* product of 3"):
+            store.from_points([a, b], columns, product=product)
     with pytest.raises(BddError, match="share variables"):
         store.from_points([a, a], [[1], [1]])
+
+
+@st.composite
+def relations(draw):
+    """A model relation's shape: 1-3 agents, each with an action count
+    whose block may be wider than it needs (padded), states whose block
+    may be padded too, and a successor per (state, joint action) drawn
+    from few states, so successors repeat."""
+    n_states = draw(st.integers(1, 6))
+    counts = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    pad = st.integers(0, 1)
+    q_width = max(1, (n_states - 1).bit_length()) + draw(pad)
+    widths = [max(1, (k - 1).bit_length()) + draw(pad) for k in counts]
+    rows = n_states * math.prod(counts)
+    targets = draw(st.integers(1, n_states))
+    successors = draw(st.lists(st.integers(0, targets - 1), min_size=rows,
+                               max_size=rows))
+    return n_states, counts, q_width, widths, successors
+
+
+@settings(max_examples=150, deadline=None)
+@given(relations())
+def test_from_points_product_is_the_per_column_form(case):
+    n_states, counts, q_width, widths, successors = case
+    store = BddStore([("q", q_width), ("q'", q_width)]
+                     + [(f"a{i}", w) for i, w in enumerate(widths)])
+    q, qn = store.block("q"), store.block("q'")
+    actions = [store.block(f"a{i}") for i in range(len(counts))]
+    blocks = [q] + actions + [qn]
+    ranges = [range(n_states)] + [range(k) for k in counts]
+    f = store.from_points(blocks, [successors], product=ranges)
+    # the per-column form spells out every row's source and actions,
+    # and finds every node already made
+    made = store.node_count()
+    rows = list(itertools.product(*ranges))
+    columns = [list(c) for c in zip(*rows)] + [successors]
+    assert store.from_points(blocks, columns) == f
+    assert store.node_count() == made
+    assert audit_reduced(store)
+    # a value too wide for its block names the block, whether it is in
+    # the product or in a column
+    for i, blk in enumerate(blocks[:-1]):
+        wide = ranges[:i] + [range((1 << len(blk)) + 1)] + ranges[i + 1:]
+        with pytest.raises(BddError,
+                           match=f"does not fit in block {blk.name}$"):
+            store.from_points(blocks, [[0] * math.prod(map(len, wide))],
+                              product=wide)
+    too_wide = successors[:-1] + [1 << q_width]
+    with pytest.raises(BddError, match="does not fit in block q'$"):
+        store.from_points(blocks, [too_wide], product=ranges)
 
 
 # a, a' and b, b' are interleaved partner pairs; c, c' are not (d sits
@@ -548,7 +645,7 @@ def test_rename_equals_the_composed_swap(seed, reads, pairs, backwards):
     assert store.rename(got, dst, src) == f
     if len(src) == 1:
         assert store.rename(f, src[0], dst[0]) == got
-    assert store.audit_reduced()
+    assert audit_reduced(store)
 
 
 def test_rename_rejects_mismatched_blocks():
