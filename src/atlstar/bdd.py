@@ -592,7 +592,10 @@ class BddStore:
         the first block's value varying slowest.  ``columns`` holds one
         sequence per remaining block, one value per combination: the
         i-th point takes the i-th value of each.  Without ``product``
-        the columns give the whole points.  Values are bit vectors (bit
+        the columns give the whole points.  A product block may be
+        None: its values multiply the points but set no bits, so the
+        result is the projection of the point set that leaves it out
+        (only product blocks may be None).  Values are bit vectors (bit
         0 = LSB), and variables outside ``blocks`` stay free.  The BDD
         is built in bulk, bottom-up, after Bryant's ``Reduce``:
 
@@ -600,6 +603,8 @@ class BddStore:
           the global variable order, topmost variable most significant,
           through one value-to-bits table per block: one comprehension
           packs the product, then one ``map`` per column adds its bits;
+          when a None block made points alike, one ``set`` merges their
+          keys;
         - the keys are grouped by all but their lowest ``_CHUNK`` bits,
           each group's suffixes become one ``2**_CHUNK``-bit truth
           table, and each distinct table is split into its sub-BDD once;
@@ -610,11 +615,14 @@ class BddStore:
 
         Every node created is a node of the result, so the store holds
         no intermediate garbage.  Raises ``BddError`` when blocks share
-        variables, the product and columns do not match the blocks or a
-        value does not fit its block, and ``BudgetExceeded`` when the
-        store is full.
+        variables, a column's block is None, the product and columns do
+        not match the blocks or a value does not fit its block, and
+        ``BudgetExceeded`` when the store is full.
         """
-        order = sorted(v for blk in blocks for v in blk.vars)
+        if None in blocks[len(product):]:
+            raise BddError("from_points: only a product block may be None")
+        order = sorted(v for blk in blocks if blk is not None
+                       for v in blk.vars)
         if len(set(order)) != len(order):
             raise BddError("from_points: blocks share variables")
         lengths = [len(c) for c in columns]
@@ -636,6 +644,9 @@ class BddStore:
         # first block's pass runs over every combination
         keys = [0]
         for blk, values in reversed(list(zip(blocks, product))):
+            if blk is None:
+                keys *= len(values)
+                continue
             bits = _key_bits(blk, values, shift)
             keys = [b | k for b in map(bits.__getitem__, values)
                     for k in keys]
@@ -643,7 +654,9 @@ class BddStore:
             keys = repeat(0)
         for blk, column in zip(blocks[len(product):], columns):
             bits = _key_bits(blk, column, shift)
-            keys = list(map(or_, keys, map(bits.__getitem__, column)))
+            keys = map(or_, keys, map(bits.__getitem__, column))
+        if None in blocks:
+            keys = set(keys)
         chunk = min(_CHUNK, len(order))
         low = (1 << chunk) - 1
         tables = {}                      # key >> chunk -> truth table

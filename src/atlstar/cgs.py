@@ -536,37 +536,47 @@ def make_store(g, automaton_bits):
 
 @dataclass
 class SymbolicCgs:
-    """Bit-level encoding of a Cgs in a shared store."""
+    """Bit-level encoding of a Cgs in a shared store.  The model's
+    relation is kept only as each encoded coalition's moves: the joint
+    relation over every agent's actions is never built."""
 
     g: Cgs
     store: BddStore
     q: object            # VarBlock for current state bits
     q_next: object
     action_blocks: dict  # agent -> VarBlock
-    delta: object        # Bdd over (q, a, q')
+    moves: dict          # frozenset of agents -> Bdd over (q, actions, q')
     final: object
     valid: object        # encodings of real states
     reach: object        # states reachable from the initial one
     action_valid: dict   # agent -> Bdd excluding padded action encodings
 
 
-def encode_symbolic(g, store, reachable):
+def encode_symbolic(g, store, reachable, coalitions):
     """Encode a Cgs into BDDs over the store's q/q'/action blocks.
 
-    ``reachable`` is the set of states reachable from the initial one.
+    ``reachable`` is the set of states reachable from the initial one,
+    and ``coalitions`` the coalitions whose moves a check reads.  Each
+    distinct coalition's moves, the successors some response of the
+    other agents yields, are built straight from the rows, in one
+    :meth:`BddStore.from_points` call: the rows run state-major over
+    the joint actions, so their sources and actions are the product of
+    the state and action ranges, and each other agent's range enters
+    that product with no block, which projects its action out.
     """
     q = store.block("q")
     qn = store.block("q'")
     action_blocks = {a: store.block(action_block_name(i))
                      for i, a in enumerate(g.agents)}
 
-    # the rows run state-major over the joint actions, so their sources
-    # and actions are the product of the state and action ranges
-    blocks = [q] + [action_blocks[a] for a in g.agents] + [qn]
-    delta = store.from_points(
-        blocks, [g.successors],
-        product=[range(len(g.states))] + [range(len(g.actions[a]))
-                                          for a in g.agents])
+    product = [range(len(g.states))] + [range(len(g.actions[a]))
+                                        for a in g.agents]
+    moves = {}
+    for coalition in dict.fromkeys(map(frozenset, coalitions)):
+        blocks = [q] + [action_blocks[a] if a in coalition else None
+                        for a in g.agents] + [qn]
+        moves[coalition] = store.from_points(blocks, [g.successors],
+                                             product=product)
 
     valid = store.from_points([q], [range(len(g.states))])
     final = store.from_points([q], [list(g.final)])
@@ -578,18 +588,17 @@ def encode_symbolic(g, store, reachable):
 
     return SymbolicCgs(
         g=g, store=store, q=q, q_next=qn, action_blocks=action_blocks,
-        delta=delta, final=final, valid=valid,
+        moves=moves, final=final, valid=valid,
         reach=reach, action_valid=action_valid,
     )
 
 
 def coalition_moves(sg, coalition):
     """The coalition's action availability BDD and its move relation
-    over (q, coalition actions, q'): the successors that some response
-    of the other agents yields.  ``delta`` holds valid joint actions
-    only, so the response needs no availability filter."""
+    over (q, coalition actions, q'), as :func:`encode_symbolic` built
+    it; the coalition must be one it was given.  The moves hold valid
+    actions only, so the other agents' responses need no availability
+    filter."""
     avail = sg.store.big_and(sg.action_valid[a] for a in sg.g.agents
                              if a in coalition)
-    others = [v for a in sg.g.agents if a not in coalition
-              for v in sg.action_blocks[a].vars]
-    return avail, sg.store.exists(others, sg.delta)
+    return avail, sg.moves[frozenset(coalition)]

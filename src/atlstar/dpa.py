@@ -226,28 +226,6 @@ class Dpa:
     def letter(self, labels):
         return ltlf2dfa.letter_mask(self.atoms, labels)
 
-    def accepts_lasso(self, prefix, loop):
-        """Acceptance of the ultimately periodic word prefix . loop^omega.
-
-        ``prefix``/``loop`` are sequences of letter masks; loop nonempty.
-        """
-        s = self.initial
-        for a in prefix:
-            s = self.delta[(s, a)]
-        # run the loop until a (state, loop position) pair repeats; the
-        # states from its first visit on are exactly the recurring ones
-        seen = {}
-        pos = 0
-        path = []
-        while (s, pos % len(loop)) not in seen:
-            seen[(s, pos % len(loop))] = len(path)
-            path.append(s)
-            s = self.delta[(s, loop[pos % len(loop)])]
-            pos += 1
-        start = seen[(s, pos % len(loop))]
-        recurring = path[start:]
-        return min(self.priority[q] for q in recurring) % 2 == 0
-
 
 def _mark_priority(hoa):
     """The min-even priority of an edge, as a function of its marks.

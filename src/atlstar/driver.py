@@ -12,8 +12,10 @@ solved by the semantics' ``winning_states``, which supplies only the
 objective (safety in ``finite_mc``, parity in ``infinite_mc``).
 Explicit state-id sets are the common currency between engines and
 between subformulas: the symbolic engine encodes the model once per
-check and rolls its store back to that encoding before each further
-subformula, so no BDD outlives its subformula.
+check, with the moves of each distinct coalition the formula names
+built straight from the rows, and rolls its store back to that
+encoding before each further subformula, so no BDD outlives its
+subformula and every coalition's moves survive each rollback.
 """
 
 from __future__ import annotations
@@ -164,14 +166,16 @@ def check(request=None, **kwargs):
         released.  The store is rebuilt, at exactly the width needed,
         only when an automaton outgrows the block; it is not padded
         ahead, since the automaton's relations fix every bit of s and
-        s', so unused high bits would add nodes to them."""
+        s', so unused high bits would add nodes to them.  The encoding
+        holds the moves of every coalition the formula names, below
+        the mark, so each is built once per store."""
         bits = cgsmod.bits_for(n_states)
         sg = encoding.get("sg")
         if sg is not None and len(sg.store.block("s")) >= bits:
             sg.store.release(encoding["mark"])
             return sg
         store = cgsmod.make_store(g, automaton_bits=bits)
-        sg = cgsmod.encode_symbolic(g, store, reachable=reachable)
+        sg = cgsmod.encode_symbolic(g, store, reachable, _coalitions(psi))
         encoding.update(sg=sg, mark=store.node_count())
         details["encodes"] += 1
         return sg
@@ -252,6 +256,13 @@ def check(request=None, **kwargs):
         timings_ms=timings,
         details=details,
     )
+
+
+def _coalitions(f):
+    """The coalitions of ``f``'s strategic subformulas, in the order a
+    walk of the formula meets them."""
+    own = [f.coalition] if f.kind == "strategic" else []
+    return own + [c for sub in f.children for c in _coalitions(sub)]
 
 
 def _with_label(g, atom, states):

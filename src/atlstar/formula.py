@@ -485,61 +485,3 @@ def normalize(f):
         raise FormulaError(f"unknown kind {k!r}")
 
     return nnf(f, False)
-
-
-# ---------------------------------------------------------------------------
-# Finite-trace semantics oracle
-
-def eval_finite_trace(psi, trace, i=0):
-    """Evaluate a pure LTLf formula on trace suffix starting at ``i``.
-
-    ``trace`` is a sequence of label sets.  Implements the finite-trace
-    semantics directly: X needs a successor position, U needs a witness
-    inside the trace.
-    """
-    if not 0 <= i < len(trace):
-        raise FormulaError(f"position {i} out of range for trace of length {len(trace)}")
-
-    def ev(f, i):
-        k = f.kind
-        if k == "atom":
-            return f.name in trace[i]
-        if k == "true":
-            return True
-        if k == "false":
-            return False
-        if k == "not":
-            return not ev(f.children[0], i)
-        if k == "and":
-            return ev(f.children[0], i) and ev(f.children[1], i)
-        if k == "or":
-            return ev(f.children[0], i) or ev(f.children[1], i)
-        if k == "next":
-            return i + 1 < len(trace) and ev(f.children[0], i + 1)
-        if k == "wnext":
-            return i + 1 >= len(trace) or ev(f.children[0], i + 1)
-        if k == "finally":
-            return any(ev(f.children[0], j) for j in range(i, len(trace)))
-        if k == "globally":
-            return all(ev(f.children[0], j) for j in range(i, len(trace)))
-        if k == "until":
-            a, b = f.children
-            for j in range(i, len(trace)):
-                if ev(b, j):
-                    return True
-                if not ev(a, j):
-                    return False
-            return False
-        if k == "release":
-            a, b = f.children
-            for j in range(i, len(trace)):
-                if not ev(b, j):
-                    return False
-                if ev(a, j):
-                    return True
-            return True
-        if k == "strategic":
-            raise FormulaError("eval_finite_trace: formula is not pure LTLf")
-        raise FormulaError(f"unknown kind {k!r}")
-
-    return ev(psi, i)

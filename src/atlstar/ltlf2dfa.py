@@ -60,14 +60,6 @@ class Dfa:
                 f"letter {{{shown}}} is outside the automaton's alphabet"
             ) from None
 
-    def accepts(self, trace):
-        if len(trace) < 1:
-            raise TranslationError("traces must have at least one position")
-        s = self.initial
-        for labels in trace:
-            s = self.step(s, labels)
-        return s in self.finals
-
     def letters(self):
         return self.alphabet
 

@@ -1,13 +1,16 @@
 """Helpers that only the tests call: a random model builder, a model's
 rows by state, BDDs of cubes and point lists, functional composition
-(the reference for renaming), a one-call finite-trace check, an
-encoding audit, a structural audit of a store's node table, the
-symbolic arena of an explicit game and its explicit vertices, a
-PGSolver writer, the state ids of an encoded state set, the pre-image
-of a symbolic arena, a formula with its fresh atoms replaced back and
-the model parser as it read every label line on its own, which the
-parser's differential test compares against."""
+(the reference for renaming), a one-call finite-trace check, the
+finite-trace semantics and the acceptance of a DFA on a trace and of a
+DPA on a lasso (the translators' oracles), a model's coalitions and its
+joint relation, an encoding audit, a structural audit of a store's node
+table, the symbolic arena of an explicit game and its explicit
+vertices, a PGSolver writer, the state ids of an encoded state set, the
+pre-image of a symbolic arena, a formula with its fresh atoms replaced
+back and the model parser as it read every label line on its own,
+which the parser's differential test compares against."""
 
+import itertools
 import math
 
 from atlstar import cgs
@@ -91,17 +94,122 @@ def all_action_vars(sg):
     return out
 
 
+def eval_finite_trace(psi, trace, i=0):
+    """Evaluate a pure LTLf formula on trace suffix starting at ``i``.
+
+    ``trace`` is a sequence of label sets.  Implements the finite-trace
+    semantics directly: X needs a successor position, U needs a witness
+    inside the trace.
+    """
+    if not 0 <= i < len(trace):
+        raise fm.FormulaError(
+            f"position {i} out of range for trace of length {len(trace)}")
+
+    def ev(f, i):
+        k = f.kind
+        if k == "atom":
+            return f.name in trace[i]
+        if k == "true":
+            return True
+        if k == "false":
+            return False
+        if k == "not":
+            return not ev(f.children[0], i)
+        if k == "and":
+            return ev(f.children[0], i) and ev(f.children[1], i)
+        if k == "or":
+            return ev(f.children[0], i) or ev(f.children[1], i)
+        if k == "next":
+            return i + 1 < len(trace) and ev(f.children[0], i + 1)
+        if k == "wnext":
+            return i + 1 >= len(trace) or ev(f.children[0], i + 1)
+        if k == "finally":
+            return any(ev(f.children[0], j) for j in range(i, len(trace)))
+        if k == "globally":
+            return all(ev(f.children[0], j) for j in range(i, len(trace)))
+        if k == "until":
+            a, b = f.children
+            for j in range(i, len(trace)):
+                if ev(b, j):
+                    return True
+                if not ev(a, j):
+                    return False
+            return False
+        if k == "release":
+            a, b = f.children
+            for j in range(i, len(trace)):
+                if not ev(b, j):
+                    return False
+                if ev(a, j):
+                    return True
+            return True
+        if k == "strategic":
+            raise fm.FormulaError(
+                "eval_finite_trace: formula is not pure LTLf")
+        raise fm.FormulaError(f"unknown kind {k!r}")
+
+    return ev(psi, i)
+
+
+def dfa_accepts(dfa, trace):
+    """Whether ``dfa`` accepts ``trace``, a non-empty sequence of label
+    sets; a letter outside its alphabet raises ``TranslationError``."""
+    if len(trace) < 1:
+        raise ltlf2dfa.TranslationError(
+            "traces must have at least one position")
+    s = dfa.initial
+    for labels in trace:
+        s = dfa.step(s, labels)
+    return s in dfa.finals
+
+
+def accepts_lasso(d, prefix, loop):
+    """Whether the DPA ``d`` accepts the ultimately periodic word
+    prefix . loop^omega; ``prefix``/``loop`` are sequences of letter
+    masks, loop nonempty."""
+    s = d.initial
+    for a in prefix:
+        s = d.delta[(s, a)]
+    # run the loop until a (state, loop position) pair repeats; the
+    # states from its first visit on are exactly the recurring ones
+    seen = {}
+    pos = 0
+    path = []
+    while (s, pos % len(loop)) not in seen:
+        seen[(s, pos % len(loop))] = len(path)
+        path.append(s)
+        s = d.delta[(s, loop[pos % len(loop)])]
+        pos += 1
+    start = seen[(s, pos % len(loop))]
+    recurring = path[start:]
+    return min(d.priority[q] for q in recurring) % 2 == 0
+
+
+def coalitions(g):
+    """Every coalition of ``g``'s agents, the empty one included."""
+    return [c for k in range(len(g.agents) + 1)
+            for c in itertools.combinations(g.agents, k)]
+
+
+def joint_relation(sg):
+    """The moves of the coalition of every agent: the model relation
+    over (q, each agent's action, q'), which ``sg`` must have encoded."""
+    return cgs.coalition_moves(sg, sg.g.agents)[1]
+
+
 def audit_determinism(sg):
-    """Check that each (state, joint action) has exactly one successor."""
+    """Check that each (state, joint action) has exactly one successor
+    in the joint relation."""
     st = sg.store
     avs = all_action_vars(sg)
     g = sg.g
+    delta = joint_relation(sg)
     for s in range(len(g.states)):
         for j in g.joint_actions():
             parts = [cube(st, sg.q, s)]
             for i, a in enumerate(g.agents):
                 parts.append(cube(st, sg.action_blocks[a], j[i]))
-            row = st.big_and(parts) & sg.delta
+            row = st.big_and(parts) & delta
             succ = st.exists(list(sg.q.vars) + avs, row)
             if len(st.minterms(succ, sg.q_next)) != 1:
                 raise CgsError(

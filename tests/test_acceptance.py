@@ -56,7 +56,7 @@ def test_finite_engines_agree_on_random_models():
         g = helpers.random_cgs(rng, rng.randint(2, 32), rng.randint(1, 3))
         store = cgs.make_store(g, bits)
         reachable = g.reachable_states()
-        sg = cgs.encode_symbolic(g, store, reachable)
+        sg = cgs.encode_symbolic(g, store, reachable, coalitions)
         for i, text in enumerate(FINITE_CORPUS):
             psi = fm.parse_formula(text)
             dfa = dfas[text]
@@ -167,8 +167,9 @@ def test_dfa_translation_matches_trace_oracle():
         for n in range(1, 7):
             for comb in itertools.product(letters, repeat=n):
                 trace = list(comb)
-                want = fm.eval_finite_trace(psi, trace, 0)
-                assert dfa.accepts(trace) == want, (text, trace)
+                want = helpers.eval_finite_trace(psi, trace, 0)
+                assert helpers.dfa_accepts(dfa, trace) == want, \
+                    (text, trace)
                 total += 1
     elapsed = time.monotonic() - t0
     report("DFA translation vs finite-trace oracle",

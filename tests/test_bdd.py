@@ -611,6 +611,40 @@ def test_from_points_product_is_the_per_column_form(case):
         store.from_points(blocks, [too_wide], product=ranges)
 
 
+@settings(max_examples=150, deadline=None)
+@given(relations(), st.data())
+def test_from_points_none_block_is_the_projected_column_form(case, data):
+    # a product block given as None multiplies the points and sets no
+    # bits: the BDD is the point set with that block's values left out,
+    # whose duplicate points the column form lists once
+    n_states, counts, q_width, widths, successors = case
+    store = BddStore([("q", q_width), ("q'", q_width)]
+                     + [(f"a{i}", w) for i, w in enumerate(widths)])
+    q, qn = store.block("q"), store.block("q'")
+    actions = [store.block(f"a{i}") for i in range(len(counts))]
+    kept = data.draw(st.lists(st.booleans(), min_size=len(counts),
+                              max_size=len(counts)))
+    blocks = [q] + [blk if keep else None
+                    for blk, keep in zip(actions, kept)] + [qn]
+    ranges = [range(n_states)] + [range(k) for k in counts]
+    f = store.from_points(blocks, [successors], product=ranges)
+    made = store.node_count()
+    rows = [(*point, t) for point, t in
+            zip(itertools.product(*ranges), successors)]
+    keep = [i for i, blk in enumerate(blocks) if blk is not None]
+    distinct = sorted({tuple(row[i] for i in keep) for row in rows})
+    columns = [list(c) for c in zip(*distinct)]
+    assert store.from_points([blocks[i] for i in keep], columns) == f
+    assert store.node_count() == made
+    assert audit_reduced(store)
+    # only a product block may be None
+    with pytest.raises(BddError, match="only a product block"):
+        store.from_points(blocks[:-1] + [None], [successors],
+                          product=ranges)
+    with pytest.raises(BddError, match="only a product block"):
+        store.from_points([q, None], [[0], [0]])
+
+
 # a, a' and b, b' are interleaved partner pairs; c, c' are not (d sits
 # between them), so no swap of c with c' keeps an order with d
 RENAME_LAYOUT = [("a", 2), ("a'", 2), ("b", 1), ("b'", 1),

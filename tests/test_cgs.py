@@ -554,17 +554,50 @@ def test_successors_outside_the_states_are_bad_input(engine, successors,
 
 
 def test_delta_implies_action_validity():
-    # delta only holds rows of real joint actions, so the pipeline may
-    # quantify opponents out of it without an availability filter
+    # each coalition's moves hold only real actions of its members, so
+    # the pipeline needs no availability filter on the responses
     rng = random.Random(31)
     for _ in range(40):
         agents = ("a", "b", "c")[:rng.randint(1, 3)]
         g = helpers.random_cgs(rng, rng.randint(1, 9), rng.randint(1, 5),
                                agents=agents)
+        coalitions = helpers.coalitions(g)
         sg = cgs.encode_symbolic(g, cgs.make_store(g, automaton_bits=1),
-                                 g.reachable_states())
-        for a in agents:
-            assert (sg.delta & ~sg.action_valid[a]).is_false()
+                                 g.reachable_states(), coalitions)
+        for coalition in coalitions:
+            _, moves = cgs.coalition_moves(sg, coalition)
+            for a in coalition:
+                assert (moves & ~sg.action_valid[a]).is_false()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 9), st.integers(1, 4),
+       st.integers(0, 2**32 - 1))
+def test_coalition_moves_are_the_projected_joint_relation(agents, states,
+                                                          actions, seed):
+    # in one store, each coalition's moves, built from the rows, are the
+    # node of the joint relation with the other agents' actions
+    # quantified out, and of the rows projected explicitly; the
+    # availability is the members' action ranges
+    g = helpers.random_cgs(random.Random(seed), states, actions,
+                           agents=("a", "b", "c")[:agents])
+    coalitions = helpers.coalitions(g)
+    store = cgs.make_store(g, automaton_bits=1)
+    sg = cgs.encode_symbolic(g, store, g.reachable_states(), coalitions)
+    delta = helpers.joint_relation(sg)
+    for coalition in coalitions:
+        avail, moves = cgs.coalition_moves(sg, coalition)
+        others = [v for a in g.agents if a not in coalition
+                  for v in sg.action_blocks[a].vars]
+        assert moves == store.exists(others, delta)
+        members = [i for i, a in enumerate(g.agents) if a in coalition]
+        rows = sorted({(q, *(ja[i] for i in members), t)
+                       for q in range(len(g.states))
+                       for ja, t in helpers.moves_from(g, q)})
+        blocks = [sg.q] + [sg.action_blocks[g.agents[i]]
+                           for i in members] + [sg.q_next]
+        assert moves == helpers.points_bdd(store, blocks, rows)
+        assert avail == store.big_and(sg.action_valid[a] for a in coalition)
 
 
 def test_symbolic_encoding_soundness():
@@ -572,9 +605,12 @@ def test_symbolic_encoding_soundness():
     for _ in range(20):
         g = helpers.random_cgs(rng, rng.randint(1, 9))
         store = cgs.make_store(g, automaton_bits=2)
-        sg = cgs.encode_symbolic(g, store, g.reachable_states())
+        sg = cgs.encode_symbolic(g, store, g.reachable_states(),
+                                 [g.agents])
         helpers.audit_determinism(sg)
-        # every explicit transition is in delta, and nothing else
+        delta = helpers.joint_relation(sg)
+        # every explicit transition is in the joint relation, and
+        # nothing else
         for q in range(len(g.states)):
             for ja, t in helpers.moves_from(g, q):
                 parts = [helpers.cube(store, sg.q, q),
@@ -583,7 +619,7 @@ def test_symbolic_encoding_soundness():
                     parts.append(helpers.cube(store, sg.action_blocks[a],
                                               ja[i]))
                 row = store.big_and(parts)
-                assert not (row & sg.delta).is_false()
+                assert not (row & delta).is_false()
 
 
 def labelled_states(sg, atom):
@@ -604,20 +640,21 @@ def labelled_states(sg, atom):
 def test_labels_inverted():
     g = cgs.parse_model(BASIC)
     store = cgs.make_store(g, automaton_bits=1)
-    sg = cgs.encode_symbolic(g, store, g.reachable_states())
+    sg = cgs.encode_symbolic(g, store, g.reachable_states(), ())
     p_states = labelled_states(sg, "p")
     assert p_states == {1, 2}
     assert labelled_states(sg, "goal") == {2}
 
 
 def symbolic_reachable(sg):
-    """Least fixpoint of the post-image of ``delta`` from the initial
-    state."""
+    """Least fixpoint of the post-image of the joint relation from the
+    initial state."""
     st = sg.store
     quantified = list(sg.q.vars) + helpers.all_action_vars(sg)
+    delta = helpers.joint_relation(sg)
     r = frontier = helpers.cube(st, sg.q, sg.g.initial)
     while not frontier.is_false():
-        img = st.and_exists(frontier, sg.delta, quantified)
+        img = st.and_exists(frontier, delta, quantified)
         img = st.rename(img, sg.q_next, sg.q)
         frontier = img & ~r
         r = r | frontier
@@ -629,22 +666,28 @@ def test_reachable_matches_bfs():
     for _ in range(20):
         g = helpers.random_cgs(rng, rng.randint(1, 12))
         store = cgs.make_store(g, automaton_bits=1)
-        sg = cgs.encode_symbolic(g, store, g.reachable_states())
+        sg = cgs.encode_symbolic(g, store, g.reachable_states(),
+                                 [g.agents])
         assert sg.reach == symbolic_reachable(sg)
         assert set(helpers.decode(sg, sg.reach)) == g.reachable_states()
 
 
-@pytest.mark.parametrize("gen, params, nodes", [
-    (bench.gen_counter, bench.CounterParams(cap=35, steps=35), 1153),
-    (bench.gen_scheduler, bench.SchedulerParams(processes=3), 1229),
-    (bench.gen_counter, bench.CounterParams(cap=100, mode="infinite"), 134),
+@pytest.mark.parametrize("gen, params, coalitions, nodes", [
+    (bench.gen_counter, bench.CounterParams(cap=35, steps=35),
+     [("a1", "a2")], 1153),
+    (bench.gen_scheduler, bench.SchedulerParams(processes=3),
+     [("p1",), ("p2",), ("p3",)], 372),
+    (bench.gen_counter, bench.CounterParams(cap=100, mode="infinite"),
+     [("a1",)], 121),
 ])
-def test_benchmark_models_encode_to_pinned_node_counts(gen, params, nodes):
+def test_benchmark_models_encode_to_pinned_node_counts(gen, params,
+                                                       coalitions, nodes):
     # the store holds the encoding's nodes and nothing else, so its size
-    # is fixed by the functions encoded, however they are built
+    # is fixed by the functions encoded, however they are built; the
+    # coalitions are those of each model's benchmark anchor formula
     g = gen(params)
     store = cgs.make_store(g, automaton_bits=1)
-    sg = cgs.encode_symbolic(g, store, g.reachable_states())
+    sg = cgs.encode_symbolic(g, store, g.reachable_states(), coalitions)
     assert store.node_count() == nodes
     assert helpers.decode(sg, sg.reach) == sorted(g.reachable_states())
 
@@ -655,7 +698,8 @@ def test_coalition_actions():
     for g in (cgs.parse_model(BASIC),
               helpers.random_cgs(random.Random(7), 3, n_actions=3)):
         store = cgs.make_store(g, automaton_bits=1)
-        sg = cgs.encode_symbolic(g, store, g.reachable_states())
+        sg = cgs.encode_symbolic(g, store, g.reachable_states(),
+                                 [("a", "b"), ()])
         avail, _ = cgs.coalition_moves(sg, ("a", "b"))
         assert avail == sg.action_valid["a"] & sg.action_valid["b"]
         avail_none, _ = cgs.coalition_moves(sg, ())
@@ -670,7 +714,7 @@ def test_store_too_small():
     store = BddStore([("q", 1), ("q'", 1), ("s", 1), ("s'", 1),
                       ("a0", 1), ("a1", 1)])
     with pytest.raises(BddError):
-        cgs.encode_symbolic(g, store, g.reachable_states())
+        cgs.encode_symbolic(g, store, g.reachable_states(), [g.agents])
     with pytest.raises(KeyError):
         cgs.encode_symbolic(g, BddStore([("q", 2), ("q'", 2)]),
-                            g.reachable_states())
+                            g.reachable_states(), [g.agents])

@@ -43,7 +43,8 @@ def encode(g, psi):
     dfa = ltlf2dfa.translate(psi)
     bits = cgs.bits_for(dfa.n_states)
     store = cgs.make_store(g, bits)
-    sg = cgs.encode_symbolic(g, store, g.reachable_states())
+    sg = cgs.encode_symbolic(g, store, g.reachable_states(),
+                             helpers.coalitions(g))
     sd = ltlf2dfa.encode_dfa(dfa, sg)
     return sg, sd, dfa
 
@@ -211,7 +212,7 @@ def test_entry_relation_matches_explicit_steps():
                   for text in ("G F p", "G (p -> F q)")]
     for g, aut in cases:
         store = cgs.make_store(g, cgs.bits_for(aut.n_states))
-        sg = cgs.encode_symbolic(g, store, g.reachable_states())
+        sg = cgs.encode_symbolic(g, store, g.reachable_states(), ())
         sd = ltlf2dfa.encode_automaton(aut, sg)
         for q in g.reachable_states():
             want = aut.delta[aut.initial, aut.letter(g.labels[q])]

@@ -125,19 +125,20 @@ def test_normalize_preserves_finite_trace_semantics():
         for n in (1, 2, 3):
             for trace in all_traces(atoms, n):
                 trace = list(trace)
-                assert fm.eval_finite_trace(f, trace, 0) == \
-                    fm.eval_finite_trace(nf, trace, 0)
+                assert helpers.eval_finite_trace(f, trace, 0) == \
+                    helpers.eval_finite_trace(nf, trace, 0)
 
 
 def test_eval_finite_trace_basics():
     p = fm.parse_formula("p")
     trace = [frozenset(), frozenset({"p"})]
-    assert not fm.eval_finite_trace(p, trace, 0)
-    assert fm.eval_finite_trace(fm.parse_formula("X p"), trace, 0)
-    assert fm.eval_finite_trace(fm.parse_formula("F p"), trace, 0)
-    assert not fm.eval_finite_trace(fm.parse_formula("G p"), trace, 0)
+    assert not helpers.eval_finite_trace(p, trace, 0)
+    assert helpers.eval_finite_trace(fm.parse_formula("X p"), trace, 0)
+    assert helpers.eval_finite_trace(fm.parse_formula("F p"), trace, 0)
+    assert not helpers.eval_finite_trace(fm.parse_formula("G p"), trace,
+                                         0)
     # X needs a successor on finite traces
-    assert not fm.eval_finite_trace(fm.parse_formula("X p"), trace, 1)
+    assert not helpers.eval_finite_trace(fm.parse_formula("X p"), trace, 1)
 
 
 def test_fresh_atom_names_are_reserved():

@@ -20,6 +20,7 @@ from atlstar.errors import ResourceError
 import helpers
 
 PATH_FORMULAS = ["G p", "F p", "G (p -> F q)", "p U q"]
+COALITIONS = [(), ("a",), ("a", "b")]
 
 
 def random_game(rng, n, max_prio=5):
@@ -295,9 +296,9 @@ def random_arenas(rng):
         g = helpers.random_cgs(rng, rng.randint(2, 6), finals=False)
         dpa, _ = dp.obtain_dpa(fm.parse_formula(text))
         store = cgs.make_store(g, cgs.bits_for(dpa.n_states))
-        sg = cgs.encode_symbolic(g, store, g.reachable_states())
+        sg = cgs.encode_symbolic(g, store, g.reachable_states(), COALITIONS)
         sdpa = dp.encode_dpa(dpa, sg)
-        for coal in ((), ("a",), ("a", "b")):
+        for coal in COALITIONS:
             arenas.append(imc.build_game(sg, sdpa, coal))
     return arenas
 

@@ -13,8 +13,9 @@ from atlstar.bdd import TRUE
 from atlstar.errors import ResourceError
 
 import helpers
-from test_games import (PATH_FORMULAS, assert_attractors_are_textbook,
-                        random_arenas, random_subset)
+from test_games import (COALITIONS, PATH_FORMULAS,
+                        assert_attractors_are_textbook, random_arenas,
+                        random_subset)
 
 
 def test_counter_response_attractor_steps_are_pinned():
@@ -85,9 +86,9 @@ def test_symbolic_pipeline_matches_explicit_on_random_models():
             psi = fm.parse_formula(text)
             dpa, _ = dp.obtain_dpa(psi)
             store = cgs.make_store(g, cgs.bits_for(dpa.n_states))
-            sg = cgs.encode_symbolic(g, store, reachable)
+            sg = cgs.encode_symbolic(g, store, reachable, COALITIONS)
             sdpa = dp.encode_dpa(dpa, sg)
-            for coal in ((), ("a",), ("a", "b")):
+            for coal in COALITIONS:
                 exp = imc.winning_states_explicit(g, dpa, coal, reachable)
                 sym = imc.winning_states(
                     sg, sdpa, imc.build_game(sg, sdpa, coal))
@@ -100,9 +101,9 @@ def test_attractor_is_the_textbook_fixpoint_on_product_arenas():
         g = helpers.random_cgs(rng, rng.randint(2, 6), finals=False)
         dpa, _ = dp.obtain_dpa(fm.parse_formula(text))
         store = cgs.make_store(g, cgs.bits_for(dpa.n_states))
-        sg = cgs.encode_symbolic(g, store, g.reachable_states())
+        sg = cgs.encode_symbolic(g, store, g.reachable_states(), COALITIONS)
         sdpa = dp.encode_dpa(dpa, sg)
-        for coal in ((), ("a",), ("a", "b")):
+        for coal in COALITIONS:
             assert_attractors_are_textbook(
                 rng, imc.build_game(sg, sdpa, coal), 3)
 

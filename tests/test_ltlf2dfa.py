@@ -41,8 +41,9 @@ def test_corpus_matches_trace_semantics():
         atoms = sorted(fm.atoms_of(psi))
         for trace in all_traces(atoms, 5):
             trace = list(trace)
-            expected = fm.eval_finite_trace(psi, trace, 0)
-            assert dfa.accepts(trace) == expected, (text, trace)
+            expected = helpers.eval_finite_trace(psi, trace, 0)
+            assert helpers.dfa_accepts(dfa, trace) == expected, \
+                (text, trace)
 
 
 def test_known_minimal_sizes():
@@ -116,7 +117,8 @@ def test_restricted_alphabet_agrees_and_is_minimal():
             rows = list(dict.fromkeys(labels))
             for n in range(1, 5):
                 for trace in itertools.product(rows, repeat=n):
-                    assert dfa.accepts(trace) == full.accepts(trace), \
+                    assert helpers.dfa_accepts(dfa, trace) == \
+                        helpers.dfa_accepts(full, trace), \
                         (text, trace)
 
 
@@ -124,11 +126,11 @@ def test_letter_outside_alphabet_raises():
     psi = fm.parse_formula("p U q")
     dfa = ltlf2dfa.translate(psi, labels=[{"p"}, {"p", "z"}, {"q"}])
     assert dfa.letters() == (1, 2)
-    assert dfa.accepts([{"p"}, {"q"}])
+    assert helpers.dfa_accepts(dfa, [{"p"}, {"q"}])
     with pytest.raises(ltlf2dfa.TranslationError):
         dfa.step(dfa.initial, {"p", "q"})
     with pytest.raises(ltlf2dfa.TranslationError):
-        dfa.accepts([{"p"}, set()])
+        helpers.dfa_accepts(dfa, [{"p"}, set()])
     # the full alphabet reads every letter
     assert len(ltlf2dfa.translate(psi).letters()) == 4
 
