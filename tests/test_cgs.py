@@ -672,6 +672,22 @@ def test_reachable_matches_bfs():
         assert set(helpers.decode(sg, sg.reach)) == g.reachable_states()
 
 
+@pytest.mark.parametrize("gen, params, nodes", [
+    (bench.gen_counter, bench.CounterParams(cap=35, steps=35), 1153),
+    (bench.gen_scheduler, bench.SchedulerParams(processes=3), 1229),
+    (bench.gen_counter, bench.CounterParams(cap=100, mode="infinite"), 134),
+])
+def test_benchmark_models_encode_to_pinned_node_counts(gen, params, nodes):
+    # the store holds the encoding's nodes and nothing else, so its size
+    # is fixed by the functions encoded, however they are built; here the
+    # one coalition is every agent, whose moves are the joint relation
+    g = gen(params)
+    store = cgs.make_store(g, automaton_bits=1)
+    sg = cgs.encode_symbolic(g, store, g.reachable_states(), [g.agents])
+    assert store.node_count() == nodes
+    assert helpers.decode(sg, sg.reach) == sorted(g.reachable_states())
+
+
 @pytest.mark.parametrize("gen, params, coalitions, nodes", [
     (bench.gen_counter, bench.CounterParams(cap=35, steps=35),
      [("a1", "a2")], 1153),
@@ -680,11 +696,10 @@ def test_reachable_matches_bfs():
     (bench.gen_counter, bench.CounterParams(cap=100, mode="infinite"),
      [("a1",)], 121),
 ])
-def test_benchmark_models_encode_to_pinned_node_counts(gen, params,
-                                                       coalitions, nodes):
-    # the store holds the encoding's nodes and nothing else, so its size
-    # is fixed by the functions encoded, however they are built; the
-    # coalitions are those of each model's benchmark anchor formula
+def test_benchmark_anchor_coalitions_encode_to_pinned_node_counts(
+        gen, params, coalitions, nodes):
+    # as above, with the coalitions of each model's benchmark anchor
+    # formula: the store holds only their moves, never the joint relation
     g = gen(params)
     store = cgs.make_store(g, automaton_bits=1)
     sg = cgs.encode_symbolic(g, store, g.reachable_states(), coalitions)
