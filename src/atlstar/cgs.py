@@ -117,6 +117,11 @@ def _validate_header(g):
             raise CgsError(f"agent name {a!r} cannot be written in a formula")
         if not g.actions.get(a):
             raise CgsError(f"agent {a} has no actions")
+    for names, what in [(g.agents, "agent names"), (g.atoms, "atoms"),
+                        (g.states, "state names")] + [
+            (g.actions[a], f"actions for agent {a}") for a in g.agents]:
+        if len(set(names)) != len(names):
+            raise CgsError(f"duplicate {what}")
     if not 0 <= g.initial < len(g.states):
         raise CgsError("initial state out of range")
     for s in g.final:
@@ -129,6 +134,17 @@ def _validate_header(g):
             if p.startswith("__"):
                 raise CgsError(f"atom {p!r} uses the reserved '__' prefix")
             raise CgsError(f"atom name {p!r} cannot be written in a formula")
+    labels = g.labels
+    if len(labels) != len(g.states) or set(map(type, labels)) != {frozenset}:
+        raise CgsError("the labels are not one frozenset per state")
+    declared = frozenset(g.atoms)
+    # each distinct row is checked once, in order of first appearance, so
+    # the first state with an undefined atom is the first such row's
+    # first carrier
+    for row in dict.fromkeys(labels):
+        if not row <= declared:
+            raise CgsError(f"undefined atom {min(row - declared)!r} in label "
+                           f"of state {g.states[labels.index(row)]}")
     bad = _unwritable(g.states, _STATE_SIGNS)
     if bad is not None:
         raise CgsError(f"state name {bad!r} cannot be written in CGSL")
@@ -186,24 +202,9 @@ def expand(agents, atoms, actions, keys, name, label, final, initial, step):
     text apply here too.
     """
     states = [name(k) for k in keys]
-    for names, what in [(agents, "agent names"), (atoms, "atoms"),
-                        (states, "state names")] + [
-            (actions.get(a, ()), f"actions for agent {a}") for a in agents]:
-        if len(set(names)) != len(names):
-            raise CgsError(f"duplicate {what}")
     index = {k: i for i, k in enumerate(keys)}
     if initial not in index:
         raise CgsError(f"initial key {initial!r} is not a state")
-
-    labels = _shared_rows(label(k) for k in keys)
-    declared = frozenset(atoms)
-    # each distinct row is checked once, in order of first appearance, so
-    # the first state with an undefined atom is the first such row's
-    # first carrier
-    for row in dict.fromkeys(labels):
-        if not row <= declared:
-            raise CgsError(f"undefined atom {min(row - declared)!r} in label "
-                           f"of state {name(keys[labels.index(row)])}")
 
     g = Cgs(
         agents=list(agents),
@@ -213,7 +214,7 @@ def expand(agents, atoms, actions, keys, name, label, final, initial, step):
         final=frozenset(i for i, k in enumerate(keys) if final(k)),
         actions={a: list(actions.get(a, ())) for a in agents},
         successors=[],
-        labels=labels,
+        labels=_shared_rows(label(k) for k in keys),
     )
     _validate_header(g)
     joint = g.joint_moves()
@@ -235,54 +236,45 @@ def expand(agents, atoms, actions, keys, name, label, final, initial, step):
 def parse_model(text):
     """Parse the CGSL model format into a validated Cgs.
 
-    The trans block that :meth:`Cgs.to_text` writes last is read as
-    three token columns.  A text whose block is not in that form, whose
-    rows do not run in that order or resolve, or that has any other
-    error, is read again line by line and row by row, so both ways give
-    the same Cgs, and an error is always the line reader's first.
+    The text is read line by line, except the trans block that
+    :meth:`Cgs.to_text` writes last, which is read as three token
+    columns when its rows run in that order over the declared states
+    and actions (see ``_in_column_form``).  Either way the text is read
+    once, gives the same Cgs, and an error is always the line reader's
+    first.
     """
-    head, columns = _trans_block(text)
-    if columns is not None:
-        # a model built from the columns has passed _validate_header, so
-        # no source holds '(' or '->' and no action '->' or ',': each of
-        # its rows reads the same line by line
-        try:
-            g = _parse(head, columns)
-        except CgsError:
-            g = None
-        if g is not None:
-            return g
-    return _parse(text, None)
+    return _parse(text, *_trans_block(text))
 
 
 def _trans_block(text):
-    """``text`` split before its trans block and the block's source,
-    action and target token columns, or ``text`` and None.
+    """The offset of ``text``'s trans block and the block's source,
+    action and target token columns, or the length of ``text`` and
+    None.
 
     The block is every line from the first ``trans`` line after line 1
     to the end, and each of its lines must read exactly
-    ``trans SRC (ACTS) -> DST``: one split of the block gives its
-    tokens, and rebuilding the block from them proves that form.
+    ``trans SRC (ACTS) -> DST`` with no comment: one split of the block
+    gives its tokens, and rebuilding the block from them proves that
+    form.
     """
     cut = text.find("\ntrans ") + 1
     if not cut:
-        return text, None
+        return len(text), None
     block = text[cut:]
     toks = block.split()
     srcs, acts, dsts = toks[1::5], toks[2::5], toks[4::5]
     rows = zip(repeat("trans "), srcs, repeat(" "), acts, repeat(" -> "),
                dsts, repeat("\n"))
-    if "".join(itertools.chain.from_iterable(rows)) != block:
-        return text, None
-    return text[:cut], (srcs, acts, dsts)
+    if "#" in block or "".join(itertools.chain.from_iterable(rows)) != block:
+        return len(text), None
+    return cut, (srcs, acts, dsts)
 
 
-def _parse(text, columns):
-    """Parse ``text`` line by line.  With the trans block's token
-    ``columns``, which follow ``text``, take the resolved target column
-    as the successor column, or return None unless the block holds
-    every row in :meth:`Cgs.to_text`'s order; without them, resolve and
-    check the rows one by one."""
+def _parse(text, cut, columns):
+    """Parse ``text`` line by line up to offset ``cut``, past which the
+    trans block's token ``columns`` (or None) give the rows if they are
+    in column form; otherwise the block's lines are read like the
+    others."""
     agents = None
     atoms = None
     states = None
@@ -295,63 +287,74 @@ def _parse(text, columns):
     def err(lineno, msg):
         raise CgsError(f"line {lineno}: {msg}")
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if "#" in line:
-            line = line[:line.index("#")]
-        line = line.strip()
-        # the trans block aside, nearly every line of a model is a label
-        # or transition row; its atom or action text is resolved once per
-        # distinct text, after the scan
-        if line.startswith("label "):
-            state, colon, props = line[len("label "):].partition(":")
-            if not colon:
-                err(lineno, "malformed label line")
-            label_lines.append((state.strip(), props, lineno))
-        elif line.startswith("trans "):
-            rest = line[len("trans "):]
-            src_part, arrow, dst = rest.partition("->")
-            src, paren, acts = src_part.partition("(")
-            if not arrow or not paren or ")" not in rest:
-                err(lineno, "malformed trans line")
-            trans_lines.append(
-                (src.strip(), acts.rsplit(")", 1)[0], dst.strip(), lineno))
-        elif not line:
-            continue
-        elif line.startswith("agents:"):
-            if agents is not None:
-                err(lineno, "duplicate agents declaration")
-            agents = line[len("agents:"):].split()
-            if len(set(agents)) != len(agents):
-                err(lineno, "duplicate agent names")
-        elif line.startswith("atoms:"):
-            if atoms is not None:
-                err(lineno, "duplicate atoms declaration")
-            atoms = line[len("atoms:"):].split()
-            if len(set(atoms)) != len(atoms):
-                err(lineno, "duplicate atoms")
-        elif line.startswith("states:"):
-            if states is not None:
-                err(lineno, "duplicate states declaration")
-            states = line[len("states:"):].split()
-            if len(set(states)) != len(states):
-                err(lineno, "duplicate state names")
-        elif line.startswith("initial:"):
-            if initial is not None:
-                err(lineno, "duplicate initial declaration")
-            initial = (line[len("initial:"):].strip(), lineno)
-        elif line.startswith("final:"):
-            final.append((line[len("final:"):].split(), lineno))
-        elif line.startswith("actions "):
-            rest = line[len("actions "):]
-            if ":" not in rest:
-                err(lineno, "malformed actions line")
-            agent, acts = rest.split(":", 1)
-            agent = agent.strip()
-            if agent in actions:
-                err(lineno, f"duplicate actions declaration for agent {agent}")
-            actions[agent] = (acts.split(), lineno)
-        else:
-            err(lineno, f"unrecognized line: {line!r}")
+    def scan(lines, first):
+        nonlocal agents, atoms, states, initial
+        for lineno, line in enumerate(lines, start=first):
+            if "#" in line:
+                line = line[:line.index("#")]
+            line = line.strip()
+            # the trans block aside, nearly every line of a model is a
+            # label or transition row; its atom or action text is
+            # resolved once per distinct text, after the scan
+            if line.startswith("label "):
+                state, colon, props = line[len("label "):].partition(":")
+                if not colon:
+                    err(lineno, "malformed label line")
+                label_lines.append((state.strip(), props, lineno))
+            elif line.startswith("trans "):
+                rest = line[len("trans "):]
+                src_part, arrow, dst = rest.partition("->")
+                src, paren, acts = src_part.partition("(")
+                if not arrow or not paren or ")" not in rest:
+                    err(lineno, "malformed trans line")
+                trans_lines.append((src.strip(), acts.rsplit(")", 1)[0],
+                                    dst.strip(), lineno))
+            elif not line:
+                continue
+            elif line.startswith("agents:"):
+                if agents is not None:
+                    err(lineno, "duplicate agents declaration")
+                agents = line[len("agents:"):].split()
+                if len(set(agents)) != len(agents):
+                    err(lineno, "duplicate agent names")
+            elif line.startswith("atoms:"):
+                if atoms is not None:
+                    err(lineno, "duplicate atoms declaration")
+                atoms = line[len("atoms:"):].split()
+                if len(set(atoms)) != len(atoms):
+                    err(lineno, "duplicate atoms")
+            elif line.startswith("states:"):
+                if states is not None:
+                    err(lineno, "duplicate states declaration")
+                states = line[len("states:"):].split()
+                if len(set(states)) != len(states):
+                    err(lineno, "duplicate state names")
+            elif line.startswith("initial:"):
+                if initial is not None:
+                    err(lineno, "duplicate initial declaration")
+                initial = (line[len("initial:"):].strip(), lineno)
+            elif line.startswith("final:"):
+                final.append((line[len("final:"):].split(), lineno))
+            elif line.startswith("actions "):
+                rest = line[len("actions "):]
+                if ":" not in rest:
+                    err(lineno, "malformed actions line")
+                agent, acts = rest.split(":", 1)
+                agent = agent.strip()
+                if agent in actions:
+                    err(lineno,
+                        f"duplicate actions declaration for agent {agent}")
+                actions[agent] = (acts.split(), lineno)
+            else:
+                err(lineno, f"unrecognized line: {line!r}")
+
+    head = text[:cut].splitlines()
+    scan(head, 1)
+    first_row = len(head) + 1
+    if columns is not None and not _in_column_form(
+            columns, trans_lines, agents, states, actions):
+        scan(text[cut:].splitlines(), first_row)
+        columns = None
 
     if agents is None:
         raise CgsError("missing agents declaration")
@@ -415,14 +418,19 @@ def _parse(text, columns):
             row = read[props] = distinct.setdefault(row, row)
         labels[sidx[state]] = row
 
-    if columns is None:
+    if columns is not None:
+        srcs, acts, dsts = columns
+        try:
+            successors = list(map(sidx.__getitem__, dsts))
+        except KeyError:
+            # some target is no state: the rows say which comes first
+            successors = _row_successors(
+                zip(srcs, (a[1:-1] for a in acts), dsts,
+                    itertools.count(first_row)),
+                agents, act_lists, aidx, sidx)
+    else:
         successors = _row_successors(trans_lines, agents, act_lists, aidx,
                                      sidx)
-    else:
-        successors = _column_successors(trans_lines, columns, states,
-                                        act_lists, sidx)
-        if successors is None:
-            return None
 
     g = Cgs(
         agents=list(agents),
@@ -481,22 +489,25 @@ def _row_successors(trans_lines, agents, act_lists, aidx, sidx):
     return successors
 
 
-def _column_successors(trans_lines, columns, states, act_lists, sidx):
-    """The block's target column, resolved, as the successor column, or
-    None unless no row came before the block and the source and action
-    columns run in :meth:`Cgs.to_text`'s order: each state's rows in
-    joint action order."""
-    srcs, acts, dsts = columns
-    tokens = ["(" + ",".join(m) + ")"
-              for m in itertools.product(*act_lists.values())]
-    if trans_lines or acts != tokens * len(states) or srcs != list(
-            itertools.chain.from_iterable(
-                map(repeat, states, repeat(len(tokens))))):
-        return None
-    try:
-        return list(map(sidx.__getitem__, dsts))
-    except KeyError:
-        return None
+def _in_column_form(columns, trans_lines, agents, states, actions):
+    """Whether the token ``columns`` hold, after no other row, every row
+    in :meth:`Cgs.to_text`'s order over the declared ``agents``,
+    ``states`` and ``actions`` (agent -> (names, line number)), with
+    names that a line reads the same: no source holds '(' or '->' and
+    no action '->' or ','.  Then each line of the block reads as its
+    source, its action token unbracketed and its target."""
+    if trans_lines or agents is None or states is None or not all(
+            a in actions for a in agents):
+        return False
+    names = [actions[a][0] for a in agents]
+    if any("(" in s or "->" in s for s in states) or any(
+            "->" in n or "," in n for ns in names for n in ns):
+        return False
+    srcs, acts, _ = columns
+    tokens = ["(" + ",".join(m) + ")" for m in itertools.product(*names)]
+    return acts == tokens * len(states) and srcs == list(
+        itertools.chain.from_iterable(
+            map(repeat, states, repeat(len(tokens)))))
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,18 @@
 """Deterministic parity automata for LTL path formulas.
 
-Automata come either from external translator tools speaking the HOA v1
-format or, when no tool is configured, from a built-in fallback covering
-the safety / co-safety fragments plus the propositional response pattern
-G(a -> F b); both routes meet in ``obtain_dpa``.  Tools run as a race in
-which each racer turns its tool's text into a Dpa (``parse_hoa``, then
-``hoa_to_dpa``), so the first tool whose automaton converts wins.  HOA
-edge labels are read by the formula parser as propositional formulas.
-Every automaton is state-based and min-even: a run is accepting exactly
-when its minimal recurring priority is even.  A HOA automaton's
-acceptance marks are mapped to such priorities on input, and
-transition-based marks become state-based.
+A parity automaton is an ``ltlf2dfa.Automaton``, the type the finite
+semantics' DFAs have too, read by its priorities.  Automata come either
+from external translator tools speaking the HOA v1 format or, when no
+tool is configured, from a built-in fallback covering the safety /
+co-safety fragments plus the propositional response pattern
+G(a -> F b); both routes meet in ``obtain_dpa``.  Tools run as a race
+in which each racer turns its tool's text into an automaton
+(``parse_hoa``, then ``hoa_to_dpa``), so the first tool whose automaton
+converts wins.  HOA edge labels are read by the formula parser as
+propositional formulas.  Every automaton is state-based and min-even: a
+run is accepting exactly when its minimal recurring priority is even.
+A HOA automaton's acceptance marks are mapped to such priorities on
+input, and transition-based marks become state-based.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import os
 import re
 import subprocess
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import formula as fm
 from . import ltlf2dfa
@@ -61,9 +63,6 @@ class HoaAutomaton:
     acc_name: tuple          # tokens of the acc-name header, may be empty
     acceptance: str
     states: dict             # sid -> HoaState
-
-    def alphabet(self):
-        return range(1 << len(self.aps))
 
 
 # one token of a HOA label, or any other character, which is an error
@@ -213,20 +212,6 @@ def parse_hoa(text):
 # ---------------------------------------------------------------------------
 # Deterministic parity automata
 
-@dataclass
-class Dpa:
-    """State-based deterministic parity automaton over letter bitmasks."""
-
-    atoms: tuple
-    n_states: int
-    initial: int
-    delta: dict              # (state, letter mask) -> state
-    priority: dict           # state -> non-negative int, min even
-
-    def letter(self, labels):
-        return ltlf2dfa.letter_mask(self.atoms, labels)
-
-
 def _mark_priority(hoa):
     """The min-even priority of an edge, as a function of its marks.
 
@@ -270,14 +255,14 @@ def _mark_priority(hoa):
 
 def hoa_to_dpa(hoa):
     """Convert a parity, Büchi or co-Büchi HOA automaton to a state-based
-    min-even Dpa.
+    min-even ``Automaton`` over all 2^|AP| letters.
 
     Transition-based priorities are handled by splitting states per
     incoming priority class, which preserves the language (unlike a
     first-discovered assignment).  Unreachable states are dropped.
     """
     priority_of = _mark_priority(hoa)
-    letters = list(hoa.alphabet())
+    letters = tuple(range(1 << len(hoa.aps)))
     # the atoms of the label formulas that hold on each letter
     holding = [{_ap(i) for i in range(len(hoa.aps)) if a >> i & 1}
                for a in letters]
@@ -334,11 +319,12 @@ def hoa_to_dpa(hoa):
             delta[(me, a)] = get_id(tkey)
         i += 1
 
-    return Dpa(
+    return ltlf2dfa.Automaton(
         atoms=tuple(hoa.aps),
         n_states=len(order),
         initial=0,
         delta=delta,
+        alphabet=letters,
         priority=priority,
     )
 
@@ -428,9 +414,10 @@ def fallback_translate(psi):
     if resp is not None:
         trigger, target = resp
         atoms = tuple(sorted(fm.atoms_of(trigger) | fm.atoms_of(target)))
+        letters = tuple(range(1 << len(atoms)))
         delta = {}
         for st in (0, 1):  # 0 = no pending obligation, 1 = pending
-            for a in range(1 << len(atoms)):
+            for a in letters:
                 labels = {atoms[i] for i in range(len(atoms)) if (a >> i) & 1}
                 if _prop_holds(target, labels):
                     nxt = 0
@@ -439,23 +426,22 @@ def fallback_translate(psi):
                 else:
                     nxt = st
                 delta[(st, a)] = nxt
-        return Dpa(
+        return ltlf2dfa.Automaton(
             atoms=atoms, n_states=2, initial=0, delta=delta,
-            priority={0: 0, 1: 1},
+            alphabet=letters, priority={0: 0, 1: 1},
         )
 
     if _is_cosafety(core):
         # good prefixes are extension-closed: DFA-accepting visited
-        # infinitely often iff some good prefix exists
-        d = ltlf2dfa.translate(psi)
-        prio = {s: (0 if s in d.finals else 1) for s in range(d.n_states)}
-        return Dpa(d.atoms, d.n_states, d.initial, dict(d.delta), prio)
+        # infinitely often iff some good prefix exists; the DFA's
+        # priorities already say so
+        return ltlf2dfa.translate(psi)
 
     if _is_safety(core):
-        # bad prefixes of psi = good prefixes of !psi, a co-safety formula
+        # bad prefixes of psi = good prefixes of !psi, a co-safety
+        # formula: once its DFA accepts, the run stays at odd priority
         d = ltlf2dfa.translate(fm.not_(psi))
-        prio = {s: (1 if s in d.finals else 0) for s in range(d.n_states)}
-        return Dpa(d.atoms, d.n_states, d.initial, dict(d.delta), prio)
+        return replace(d, priority={s: p ^ 1 for s, p in d.priority.items()})
 
     raise DpaError(
         "no external translator configured and the built-in fallback does "
@@ -468,8 +454,8 @@ def fallback_translate(psi):
 
 def race_translate(psi, tools, timeout=60.0):
     """Run external translator commands concurrently and return
-    ``(dpa, tool)`` for the first tool whose output converts to a Dpa
-    over atoms of ``psi``.
+    ``(automaton, tool)`` for the first tool whose output converts to a
+    parity ``Automaton`` over atoms of ``psi``.
 
     Each racer parses and converts its own tool's output, so a tool
     whose automaton the checker cannot use loses.  ``tools`` is a
@@ -530,7 +516,9 @@ def race_translate(psi, tools, timeout=60.0):
 
 
 def obtain_dpa(psi, tools=(), timeout=60.0):
-    """Translate an LTL path formula to a normalized state-based Dpa."""
+    """Translate an LTL path formula to a state-based min-even parity
+    ``Automaton``; returns ``(automaton, tool)``, the tool being
+    ``"builtin"`` for the fallback."""
     if not tools:
         return fallback_translate(psi), "builtin"
     return race_translate(psi, list(tools), timeout=timeout)

@@ -1,8 +1,4 @@
-"""ATL*/LTL/LTLf formulas: parsing, classification, normal forms.
-
-Also carries the brute-force finite-trace evaluator used as the oracle
-for the automata pipeline.
-"""
+"""ATL*/LTL/LTLf formulas: parsing, classification, normal forms."""
 
 from __future__ import annotations
 

@@ -136,19 +136,18 @@ def region_cap_check(n):
         )
 
 
-def explicit_arena(g, aut, coalition, reachable, priority=None):
-    """Explicit arena of a model with a deterministic automaton (a
-    ``Dfa`` or a ``Dpa``), explored from the entry node (q, delta(s0,
+def explicit_arena(g, aut, coalition, reachable):
+    """Explicit arena of a model with a deterministic automaton (an
+    ``ltlf2dfa.Automaton``), explored from the entry node (q, delta(s0,
     lambda(q))) of each reachable state q.
 
     Each node (q, s) is a coalition vertex, numbered in discovery order,
     with one opponent vertex per coalition move, whose successors are
     the nodes that some response of the other agents reaches.  Every
-    vertex carries the priority that ``priority`` maps its automaton
-    state to, or 0 when ``priority`` is None.  Returns (game, nodes,
-    entry): ``nodes`` lists the (q, s) pairs of the coalition vertices,
-    and ``entry`` maps each reachable state to the vertex it enters the
-    arena at.
+    vertex carries the priority of its automaton state, which only the
+    parity objective reads.  Returns (game, nodes, entry): ``nodes``
+    lists the (q, s) pairs of the coalition vertices, and ``entry`` maps
+    each reachable state to the vertex it enters the arena at.
     """
     coalition = set(coalition)
     # the joint action indices grouped by the coalition's part of them
@@ -178,7 +177,7 @@ def explicit_arena(g, aut, coalition, reachable, priority=None):
               for grp in groups]
              for q, s in nodes]  # nodes grows while it is walked
     n = len(nodes)
-    prio = [0 if priority is None else priority[s] for _, s in nodes]
+    prio = [aut.priority[s] for _, s in nodes]
     game = ExplicitGame(
         owner=[0] * n + [1] * (n * k),
         priority=prio + [p for p in prio for _ in range(k)],

@@ -43,7 +43,6 @@ def winning_states_explicit(g, dpa, coalition, reachable):
     """CGS states from which the coalition wins, by the explicit solver
     on ``games.explicit_arena``.  ``reachable`` is the model's reachable
     state set."""
-    game, _, entry = games.explicit_arena(g, dpa, coalition, reachable,
-                                          dpa.priority)
+    game, _, entry = games.explicit_arena(g, dpa, coalition, reachable)
     w0, _ = games.solve_zielonka(game)
     return {q for q, v in entry.items() if v in w0}

@@ -1,5 +1,5 @@
-"""LTLf path formulas to minimal DFAs, plus the symbolic encoding of any
-deterministic automaton, DFA or DPA.
+"""LTLf path formulas to minimal DFAs, plus the one automaton type of
+both semantics and its symbolic encoding.
 
 The construction progresses the formula letter by letter: a translation
 state is the obligation on the unread suffix, canonicalized as a BDD over
@@ -11,7 +11,7 @@ model's states carry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import formula as fm
 from .bdd import FALSE, TRUE, Bdd, BddStore
@@ -32,8 +32,12 @@ def letter_mask(atoms, labels):
 
 
 @dataclass
-class Dfa:
-    """Total deterministic automaton over an alphabet of letter bitmasks.
+class Automaton:
+    """Total deterministic automaton over an alphabet of letter bitmasks,
+    a DFA for finite traces and a min-even parity automaton for
+    infinite ones: a finite trace is accepted when it ends in one of
+    ``finals``, the even-priority states, and an infinite one when its
+    least recurring priority is even.
 
     Letters are bitmasks over ``atoms`` (bit i set = atoms[i] holds).
     ``alphabet`` is the sorted tuple of letters the automaton reads: all
@@ -44,21 +48,17 @@ class Dfa:
     atoms: tuple
     n_states: int
     initial: int
-    finals: frozenset
     delta: dict  # (state, letter mask) -> state
     alphabet: tuple
+    priority: dict  # state -> non-negative int
+    finals: frozenset = field(init=False)
+
+    def __post_init__(self):
+        self.finals = frozenset(s for s, p in self.priority.items()
+                                if p % 2 == 0)
 
     def letter(self, labels):
         return letter_mask(self.atoms, labels)
-
-    def step(self, state, labels):
-        try:
-            return self.delta[(state, self.letter(labels))]
-        except KeyError:
-            shown = ",".join(p for p in self.atoms if p in labels)
-            raise TranslationError(
-                f"letter {{{shown}}} is outside the automaton's alphabet"
-            ) from None
 
     def letters(self):
         return self.alphabet
@@ -201,7 +201,9 @@ class _Progression:
 
 
 def translate(psi, labels=None):
-    """Minimal DFA accepting exactly the finite traces satisfying psi.
+    """Minimal DFA accepting exactly the finite traces satisfying psi,
+    as an ``Automaton`` whose accepting states have priority 0 and
+    whose other states have priority 1.
 
     Without ``labels`` the automaton reads all 2^|atoms| letters.  Given
     an iterable of state label sets, it reads only the distinct letters
@@ -281,14 +283,14 @@ def _minimize(atoms, letters, rows, finals):
             if block[t] not in number:
                 number[block[t]] = len(order)
                 order.append(block[t])
-    return Dfa(
+    return Automaton(
         atoms=atoms,
         n_states=len(order),
         initial=0,
-        finals=frozenset(number[b] for b in order if finals[rep[b]]),
         delta={(number[b], a): number[block[t]]
                for b in order for a, t in zip(letters, rows[rep[b]])},
         alphabet=letters,
+        priority={number[b]: 0 if finals[rep[b]] else 1 for b in order},
     )
 
 
@@ -297,9 +299,10 @@ def _minimize(atoms, letters, rows, finals):
 
 @dataclass
 class SymbolicAutomaton:
-    """A deterministic automaton (a ``Dfa`` or a ``Dpa``) encoded against
-    a CGS, its letters replaced by the model states that carry them.
-    Each reader builds the state sets it needs from ``aut``."""
+    """An ``Automaton`` encoded against a CGS, its letters replaced by
+    the model states that carry them.  Each reader builds the state sets
+    it needs from ``aut``: the finite objective its ``finals``, the
+    parity objective its ``priority`` classes."""
 
     aut: object     # the automaton encoded
     s: object
@@ -318,8 +321,8 @@ def _letter_carriers(aut, g):
     automaton.
 
     A state's letter is its label row projected onto the automaton's
-    atoms, computed once per distinct row.  Letters outside the
-    automaton's alphabet are left out: only states that no play reaches
+    atoms, computed once per distinct row.  Letters outside
+    ``aut.alphabet`` are left out: only states that no play reaches
     carry them.
     """
     masks = {}      # row -> its letter
@@ -329,7 +332,7 @@ def _letter_carriers(aut, g):
         if a is None:
             a = masks[row] = letter_mask(aut.atoms, row)
         carriers.setdefault(a, []).append(q)
-    alphabet = {a for _, a in aut.delta}
+    alphabet = set(aut.alphabet)
     return {a: qs for a, qs in carriers.items() if a in alphabet}
 
 

@@ -151,6 +151,19 @@ def eval_finite_trace(psi, trace, i=0):
     return ev(psi, i)
 
 
+def dfa_step(dfa, state, labels):
+    """The state ``dfa`` moves to from ``state`` on the letter that the
+    label set ``labels`` shows it; a letter outside its alphabet raises
+    ``TranslationError``."""
+    try:
+        return dfa.delta[(state, dfa.letter(labels))]
+    except KeyError:
+        shown = ",".join(p for p in dfa.atoms if p in labels)
+        raise ltlf2dfa.TranslationError(
+            f"letter {{{shown}}} is outside the automaton's alphabet"
+        ) from None
+
+
 def dfa_accepts(dfa, trace):
     """Whether ``dfa`` accepts ``trace``, a non-empty sequence of label
     sets; a letter outside its alphabet raises ``TranslationError``."""
@@ -159,7 +172,7 @@ def dfa_accepts(dfa, trace):
             "traces must have at least one position")
     s = dfa.initial
     for labels in trace:
-        s = dfa.step(s, labels)
+        s = dfa_step(dfa, s, labels)
     return s in dfa.finals
 
 

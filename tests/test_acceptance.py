@@ -120,6 +120,7 @@ def test_safety_oracle_is_zielonka_on_the_same_arena():
             for coal in coalitions:
                 game, nodes, entry = games.explicit_arena(g, dfa, coal,
                                                           reachable)
+                game.priority = [0] * game.n()
                 for v, (q, s) in enumerate(nodes):
                     if q in g.final and s not in dfa.finals:
                         game.priority[v] = 1
@@ -207,13 +208,11 @@ def test_parity_solvers_agree():
     g1 = bench.gen_counter(bench.CounterParams(cap=2, mode="infinite"))
     d1, _ = dp.obtain_dpa(fm.parse_formula("F counter_max"))
     derived.append(games.explicit_arena(g1, d1, ("a1", "a2"),
-                                        g1.reachable_states(),
-                                        d1.priority)[0])
+                                        g1.reachable_states())[0])
     g2 = bench.gen_scheduler(bench.SchedulerParams(processes=2))
     d2, _ = dp.obtain_dpa(fm.parse_formula("G (wt_1 -> F !wt_1)"))
     derived.append(games.explicit_arena(g2, d2, ("p1",),
-                                        g2.reachable_states(),
-                                        d2.priority)[0])
+                                        g2.reachable_states())[0])
     for game in derived:
         w0, w1 = games.solve_zielonka(game)
         sym = helpers.encode_explicit_game(game)

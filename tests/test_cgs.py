@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -345,17 +346,32 @@ def trans_mutations(rng, text):
 
 
 def test_parser_matches_the_reference_on_mutated_trans_rows(monkeypatch):
-    # the parser reads the trans block as token columns and falls back to
-    # the line reader; the reference reads every line on its own, and
-    # both give equal models or the same error message
+    # the parser reads the trans block as token columns when the rows are
+    # in column form, resolving them one by one when a target is no
+    # state, and reads the block's lines like the others when they are
+    # not; the reference reads every line on its own, and both give
+    # equal models or the same error message
     readers = []
-    parse = cgs._parse
+    parse, in_form, row_successors = (cgs._parse, cgs._in_column_form,
+                                      cgs._row_successors)
 
-    def traced(text, columns):
+    def traced_parse(text, cut, columns):
         readers.append("block" if columns is not None else "lines")
-        return parse(text, columns)
+        return parse(text, cut, columns)
 
-    monkeypatch.setattr(cgs, "_parse", traced)
+    def traced_form(*args):
+        form = in_form(*args)
+        if form:
+            readers.append("form")
+        return form
+
+    def traced_rows(*args):
+        readers.append("rows")
+        return row_successors(*args)
+
+    monkeypatch.setattr(cgs, "_parse", traced_parse)
+    monkeypatch.setattr(cgs, "_in_column_form", traced_form)
+    monkeypatch.setattr(cgs, "_row_successors", traced_rows)
     rng = random.Random(2629)
     bases = [BASIC, bench.build_model("counter", {"cap": "3", "steps": "3"}),
              bench.build_model("scheduler", {"processes": "2"}),
@@ -374,8 +390,13 @@ def test_parser_matches_the_reference_on_mutated_trans_rows(monkeypatch):
             if isinstance(got, str):
                 errors.add(re.sub(r"line \d+: |(state|action) '.*| \d+ .*|"
                                   r" row .*", r"\1", got))
-    # the block alone, the block then the lines, and the lines alone
-    assert paths == {("block",), ("block", "lines"), ("lines",)}
+    # the columns alone, the columns then their rows, the block's lines,
+    # and the lines alone; each reader but the columns may stop at an
+    # error before any row is read
+    assert {("block", "form"), ("block", "form", "rows"), ("block", "rows"),
+            ("lines", "rows")} <= paths <= {
+        ("block", "form"), ("block", "form", "rows"), ("block", "rows"),
+        ("block",), ("lines", "rows"), ("lines",)}
     kinds = {re.sub(r"(state|action) '.*| \d+ .*| row .*", r"\1", msg)
              for _, msg in TRANS_ERRORS.values()}
     assert kinds <= errors
@@ -485,6 +506,14 @@ def test_names_cgsl_cannot_write_are_refused(case):
         cgs.validate(g)
 
 
+def test_a_comment_glued_to_a_block_target_is_a_comment():
+    # the block still splits into the columns, but its target token
+    # holds the comment, which the line reader drops
+    g = expand_basic()
+    text = g.to_text().replace(" -> s2\n", " -> s2#note\n", 1)
+    assert cgs.parse_model(text) == helpers.reference_parse_model(text) == g
+
+
 def test_an_unlabelled_state_may_hold_a_colon():
     g = expand_basic(name=["x:y", "s1", "s2"].__getitem__)
     assert cgs.parse_model(g.to_text()) == g
@@ -550,6 +579,26 @@ def test_successors_outside_the_states_are_bad_input(engine, successors,
     with pytest.raises(cgs.CgsError) as err:
         driver.check(model=two_states(successors), formula="<<a>> F p",
                      engine=engine)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("engine", ["symbolic", "explicit"])
+@pytest.mark.parametrize("changes, message", [
+    (dict(agents=["a", "a"], successors=[1] * 8), "duplicate agent names"),
+    (dict(labels=[frozenset()]), "the labels are not one frozenset per state"),
+    (dict(labels=[set(), {"p"}]),
+     "the labels are not one frozenset per state"),
+    (dict(labels=[frozenset(), frozenset({"x"})]),
+     "undefined atom 'x' in label of state s1"),
+], ids=["duplicate-agents", "short-labels", "set-labels", "undefined-atom"])
+def test_models_the_parser_refuses_are_bad_input_from_the_api(
+        engine, changes, message):
+    # each of these used to reach the engines, where a duplicate agent
+    # made the encoding's blocks overlap, a missing row raised an
+    # IndexError and a plain set could not be hashed
+    g = dataclasses.replace(two_states([1, 0, 1, 1]), **changes)
+    with pytest.raises(cgs.CgsError) as err:
+        driver.check(model=g, formula="<<a>> F p", engine=engine)
     assert str(err.value) == message
 
 

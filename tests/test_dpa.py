@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 import stat
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 
 from atlstar import dpa as dp
 from atlstar import formula as fm
+from atlstar import ltlf2dfa
 
 import helpers
+from test_acceptance import DFA_CORPUS
 
 
 TRANS_PARITY = """\
@@ -414,6 +417,33 @@ def test_fallback_languages():
             got = helpers.accepts_lasso(d, pre, loop)
             want = semantic_lasso(fm.normalize(psi), atoms, pre, loop)
             assert got == want, (text, pre, loop)
+
+
+COSAFETY = ["F p", "p U q", "F (p & q)", "X p", "p & F q"]
+SAFETY = ["G p", "G (p | q)", "!p & G !q"]
+
+
+def test_fallback_routes_reuse_the_translated_dfa():
+    # co-safety: the DFA of psi itself, read by its priorities
+    for text in COSAFETY:
+        psi = fm.parse_formula(text)
+        assert dp.fallback_translate(psi) == ltlf2dfa.translate(psi), text
+    # safety: the DFA of !psi with every priority flipped
+    for text in SAFETY:
+        psi = fm.parse_formula(text)
+        d = dp.fallback_translate(psi)
+        neg = ltlf2dfa.translate(fm.not_(psi))
+        flipped = {s: p ^ 1 for s, p in neg.priority.items()}
+        assert d == dataclasses.replace(neg, priority=flipped), text
+        assert d.finals == frozenset(range(d.n_states)) - neg.finals, text
+    # a translated DFA accepts in its even-priority states, and only
+    # there, with the priorities 0 and 1
+    for text in DFA_CORPUS:
+        dfa = ltlf2dfa.translate(fm.parse_formula(text))
+        assert set(dfa.priority) == set(range(dfa.n_states)), text
+        assert set(dfa.priority.values()) <= {0, 1}, text
+        assert dfa.finals == {s for s, p in dfa.priority.items()
+                              if p % 2 == 0}, text
 
 
 def test_fallback_rejects_uncovered():

@@ -100,7 +100,7 @@ def full_coalition_oracle(g, psi):
         q, s = node
         out = set()
         for _, t in helpers.moves_from(g, q):
-            out.add((t, dfa.step(s, g.labels[t])))
+            out.add((t, helpers.dfa_step(dfa, s, g.labels[t])))
         return out
 
     def safe(node):
@@ -109,7 +109,7 @@ def full_coalition_oracle(g, psi):
 
     result = set()
     for q in g.reachable_states():
-        start = (q, dfa.step(dfa.initial, g.labels[q]))
+        start = (q, helpers.dfa_step(dfa, dfa.initial, g.labels[q]))
         if not safe(start):
             continue
         # greatest fixpoint: nodes with a safe successor inside the set
@@ -139,7 +139,7 @@ def empty_coalition_oracle(g, psi):
 
     result = set()
     for q in g.reachable_states():
-        start = (q, dfa.step(dfa.initial, g.labels[q]))
+        start = (q, helpers.dfa_step(dfa, dfa.initial, g.labels[q]))
         seen, stack, ok = set(), [start], True
         while stack:
             v = stack.pop()
@@ -151,7 +151,7 @@ def empty_coalition_oracle(g, psi):
                 ok = False
                 break
             for _, t in helpers.moves_from(g, qq):
-                stack.append((t, dfa.step(s, g.labels[t])))
+                stack.append((t, helpers.dfa_step(dfa, s, g.labels[t])))
         if ok:
             result.add(q)
     return result

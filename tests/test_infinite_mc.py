@@ -158,5 +158,4 @@ def test_explicit_game_region_cap(monkeypatch):
     with pytest.raises(ResourceError,
                        match=r"explicit arena would have \d+ vertices "
                              r"\(cap 10\)"):
-        games.explicit_arena(g, dpa, ("a",), g.reachable_states(),
-                             dpa.priority)
+        games.explicit_arena(g, dpa, ("a",), g.reachable_states())

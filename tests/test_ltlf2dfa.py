@@ -128,7 +128,7 @@ def test_letter_outside_alphabet_raises():
     assert dfa.letters() == (1, 2)
     assert helpers.dfa_accepts(dfa, [{"p"}, {"q"}])
     with pytest.raises(ltlf2dfa.TranslationError):
-        dfa.step(dfa.initial, {"p", "q"})
+        helpers.dfa_step(dfa, dfa.initial, {"p", "q"})
     with pytest.raises(ltlf2dfa.TranslationError):
         helpers.dfa_accepts(dfa, [{"p"}, set()])
     # the full alphabet reads every letter
